@@ -27,11 +27,11 @@ from .estimator import (
     default_bandwidth,
     empirical_prob,
     fit,
+    heldout_loglikelihood,
     load_model,
     mallows_fit,
     save_model,
     select_bandwidth,
-    test_loglikelihood,
 )
 from .recommend import (
     LossMatrix,

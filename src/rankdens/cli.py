@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -13,8 +12,8 @@ import click
 import numpy as np
 
 from . import estimator, ingest, oracle, rules
-from .combinatorics import mahonian_distribution, triangular_normalization
-from .rankings import ItemUniverse, Permutation, format_ranking
+from .combinatorics import CombinatoricsError, mahonian_distribution, triangular_normalization
+from .rankings import ENUMERATION_BOUND, ItemUniverse, Permutation, format_ranking
 from .recommend import builtin_loss, loss_from_csv, posterior_predictor, evaluate_prediction
 
 EXIT_OK = 0
@@ -25,14 +24,6 @@ EXIT_NUMERIC = 3
 
 class DataError(click.ClickException):
     exit_code = EXIT_DATA
-
-
-def _threads() -> int:
-    # parallelism cap; execution is deterministic and effectively serial
-    try:
-        return max(1, int(os.environ.get("RANKDENS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _sha256(path) -> str:
@@ -53,7 +44,10 @@ def _write_csv(out_path: Path, config: dict, rows, columns) -> None:
 
 
 def _load_dataset(data, fmt, top_items, top_users):
-    descriptor = ingest.parse_format(fmt)
+    try:
+        descriptor = ingest.parse_format(fmt)
+    except ingest.IngestError as exc:
+        raise click.UsageError(str(exc)) from None
     try:
         table = ingest.load_ratings(data, descriptor)
         items = ingest.select_items(table, top_items)
@@ -73,11 +67,26 @@ def _resolve_bandwidth(bandwidth: str, n: int) -> float:
         raise click.UsageError(f"bad bandwidth {bandwidth!r}") from None
 
 
+def _fit(rankings, n: int, bandwidth: str, kernel: str):
+    """(h, model) for a command; option values the model cannot take are
+    usage errors."""
+    if kernel == "exact" and n > ENUMERATION_BOUND:
+        raise click.UsageError(
+            f"--kernel exact enumerates permutations and allows at most "
+            f"{ENUMERATION_BOUND} items, got {n}"
+        )
+    h = _resolve_bandwidth(bandwidth, n)
+    try:
+        return h, estimator.fit(rankings, h=h, mode=_mode(kernel))
+    except CombinatoricsError as exc:
+        raise click.UsageError(f"--bandwidth {bandwidth}: {exc}") from None
+
+
 common = [
     click.option("--data", required=True, type=click.Path(), help="ratings file"),
     click.option("--format", "fmt", default="ml100k", show_default=True,
                  help="ml100k | ml1m | csv:<delim>:<cols>:<lo>-<hi>[:header]"),
-    click.option("--top-items", default=53, show_default=True),
+    click.option("--top-items", default=53, show_default=True, type=click.IntRange(min=1)),
     click.option("--top-users", default=2000, show_default=True),
     click.option("--bandwidth", default="auto", show_default=True),
     click.option("--kernel", default="modified", show_default=True,
@@ -126,8 +135,7 @@ def normtable(sizes, bandwidths, out):
 def pairs(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict):
     """Pairwise preference matrix and the r(i) preference ranking."""
     _, _, items, universe, rankings = _load_dataset(data, fmt, top_items, top_users)
-    h = _resolve_bandwidth(bandwidth, universe.n)
-    model = estimator.fit([r for _, r in rankings], h=h, mode=_mode(kernel))
+    h, model = _fit([r for _, r in rankings], universe.n, bandwidth, kernel)
     n = universe.n
     matrix = np.full((n, n), 0.5)
     negatives = 0
@@ -144,7 +152,7 @@ def pairs(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict)
     config = {
         "cmd": "pairs", "data": str(data), "sha256": _sha256(data), "format": fmt,
         "top_items": top_items, "top_users": top_users, "h": h,
-        "kernel": kernel, "seed": seed, "threads": _threads(),
+        "kernel": kernel, "seed": seed,
     }
     rows = [
         (universe.label_of(i), universe.label_of(j), repr(float(matrix[i, j])))
@@ -226,14 +234,14 @@ def _loglik_once(rankings, subset, m, seed, bandwidth, mode):
     out = {}
     items = list(range(sub_n))
     try:
-        out["kernel"] = estimator.test_loglikelihood(kernel_scorer, test, items).mean
-        out["empirical"] = estimator.test_loglikelihood(empirical_scorer, test, items).mean
+        out["kernel"] = estimator.heldout_loglikelihood(kernel_scorer, test, items).mean
+        out["empirical"] = estimator.heldout_loglikelihood(empirical_scorer, test, items).mean
         if full:
             mallows = estimator.mallows_fit(full)
             scorer = lambda ev: math.exp(
                 mallows.log_prob(ev.enumerate_consistent()[0])
             )
-            out["mallows"] = estimator.test_loglikelihood(scorer, test, items).mean
+            out["mallows"] = estimator.heldout_loglikelihood(scorer, test, items).mean
     except estimator.EstimatorError:
         return None
     return out
@@ -259,8 +267,7 @@ def predict(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, stric
     train, holdout = ingest.split_users(rankings, seed, test_fraction, holdout_fraction)
     if not holdout.users:
         raise DataError("no test users with enough ranked items")
-    h = _resolve_bandwidth(bandwidth, universe.n)
-    model = estimator.fit(train, h=h, mode=_mode(kernel))
+    h, model = _fit(train, universe.n, bandwidth, kernel)
     mean_loss = evaluate_prediction(
         posterior_predictor(model, loss_matrix), holdout, loss_matrix
     )
@@ -287,8 +294,7 @@ def rules_cmd(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, str
               rule_mode, subset_size, top_t):
     """Mine association rules over the most rated items."""
     _, _, items, universe, rankings = _load_dataset(data, fmt, top_items, top_users)
-    h = _resolve_bandwidth(bandwidth, universe.n)
-    model = estimator.fit([r for _, r in rankings], h=h, mode=_mode(kernel))
+    h, model = _fit([r for _, r in rankings], universe.n, bandwidth, kernel)
     subset = list(range(min(subset_size, universe.n)))
     if rule_mode == "mi":
         mined = rules.mine_mi_rules(model, subset, top_t)
@@ -315,8 +321,7 @@ def graph(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict,
           threshold, subset_size):
     """Emit the affinity graph edge list for external layout tools."""
     _, _, items, universe, rankings = _load_dataset(data, fmt, top_items, top_users)
-    h = _resolve_bandwidth(bandwidth, universe.n)
-    model = estimator.fit([r for _, r in rankings], h=h, mode=_mode(kernel))
+    h, model = _fit([r for _, r in rankings], universe.n, bandwidth, kernel)
     subset = list(range(min(subset_size, universe.n)))
     edges = rules.affinity_graph(model, subset, threshold)
     config = {"cmd": "graph", "data": str(data), "sha256": _sha256(data),

@@ -1,9 +1,13 @@
 """Kernel density estimation over preference events.
 
-The fitted model is memory-based: it stores the training rankings plus
-padded per-item statistics that let event probabilities be evaluated by
-the expected-Kendall closed form in O(m k^2), where k counts the items
-ranked in the event and in a training ranking.
+With missing items randomly censored, the expected Kendall distance from
+an event to a training ranking is linear in the training ranking's pair
+factors 1 - 2*P(x precedes y). So ``fit`` reduces the m training rankings
+of n items to their mean, the n x n antisymmetric matrix fbar, in
+O(sum of k^2 + n^2) for k items ranked per training ranking. A
+modified-kernel event probability then follows by the closed form in
+O(k^2) for the k items the event ranks, with no term in m. The training
+rankings are kept for exact-support mode (enumeration) and persistence.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .rankings import (
     ENUMERATION_BOUND,
     ItemUniverse,
     Permutation,
-    RankingError,
     TiedRanking,
     chain_ranking,
     format_ranking,
@@ -72,8 +75,47 @@ class _SubsetStats:
     wbar: np.ndarray
 
 
+def _tie_terms(groups: Sequence[Sequence[int]]):
+    """The ranked items of the tie groups (most preferred first), each with
+    its group index and 2c - 1, where c is the probability that a
+    never-ranked item lands ahead of it (see ``censored._center``)."""
+    k = sum(len(group) for group in groups)
+    items, grp, g = [], [], []
+    below = 0
+    for gi, group in enumerate(groups):
+        size = len(group)
+        items += group
+        grp += [gi] * size
+        g += [2.0 * (below + 1 + (size - 1) / 2.0) / (k + 1) - 1.0] * size
+        below += size
+    return items, grp, g
+
+
+def _mean_pair_factors(n: int, training: Sequence[TiedRanking]) -> np.ndarray:
+    """The n x n training mean of 1 - 2*P(x precedes y | ranking).
+
+    A pair factor is -1/0/+1 when both items are ranked (x in an
+    earlier/the same/a later group), g[x] when only x is ranked, -g[y]
+    when only y is, and 0 when neither is. The one-ranked cases sum to the
+    rank-one term gtot[x] - gtot[y] once each ranking's k x k block of
+    ranked pairs subtracts its own share, so a ranking costs O(k^2).
+    """
+    total = np.zeros(n * n)  # flat, so a block is one fancy-indexed add
+    gtot = np.zeros(n)
+    for r in training:
+        items, grp, g = (np.array(terms) for terms in _tie_terms(r.groups))
+        block = np.sign(grp[:, None] - grp) - (g[:, None] - g)
+        total[(items * n)[:, None] + items] += block
+        gtot[items] += g
+    total = total.reshape(n, n) + (gtot[:, None] - gtot[None, :])
+    return total / len(training)
+
+
 class KernelModel:
-    """Triangular-kernel smoother over censored rankings."""
+    """Triangular-kernel smoother over censored rankings.
+
+    In modified mode the training set enters every event probability only
+    through ``fbar``, the mean pair-factor matrix, and its row sums."""
 
     def __init__(
         self,
@@ -91,140 +133,33 @@ class KernelModel:
         self.m = len(self.training)
         self.logfact = np.concatenate(
             ([0.0], np.cumsum(np.log(np.arange(1, universe.n + 1))))
-        )
-        self._build_arrays()
-        self._stats_cache: dict[tuple[int, ...], _SubsetStats] = {}
-
-    # -- construction ------------------------------------------------------
-
-    def _build_arrays(self) -> None:
-        n = self.universe.n
-        kmax = max(r.k for r in self.training)
-        m = self.m
-        self._items = np.full((m, kmax), n, dtype=np.int64)  # n = pad sentinel
-        self._grp = np.zeros((m, kmax))
-        self._g = np.zeros((m, kmax))
-        self._scnt = np.zeros((m, kmax))
-        self._valid = np.zeros((m, kmax), dtype=bool)
-        self._k = np.zeros(m, dtype=np.int64)
-        self._gsum = np.zeros(m)
-        for row, r in enumerate(self.training):
-            k = r.k
-            self._k[row] = k
-            col = 0
-            below = 0
-            for gi, group in enumerate(r.groups):
-                size = len(group)
-                above = k - below - size
-                tau = below + 1
-                c = (tau + (size - 1) / 2.0) / (k + 1)
-                for item in group:
-                    self._items[row, col] = item
-                    self._grp[row, col] = gi
-                    self._g[row, col] = 2.0 * c - 1.0
-                    self._scnt[row, col] = below - above
-                    self._valid[row, col] = True
-                    col += 1
-                below += size
-            self._gsum[row] = self._g[row, : col].sum()
-
-    # -- subset statistics ---------------------------------------------------
-
-    def _subset_stats(self, items: tuple[int, ...]) -> _SubsetStats:
-        cached = self._stats_cache.get(items)
-        if cached is not None:
-            return cached
-        n = self.universe.n
-        s = len(items)
-        m = self.m
-        sub_of = np.full(n + 1, -1, dtype=np.int64)
-        sub_of[list(items)] = np.arange(s)
-
-        fbar = np.zeros((s, s))
-        wbar = np.zeros(s)
-        chunk = max(1, int(4e6 / max(s * s, 1)))
-        for start in range(0, m, chunk):
-            stop = min(m, start + chunk)
-            rows = stop - start
-            items_c = self._items[start:stop]
-            sidx = sub_of[items_c]
-            inmask = (sidx >= 0) & self._valid[start:stop]
-
-            present = np.zeros((rows, s), dtype=bool)
-            grp_d = np.zeros((rows, s))
-            g_d = np.zeros((rows, s))
-            scnt_d = np.zeros((rows, s))
-            rr, cc = np.nonzero(inmask)
-            dest = sidx[rr, cc]
-            present[rr, dest] = True
-            grp_d[rr, dest] = self._grp[start:stop][rr, cc]
-            g_d[rr, dest] = self._g[start:stop][rr, cc]
-            scnt_d[rr, dest] = self._scnt[start:stop][rr, cc]
-
-            both = present[:, :, None] & present[:, None, :]
-            # f(x, y) = -1 when x sits in an earlier (preferred) group than y
-            sign = np.sign(grp_d[:, :, None] - grp_d[:, None, :])
-            xonly = present[:, :, None] & ~present[:, None, :]
-            yonly = ~present[:, :, None] & present[:, None, :]
-            f = np.where(both, sign, 0.0)
-            ss_in = f.sum(axis=2)  # sum over subset partners, both-ranked part
-            f = f + np.where(xonly, g_d[:, :, None], 0.0)
-            f = f - np.where(yonly, g_d[:, None, :], 0.0)
-            fbar += f.sum(axis=0)
-
-            k_rows = self._k[start:stop].astype(float)
-            r_in = present.sum(axis=1).astype(float)
-            r_out = k_rows - r_in
-            unranked_out = n - s - r_out
-            g_in = g_d.sum(axis=1)
-            w_ranked = scnt_d - ss_in + unranked_out[:, None] * g_d
-            w_unranked = -(self._gsum[start:stop] - g_in)
-            w = np.where(present, w_ranked, w_unranked[:, None])
-            wbar += w.sum(axis=0)
-
-        fbar /= m
-        wbar /= m
-        np.fill_diagonal(fbar, 0.0)
-        stats = _SubsetStats(items, fbar, wbar)
-        if len(self._stats_cache) >= 16:
-            self._stats_cache.pop(next(iter(self._stats_cache)))
-        self._stats_cache[items] = stats
-        return stats
+        ).tolist()
+        self.fbar = _mean_pair_factors(universe.n, self.training)
+        self._rowsums = self.fbar.sum(axis=1).tolist()
 
     # -- event scoring ---------------------------------------------------
 
-    def _log_set_fraction(self, r: TiedRanking) -> float:
-        """log(|R| / n!) without materializing factorials."""
-        total = -self.logfact[r.k]
-        for g in r.groups:
-            total += self.logfact[len(g)]
-        return float(total)
-
-    def _event_value_modified(self, r: TiedRanking) -> float:
+    def _modified_value(self, groups: Sequence[Sequence[int]]) -> float:
+        """Modified-kernel probability of the event with these tie groups,
+        by the expected-Kendall closed form over the event's ranked pairs:
+        O(k^2) for k ranked items, independent of the training size."""
         n = self.universe.n
-        quarter = n * (n - 1) / 4.0
-        if r.is_unconstrained():
-            return (1.0 - quarter / self.h) / self.norm.normC
-        items = tuple(sorted(r.ranked_items()))
-        stats = self._subset_stats(items)
-        s = len(items)
-
-        grp_r = np.zeros(s)
-        g_r = np.zeros(s)
-        k = r.k
-        for x, item in enumerate(items):
-            tau, phi = r.ranked_position(item)
-            grp_r[x] = r.group_index(item)
-            g_r[x] = 2.0 * (tau + (phi - 1) / 2.0) / (k + 1) - 1.0
-        # f_r(x, y) = -1 when x sits in an earlier group of the event
-        f_r = np.sign(grp_r[:, None] - grp_r[None, :])
-        np.fill_diagonal(f_r, 0.0)
-        inner = 0.5 * float(np.sum(stats.fbar * f_r))
-        inner += float(np.dot(g_r, stats.wbar))
-        e_mean = quarter - 0.5 * inner
-        return math.exp(self._log_set_fraction(r)) * (
-            1.0 - e_mean / self.h
-        ) / self.norm.normC
+        items, grp, g = _tie_terms(groups)
+        log_fraction = -self.logfact[len(items)]
+        for group in groups:
+            log_fraction += self.logfact[len(group)]
+        # a compact copy of the event's block, as Python floats for the loop
+        block = self.fbar.take(items, axis=0).take(items, axis=1).tolist()
+        inner = 0.0
+        for row, x, ga, gx in zip(block, items, grp, g):
+            in_event = 0.0
+            for val, gb in zip(row, grp):  # val is 0 on the diagonal
+                in_event += val
+                if gb > ga:
+                    inner -= val  # the event puts x ahead of this item
+            inner += gx * (self._rowsums[x] - in_event)  # items the event leaves unranked
+        e_mean = n * (n - 1) / 4.0 - 0.5 * inner
+        return math.exp(log_fraction) * (1.0 - e_mean / self.h) / self.norm.normC
 
     def event_prob(self, r: TiedRanking) -> EventProbability:
         """Estimated probability of the event r (Kendall closed form in
@@ -232,7 +167,7 @@ class KernelModel:
         if r.universe != self.universe:
             raise EstimatorError("event universe differs from model universe")
         if self.mode == "modified":
-            value = self._event_value_modified(r)
+            value = self._modified_value(r.groups)
         else:
             if self.universe.n > ENUMERATION_BOUND:
                 raise EstimatorError(
@@ -247,44 +182,21 @@ class KernelModel:
         return EventProbability(value, log_value, negative)
 
     def subset_stats(self, items: Sequence[int]) -> _SubsetStats:
-        """Training pair statistics for an item subset (cached).
-
-        Lets callers score many events over the same subset without
-        re-touching the training arrays per event."""
-        return self._subset_stats(tuple(items))
+        """Training pair statistics for an item subset: a slice of fbar,
+        O(s^2) for s items."""
+        items = tuple(items)
+        fbar = self.fbar[np.ix_(items, items)]
+        rowsums = np.array([self._rowsums[x] for x in items])
+        return _SubsetStats(items, fbar, rowsums - fbar.sum(axis=1))
 
     def chain_prob(self, stats: _SubsetStats, chain: Sequence[int]) -> float:
         """Probability of the strict chain event chain[0] < chain[1] < ...
-        (other items unranked), evaluated from precomputed subset stats.
-
-        Equivalent to event_prob of the chain ranking; only valid in
-        modified mode and for chains within stats.items."""
+        (other items unranked): event_prob of the chain ranking, without
+        building the ranking in modified mode. ``stats`` names the subset
+        the caller scores; fbar covers every pair, so any chain is valid."""
         if self.mode != "modified":
-            raise EstimatorError("chain fast path requires modified mode")
-        n = self.universe.n
-        quarter = n * (n - 1) / 4.0
-        idx = {item: x for x, item in enumerate(stats.items)}
-        pos = [idx[item] for item in chain]
-        q = len(chain)
-        g_r = [2.0 * (a + 1) / (q + 1) - 1.0 for a in range(q)]
-        rowsum = stats.fbar[pos].sum(axis=1)
-        inner = 0.0
-        for a in range(q):
-            xa = pos[a]
-            in_chain = 0.0
-            for b in range(q):
-                if b == a:
-                    continue
-                val = stats.fbar[xa, pos[b]]
-                in_chain += val
-                if b > a:
-                    inner -= val  # f_r = -1 for ordered chain pairs
-            inner += g_r[a] * (rowsum[a] - in_chain)  # subset items unranked in event
-            inner += g_r[a] * stats.wbar[xa]  # items outside the subset
-        e_mean = quarter - 0.5 * inner
-        return math.exp(-float(self.logfact[q])) * (
-            1.0 - e_mean / self.h
-        ) / self.norm.normC
+            return self.event_prob(chain_ranking(self.universe, chain)).value
+        return self._modified_value([(item,) for item in chain])
 
     def conditional_prob(self, r: TiedRanking, s: TiedRanking) -> float:
         """p(r)/p(s) for a refinement r of s."""
@@ -467,7 +379,7 @@ class LogLikResult:
     n_floored: int
 
 
-def test_loglikelihood(
+def heldout_loglikelihood(
     scorer: Callable[[TiedRanking], float],
     test_rankings: Sequence[TiedRanking],
     items: Sequence[int],
@@ -518,7 +430,7 @@ def select_bandwidth(
     for h in candidates:
         try:
             model = fit(train, h=h, mode=mode)
-            ll = test_loglikelihood(
+            ll = heldout_loglikelihood(
                 lambda ev: model.event_prob(
                     _lift_event(ev, model.universe, items)
                 ).value,

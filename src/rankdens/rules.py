@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -147,14 +148,47 @@ def mine_mi_rules(
     return rules
 
 
-def _top_event(model: KernelModel, subset: Sequence[int], first: int) -> TiedRanking:
-    rest = tuple(x for x in subset if x != first)
-    return TiedRanking(model.universe, ((first,), rest))
+def _lift_scorer(model: KernelModel, subset: Sequence[int], mode: str):
+    """lift(i, j) over a sorted subset. Each event probability and each
+    marginal is computed once per scorer, and a marginal always sums in
+    subset order, so a lift does not depend on which lifts came before."""
+    if mode not in ("top2", "top-bottom"):
+        raise RulesError(f"unknown lift mode {mode!r}")
 
+    def prob(*groups) -> float:
+        event = TiedRanking(model.universe, tuple(g for g in groups if g))
+        return model.event_prob(event).value
 
-def _bottom_event(model: KernelModel, subset: Sequence[int], last: int) -> TiedRanking:
-    rest = tuple(x for x in subset if x != last)
-    return TiedRanking(model.universe, (rest, (last,)))
+    def rest(*drop) -> tuple[int, ...]:
+        return tuple(x for x in subset if x not in drop)
+
+    @functools.cache
+    def joint(i: int, j: int) -> float:  # i highest and j second, or j lowest
+        if mode == "top2":
+            return prob((i,), (j,), rest(i, j))
+        return prob((i,), rest(i, j), (j,))
+
+    @functools.cache
+    def top(i: int) -> float:
+        return prob((i,), rest(i))
+
+    @functools.cache
+    def other(j: int) -> float:  # j second, summed over the top item; or j lowest
+        if mode == "top-bottom":
+            return prob(rest(j), (j,))
+        p_second = 0.0
+        for x in subset:
+            if x != j:
+                p_second += joint(x, j)
+        return p_second
+
+    def lift(i: int, j: int) -> float:
+        denom = top(i) * other(j)
+        if denom <= 0:
+            raise RulesError("zero marginal in lift computation")
+        return joint(i, j) / denom
+
+    return lift
 
 
 def lift_score(
@@ -169,42 +203,19 @@ def lift_score(
     subset = sorted(set(subset))
     if i == j or i not in subset or j not in subset:
         raise RulesError("i, j must be distinct subset members")
-    p_top_i = model.event_prob(_top_event(model, subset, i)).value
-    if mode == "top2":
-        rest = tuple(x for x in subset if x not in (i, j))
-        joint = model.event_prob(
-            TiedRanking(model.universe, ((i,), (j,), rest) if rest else ((i,), (j,)))
-        ).value
-        # marginal of "j ranked second": sum over which item is first
-        p_second = 0.0
-        for x in subset:
-            if x == j:
-                continue
-            rest_x = tuple(y for y in subset if y not in (x, j))
-            groups = ((x,), (j,), rest_x) if rest_x else ((x,), (j,))
-            p_second += model.event_prob(TiedRanking(model.universe, groups)).value
-        denom = p_top_i * p_second
-    elif mode == "top-bottom":
-        mid = tuple(x for x in subset if x not in (i, j))
-        groups = ((i,), mid, (j,)) if mid else ((i,), (j,))
-        joint = model.event_prob(TiedRanking(model.universe, groups)).value
-        denom = p_top_i * model.event_prob(_bottom_event(model, subset, j)).value
-    else:
-        raise RulesError(f"unknown lift mode {mode!r}")
-    if denom <= 0:
-        raise RulesError("zero marginal in lift computation")
-    return joint / denom
+    return _lift_scorer(model, subset, mode)(i, j)
 
 
 def mine_lift_rules(
     model: KernelModel, items: Sequence[int], mode: str, top_t: int
 ) -> list[Rule]:
     items = sorted(set(items))
+    lift = _lift_scorer(model, items, mode)
     scored = []
     for i in items:
         for j in items:
             if i != j:
-                scored.append((lift_score(model, i, j, mode, items), i, j))
+                scored.append((lift(i, j), i, j))
     scored.sort(key=lambda t: (-t[0], t[1], t[2]))
     kind = f"lift-{mode}"
     return [Rule((i,), (j,), s, kind) for s, i, j in scored[:top_t]]
@@ -219,12 +230,10 @@ def affinity_graph(
     if threshold <= 0:
         raise RulesError("threshold must be positive")
     items = sorted(set(items))
+    lift = _lift_scorer(model, items, "top2")
     edges = []
     for i, j in itertools.combinations(items, 2):
-        w = 0.5 * (
-            lift_score(model, i, j, "top2", items)
-            + lift_score(model, j, i, "top2", items)
-        )
+        w = 0.5 * (lift(i, j) + lift(j, i))
         if w > threshold:
             edges.append((i, j, w))
     return edges

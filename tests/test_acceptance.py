@@ -227,9 +227,9 @@ def test_criterion_06_heldout_likelihood(report):
             mallows = estimator.mallows_fit(full)
             mal = lambda ev: math.exp(mallows.log_prob(ev.enumerate_consistent()[0]))
 
-            ll_k = estimator.test_loglikelihood(kernel, test, items).mean
-            ll_e = estimator.test_loglikelihood(empirical, test, items).mean
-            ll_m = estimator.test_loglikelihood(mal, test, items).mean
+            ll_k = estimator.heldout_loglikelihood(kernel, test, items).mean
+            ll_e = estimator.heldout_loglikelihood(empirical, test, items).mean
+            ll_m = estimator.heldout_loglikelihood(mal, test, items).mean
             if not (ll_k >= ll_e and ll_k >= ll_m):
                 fails.append((n, seed, ll_k, ll_e, ll_m))
     elapsed = time.perf_counter() - t0

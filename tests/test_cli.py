@@ -42,6 +42,22 @@ def test_usage_and_data_exit_codes(tmp_path):
     assert main(["definitely-not-a-command"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["pairs", "--kernel", "exact", "--top-items", "9"],
+    ["rules", "--kernel", "exact", "--top-items", "9"],
+    ["pairs", "--top-items", "8", "--bandwidth", "14"],  # n(n-1)/4 = 14
+    ["pairs", "--top-items", "8", "--format", "bogus"],
+    ["pairs", "--top-items", "0"],
+], ids=["exact-pairs", "exact-rules", "bandwidth", "format", "top-items"])
+def test_bad_option_is_a_one_line_usage_error(ratings_file, tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    code = main([*argv, "--data", str(ratings_file), "--out", str(out), "--top-users", "150"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_pairs_complement_and_ranking(ratings_file, tmp_path):
     out = tmp_path / "pairs.csv"
     assert main(["pairs", *_common(ratings_file, out)]) == EXIT_OK

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rankdens import estimator, oracle
+from rankdens.censored import pair_pref_prob
 from rankdens.estimator import EstimatorError
 from rankdens.rankings import (
     ItemUniverse,
@@ -98,6 +99,35 @@ def test_subset_stats_reuse_across_subsets():
     assert model.chain_prob(sub, (3, 1)) == pytest.approx(
         model.chain_prob(full, (3, 1)), abs=1e-12
     )
+
+
+def test_chain_prob_in_exact_support_mode_enumerates():
+    rng = np.random.default_rng(14)
+    u = ItemUniverse(4)
+    model = estimator.fit(_random_training(rng, u, 6), h=3.0, mode="exact-support")
+    stats = model.subset_stats(range(4))
+    direct = model.event_prob(chain_ranking(u, (2, 0, 3))).value
+    assert model.chain_prob(stats, (2, 0, 3)) == direct
+
+
+def test_fbar_is_the_training_mean_of_censored_pair_factors():
+    rng = np.random.default_rng(13)
+    for n in (2, 3, 5, 7):
+        u = ItemUniverse(n)
+        train = _random_training(rng, u, int(rng.integers(1, 30)))
+        model = estimator.fit(train)
+        full = model.subset_stats(range(n))
+        for x in range(n):
+            for y in range(n):
+                if x != y:
+                    want = np.mean([1.0 - 2.0 * pair_pref_prob(r, x, y) for r in train])
+                    assert full.fbar[x, y] == pytest.approx(want, rel=0, abs=1e-12)
+        assert np.abs(full.wbar).max() <= 1e-12
+        subset = sorted(int(x) for x in rng.permutation(n)[: int(rng.integers(1, n))])
+        stats = model.subset_stats(subset)
+        for a, x in enumerate(subset):
+            outside = sum(full.fbar[x, y] for y in range(n) if y not in subset)
+            assert stats.wbar[a] == pytest.approx(outside, rel=0, abs=1e-12)
 
 
 def test_conjunction_cells_sum_to_one():
@@ -214,7 +244,7 @@ def test_test_loglikelihood_drops_partial_users():
         parse_ranking("1|2", u),        # not full on the subset: dropped
         parse_ranking("1,2|3|4", u),    # tied: dropped
     ]
-    res = estimator.test_loglikelihood(lambda r: 0.5, test, range(4))
+    res = estimator.heldout_loglikelihood(lambda r: 0.5, test, range(4))
     assert res.n_used == 1
     assert res.mean == pytest.approx(math.log(0.5))
 
@@ -222,7 +252,7 @@ def test_test_loglikelihood_drops_partial_users():
 def test_test_loglikelihood_floor():
     u = ItemUniverse(3)
     test = [parse_ranking("1|2|3", u)]
-    res = estimator.test_loglikelihood(lambda r: 0.0, test, range(3))
+    res = estimator.heldout_loglikelihood(lambda r: 0.0, test, range(3))
     assert res.n_floored == 1
     assert res.mean == pytest.approx(math.log(estimator.LIKELIHOOD_FLOOR))
 
