@@ -13,7 +13,7 @@ import numpy as np
 
 from . import estimator, ingest, oracle, rules
 from .combinatorics import CombinatoricsError, mahonian_distribution, triangular_normalization
-from .rankings import ENUMERATION_BOUND, ItemUniverse, Permutation, format_ranking
+from .rankings import DISTANCE_MATRIX_BOUND, ItemUniverse, Permutation, format_ranking
 from .recommend import builtin_loss, loss_from_csv, posterior_predictor, evaluate_prediction
 
 EXIT_OK = 0
@@ -70,10 +70,10 @@ def _resolve_bandwidth(bandwidth: str, n: int) -> float:
 def _fit(rankings, n: int, bandwidth: str, kernel: str):
     """(h, model) for a command; option values the model cannot take are
     usage errors."""
-    if kernel == "exact" and n > ENUMERATION_BOUND:
+    if kernel == "exact" and n > DISTANCE_MATRIX_BOUND:
         raise click.UsageError(
             f"--kernel exact enumerates permutations and allows at most "
-            f"{ENUMERATION_BOUND} items, got {n}"
+            f"{DISTANCE_MATRIX_BOUND} items, got {n}"
         )
     h = _resolve_bandwidth(bandwidth, n)
     try:
@@ -87,7 +87,7 @@ common = [
     click.option("--format", "fmt", default="ml100k", show_default=True,
                  help="ml100k | ml1m | csv:<delim>:<cols>:<lo>-<hi>[:header]"),
     click.option("--top-items", default=53, show_default=True, type=click.IntRange(min=1)),
-    click.option("--top-users", default=2000, show_default=True),
+    click.option("--top-users", default=2000, show_default=True, type=click.IntRange(min=1)),
     click.option("--bandwidth", default="auto", show_default=True),
     click.option("--kernel", default="modified", show_default=True,
                  type=click.Choice(["modified", "exact"])),
@@ -119,13 +119,16 @@ def cli():
 def normtable(sizes, bandwidths, out):
     """Emit the tau-distance mass table and C(h) normalizations as CSV."""
     rows = []
-    for n in sizes:
-        table = mahonian_distribution(n)
-        for t, mass in enumerate(table.mass):
-            rows.append((n, "g", t, repr(float(mass))))
-        for h in bandwidths:
-            norm = triangular_normalization(n, h, "exact-support", table)
-            rows.append((n, "normC", h, repr(norm.normC)))
+    try:
+        for n in sizes:
+            table = mahonian_distribution(n)
+            for t, mass in enumerate(table.mass):
+                rows.append((n, "g", t, repr(float(mass))))
+            for h in bandwidths:
+                norm = triangular_normalization(n, h, "exact-support", table)
+                rows.append((n, "normC", h, repr(norm.normC)))
+    except CombinatoricsError as exc:
+        raise click.UsageError(str(exc)) from None
     config = {"cmd": "normtable", "n": list(sizes), "h": list(bandwidths)}
     _write_csv(Path(out), config, rows, ("n", "kind", "index", "value"))
 
@@ -138,15 +141,10 @@ def pairs(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict)
     h, model = _fit([r for _, r in rankings], universe.n, bandwidth, kernel)
     n = universe.n
     matrix = np.full((n, n), 0.5)
-    negatives = 0
-    stats = model.subset_stats(range(n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            p = model.chain_prob(stats, (i, j))
-            matrix[i, j] = p
-            negatives += p < 0
+    off = np.nonzero(~np.eye(n, dtype=bool))  # every ordered pair i != j
+    probs = model.chain_prob(model.subset_stats(range(n)), np.column_stack(off))
+    matrix[off] = probs
+    negatives = int((probs < 0).sum())
     r_scores = matrix.sum(axis=1) / n
     order = sorted(range(n), key=lambda i: (-r_scores[i], i))
     config = {
@@ -287,17 +285,24 @@ def predict(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, stric
 @with_common
 @click.option("--mode", "rule_mode", default="mi", show_default=True,
               type=click.Choice(["mi", "lift-top2", "lift-topbottom"]))
-@click.option("--subset-size", default=20, show_default=True,
+@click.option("--subset-size", default=20, show_default=True, type=click.IntRange(min=1),
               help="analyze the most-rated subset of this size")
-@click.option("--top-t", default=10, show_default=True)
+@click.option("--top-t", default=10, show_default=True, type=click.IntRange(min=1))
 def rules_cmd(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict,
               rule_mode, subset_size, top_t):
     """Mine association rules over the most rated items."""
     _, _, items, universe, rankings = _load_dataset(data, fmt, top_items, top_users)
-    h, model = _fit([r for _, r in rankings], universe.n, bandwidth, kernel)
     subset = list(range(min(subset_size, universe.n)))
+    if rule_mode == "mi" and len(subset) < 4:
+        raise click.UsageError(
+            f"--mode mi pairs up disjoint item pairs and needs at least 4 "
+            f"subset items, got {len(subset)}"
+        )
+    h, model = _fit([r for _, r in rankings], universe.n, bandwidth, kernel)
+    negatives = 0
     if rule_mode == "mi":
         mined = rules.mine_mi_rules(model, subset, top_t)
+        negatives = mined.negative_cells
     else:
         lift_mode = "top2" if rule_mode == "lift-top2" else "top-bottom"
         mined = rules.mine_lift_rules(model, subset, lift_mode, top_t)
@@ -311,12 +316,15 @@ def rules_cmd(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, str
         cons = "<".join(universe.label_of(i) for i in rule.consequent)
         rows.append((ante, cons, repr(rule.score)))
     _write_csv(Path(out), config, rows, ("antecedent", "consequent", "score"))
+    if negatives and strict:
+        click.echo(f"{negatives} negative MI joint-table cells", err=True)
+        sys.exit(EXIT_NUMERIC)
 
 
 @cli.command()
 @with_common
 @click.option("--threshold", default=1.5, show_default=True, type=float)
-@click.option("--subset-size", default=20, show_default=True)
+@click.option("--subset-size", default=20, show_default=True, type=click.IntRange(min=1))
 def graph(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict,
           threshold, subset_size):
     """Emit the affinity graph edge list for external layout tools."""

@@ -108,8 +108,8 @@ def triangular_normalization(
 ) -> TriangularNormalization:
     if mode not in MODES:
         raise CombinatoricsError(f"unknown kernel mode {mode!r}")
-    if h <= 0:
-        raise CombinatoricsError("bandwidth must be positive")
+    if not math.isfinite(h) or h <= 0:
+        raise CombinatoricsError("bandwidth must be finite and positive")
     if mode == "modified":
         quarter = n * (n - 1) / 4.0
         if h <= quarter:

@@ -6,8 +6,10 @@ factors 1 - 2*P(x precedes y). So ``fit`` reduces the m training rankings
 of n items to their mean, the n x n antisymmetric matrix fbar, in
 O(sum of k^2 + n^2) for k items ranked per training ranking. A
 modified-kernel event probability then follows by the closed form in
-O(k^2) for the k items the event ranks, with no term in m. The training
-rankings are kept for exact-support mode (enumeration) and persistence.
+O(k^2) for the k items the event ranks, with no term in m; ``chain_prob``
+runs the same closed form over a whole batch of strict chains as array
+operations. The training rankings are kept for exact-support mode
+(enumeration) and persistence.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .combinatorics import (
     triangular_normalization,
 )
 from .rankings import (
-    ENUMERATION_BOUND,
+    DISTANCE_MATRIX_BOUND,
     ItemUniverse,
     Permutation,
     TiedRanking,
@@ -169,10 +171,10 @@ class KernelModel:
         if self.mode == "modified":
             value = self._modified_value(r.groups)
         else:
-            if self.universe.n > ENUMERATION_BOUND:
+            if self.universe.n > DISTANCE_MATRIX_BOUND:
                 raise EstimatorError(
                     "exact-support mode requires n <= "
-                    f"{ENUMERATION_BOUND} (enumeration)"
+                    f"{DISTANCE_MATRIX_BOUND} (enumeration)"
                 )
             from . import oracle
 
@@ -189,14 +191,50 @@ class KernelModel:
         rowsums = np.array([self._rowsums[x] for x in items])
         return _SubsetStats(items, fbar, rowsums - fbar.sum(axis=1))
 
-    def chain_prob(self, stats: _SubsetStats, chain: Sequence[int]) -> float:
-        """Probability of the strict chain event chain[0] < chain[1] < ...
-        (other items unranked): event_prob of the chain ranking, without
-        building the ranking in modified mode. ``stats`` names the subset
-        the caller scores; fbar covers every pair, so any chain is valid."""
+    def chain_prob(self, stats: _SubsetStats, chains) -> np.ndarray | float:
+        """Probabilities of strict chain events chain[0] < chain[1] < ...
+        (other items unranked), each equal to event_prob of the chain
+        ranking. ``chains`` is a (B, k) int array of B chains of k items;
+        the result holds B values, and a single 1-D chain gives a float.
+
+        Modified mode runs the float operations of ``_modified_value`` in
+        the same order, vectorized over the batch, so every value is
+        bit-identical to the one-event loop; it gathers one entry of fbar
+        per chain at a time, so temporaries are O(B). Exact-support mode
+        enumerates, one chain at a time. ``stats`` names the subset the
+        caller scores; fbar covers every pair, so any chain is valid."""
+        chains = np.asarray(chains)
+        batch = np.atleast_2d(chains)
         if self.mode != "modified":
-            return self.event_prob(chain_ranking(self.universe, chain)).value
-        return self._modified_value([(item,) for item in chain])
+            values = np.array([
+                self.event_prob(chain_ranking(self.universe, chain)).value
+                for chain in batch.tolist()
+            ])
+        else:
+            values = self._modified_chain_values(batch)
+        return float(values[0]) if chains.ndim == 1 else values
+
+    def _modified_chain_values(self, chains: np.ndarray) -> np.ndarray:
+        """``_modified_value`` of each strict chain, a row of chains."""
+        n = self.universe.n
+        size, k = chains.shape
+        _, _, g = _tie_terms([(a,) for a in range(k)])
+        rowsums = np.array(self._rowsums)
+        flat = self.fbar.ravel()
+        cols = [chains[:, b] for b in range(k)]
+        inner = np.zeros(size)
+        for a in range(k):
+            row = cols[a] * n
+            in_event = np.zeros(size)
+            for b in range(k):
+                val = flat[row + cols[b]]
+                in_event += val
+                if b > a:
+                    inner -= val
+            inner += g[a] * (rowsums[cols[a]] - in_event)
+        e_mean = n * (n - 1) / 4.0 - 0.5 * inner
+        # the set fraction |R|/n! of a strict chain is 1/k!
+        return math.exp(-self.logfact[k]) * (1.0 - e_mean / self.h) / self.norm.normC
 
     def conditional_prob(self, r: TiedRanking, s: TiedRanking) -> float:
         """p(r)/p(s) for a refinement r of s."""
@@ -262,8 +300,6 @@ def fit(
     n = universe.n
     if h is None:
         h = default_bandwidth(n)
-    if mode == "exact-support" and table is None and n <= ENUMERATION_BOUND:
-        table = mahonian_distribution(n)
     norm = triangular_normalization(n, h, mode, table=table)
     return KernelModel(universe, rankings, h, mode, norm)
 

@@ -15,10 +15,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .rankings import ItemUniverse, Permutation, RankingError, TiedRanking
+from .rankings import (
+    DISTANCE_MATRIX_BOUND,
+    ItemUniverse,
+    Permutation,
+    RankingError,
+    TiedRanking,
+)
 
 BRUTE_BOUND = 8
-_DIST_MATRIX_BOUND = 7
 
 
 class PermTable:
@@ -43,7 +48,7 @@ class PermTable:
     def dist(self) -> np.ndarray:
         """Pairwise Kendall tau matrix; materialized lazily (n <= 7)."""
         if self._dist is None:
-            if self.n > _DIST_MATRIX_BOUND:
+            if self.n > DISTANCE_MATRIX_BOUND:
                 raise RankingError("pairwise distance matrix too large")
             m = np.zeros((len(self.perms), len(self.perms)), dtype=np.int16)
             for a in range(self.n - 1):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rankdens.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from rankdens.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from rankdens.combinatorics import mahonian_distribution
 
 
@@ -45,13 +45,25 @@ def test_usage_and_data_exit_codes(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["pairs", "--kernel", "exact", "--top-items", "9"],
     ["rules", "--kernel", "exact", "--top-items", "9"],
+    ["predict", "--kernel", "exact", "--top-items", "8"],  # no 8! x 8! distance matrix
     ["pairs", "--top-items", "8", "--bandwidth", "14"],  # n(n-1)/4 = 14
+    ["pairs", "--top-items", "8", "--bandwidth", "nan"],
+    ["pairs", "--top-items", "8", "--bandwidth", "inf"],
+    ["normtable", "--n", "3", "--bandwidth", "-1"],
+    ["normtable", "--n", "3", "--bandwidth", "nan"],
     ["pairs", "--top-items", "8", "--format", "bogus"],
     ["pairs", "--top-items", "0"],
-], ids=["exact-pairs", "exact-rules", "bandwidth", "format", "top-items"])
+    ["pairs", "--top-items", "8", "--top-users", "0"],
+    ["rules", "--top-items", "8", "--mode", "mi", "--subset-size", "3"],
+    ["rules", "--top-items", "8", "--top-t", "0"],
+], ids=["exact-pairs", "exact-rules", "exact-predict-8", "bandwidth", "bandwidth-nan",
+        "bandwidth-inf", "normtable-bandwidth", "normtable-nan", "format", "top-items",
+        "top-users", "mi-subset", "top-t"])
 def test_bad_option_is_a_one_line_usage_error(ratings_file, tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
-    code = main([*argv, "--data", str(ratings_file), "--out", str(out), "--top-users", "150"])
+    command, *options = argv
+    data = [] if command == "normtable" else ["--data", str(ratings_file), "--top-users", "150"]
+    code = main([command, *data, *options, "--out", str(out)])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
@@ -92,6 +104,22 @@ def test_rules_deterministic(ratings_file, tmp_path):
     assert len(rows) == 5
     scores = [float(r[2]) for r in rows]
     assert scores == sorted(scores, reverse=True)
+
+
+def test_strict_rules_exit_numeric_on_negative_mi_cells(ratings_file, tmp_path, capsys):
+    # h just above n(n-1)/4 = 14: the signed kernel goes negative far from the data
+    plain, strict = tmp_path / "plain.csv", tmp_path / "strict.csv"
+    args = ["--subset-size", "8", "--bandwidth", "14.5"]
+    assert main(["rules", *_common(ratings_file, plain), *args]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["rules", *_common(ratings_file, strict), *args, "--strict"]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.endswith(" negative MI joint-table cells\n") and err.count("\n") == 1
+    assert int(err.split()[0]) > 0
+    assert strict.read_text() == plain.read_text().replace(str(plain), str(strict))
+    default = tmp_path / "default.csv"
+    assert main(["rules", *_common(ratings_file, default), "--subset-size", "8",
+                 "--strict"]) == EXIT_OK  # h = n(n-1)/2 keeps every weight >= 0
 
 
 def test_rules_lift_mode(ratings_file, tmp_path):

@@ -90,6 +90,24 @@ def test_chain_prob_matches_event_prob():
         assert model.chain_prob(stats, chain) == pytest.approx(direct, abs=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["modified", "exact-support"])
+def test_batched_chain_prob_is_bit_identical_to_one_chain(mode):
+    rng = np.random.default_rng(15)
+    n = 5 if mode == "exact-support" else 12
+    u = ItemUniverse(n)
+    h = float(n * (n - 1) / 4 + 1)  # a signed kernel: some chains are negative
+    model = estimator.fit(_random_training(rng, u, 30), h=h, mode=mode)
+    stats = model.subset_stats(range(n))
+    for k in (2, 3, 4, 5):
+        chains = np.array([rng.permutation(n)[:k] for _ in range(10)])
+        batch = model.chain_prob(stats, chains)
+        assert batch.shape == (10,)
+        for chain, value in zip(chains.tolist(), batch.tolist()):
+            assert value == model.event_prob(chain_ranking(u, chain)).value
+            single = model.chain_prob(stats, chain)
+            assert type(single) is float and single == value
+
+
 def test_subset_stats_reuse_across_subsets():
     rng = np.random.default_rng(5)
     u = ItemUniverse(7)

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from rankdens import estimator, oracle
-from rankdens.rankings import ItemUniverse, Permutation
+from rankdens import estimator, oracle, rules as rules_module
+from rankdens.rankings import ItemUniverse, Permutation, chain_ranking
 from rankdens.rules import (
     JointPairTable,
     RulesError,
@@ -83,6 +85,50 @@ def test_mi_rules_deterministic_and_shaped():
     assert scores == sorted(scores, reverse=True)
     for r in rules:
         assert not set(r.antecedent) & set(r.consequent)
+
+
+def _reference_mi_rules(model, items):
+    """Every disjoint quadruple scored alone: each 2x2 cell sums the
+    event_prob of its six chain rankings in itertools.permutations order,
+    then clamp, renormalize and plug-in MI; sorted by (-MI, pa, pb) and
+    oriented by the largest pointwise term."""
+    scored = []
+    for pa, pb in itertools.combinations(itertools.combinations(items, 2), 2):
+        if set(pa) & set(pb):
+            continue
+        cells = np.zeros((2, 2))
+        for order in itertools.permutations((*pa, *pb)):
+            r = int(order.index(pa[0]) > order.index(pa[1]))
+            c = int(order.index(pb[0]) > order.index(pb[1]))
+            cells[r, c] += model.event_prob(chain_ranking(model.universe, order)).value
+        clamped = np.maximum(cells, 0.0)
+        if clamped.sum() <= 0:
+            continue
+        p = clamped / clamped.sum()
+        outer = p.sum(axis=1, keepdims=True) * p.sum(axis=0, keepdims=True)
+        terms = np.zeros((2, 2))
+        terms[p > 0] = p[p > 0] * np.log(p[p > 0] / outer[p > 0])
+        r, c = np.unravel_index(int(np.argmax(terms)), terms.shape)
+        ante = pa if r == 0 else pa[::-1]
+        cons = pb if c == 0 else pb[::-1]
+        scored.append((max(float(terms.sum()), 0.0), pa, pb, ante, cons))
+    scored.sort(key=lambda t: (-t[0], t[1], t[2]))
+    return [(mi, ante, cons) for mi, _, _, ante, cons in scored]
+
+
+@pytest.mark.parametrize("h", [None, 14.1], ids=["default-h", "signed-kernel"])  # n(n-1)/4 = 14
+@pytest.mark.parametrize("block", [rules_module._BLOCK, 16], ids=["one-block", "many-blocks"])
+def test_mine_mi_rules_matches_per_quadruple_reference(monkeypatch, h, block):
+    monkeypatch.setattr(rules_module, "_BLOCK", block)
+    model = _structured_model(n=8, h=h)
+    want = _reference_mi_rules(model, range(8))
+    assert len(want) == 210  # C(8, 2) * C(6, 2) / 2 quadruples, none degenerate
+    mined = mine_mi_rules(model, range(8), top_t=len(want))
+    assert [(r.score, r.antecedent, r.consequent) for r in mined] == want
+    top = mine_mi_rules(model, range(8), top_t=7)
+    assert [(r.score, r.antecedent, r.consequent) for r in top] == want[:7]
+    assert top.negative_cells == mined.negative_cells
+    assert (mined.negative_cells > 0) == (h is not None)
 
 
 def test_exact_support_mi_finds_planted_correlation():
