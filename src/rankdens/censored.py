@@ -1,25 +1,60 @@
-"""Closed-form statistics of censored rankings under the uniform surrogate."""
+"""Closed-form statistics of censored rankings under the uniform surrogate.
+
+The expected Kendall distance between two tied, incomplete rankings is
+linear in either one's pair factors 1 - 2*P(x precedes y) (Lebanon & Mao,
+JMLR 2008): ``expected_distance``, which the kernel model also evaluates.
+"""
 
 from __future__ import annotations
 
-import itertools
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .rankings import RankingError, TiedRanking
 
 
-def _center(u: TiedRanking, item: int) -> float:
-    """2 * P(item precedes a never-ranked item) - 1, zero if item unranked.
+def tie_terms(sizes: Iterable[int]) -> tuple[list[int], list[float]]:
+    """Group index and centre of each ranked item, in group order, of a
+    ranking with these tie-group sizes (most preferred first).
 
-    For a ranked item with best position tau and tie-group size phi the
-    probability that an unranked item lands ahead of it is
-    (tau + (phi-1)/2) / (k+1), with k the number of items ranked in u.
+    The centre, the pair factor of a ranked item against any unranked one,
+    is 2c - 1 with c = (tau + (phi-1)/2) / (k+1) the probability that an
+    unranked item lands ahead of an item of best position tau in a group
+    of phi, k items being ranked.
     """
-    pos = u.ranked_position(item)
-    if pos is None:
-        return 0.0
-    tau, phi = pos
-    c = (tau + (phi - 1) / 2.0) / (u.k + 1)
-    return 2.0 * c - 1.0
+    sizes = list(sizes)
+    k = sum(sizes)
+    grp, centre = [], []
+    below = 0
+    for gi, size in enumerate(sizes):
+        grp += [gi] * size
+        centre += [2.0 * (below + 1 + (size - 1) / 2.0) / (k + 1) - 1.0] * size
+        below += size
+    return grp, centre
+
+
+def expected_distance(n: int, sizes: Sequence[int], rows, rowsums):
+    """Expected Kendall distance from an event to a pair-factor matrix F
+    over n items: n(n-1)/4 - 1/2 * sum over pairs of the two factors' product.
+
+    The event ranks k items in tie groups of these sizes. ``rows`` is F's
+    k x k block over those items in group order (zero on the diagonal),
+    read once row by row, so rows may be lazy, and ``rowsums`` their full
+    row sums in F, which cover the pairs with the unranked items; O(k^2).
+    Entries may be floats (one event) or arrays (a batch of same-shaped
+    events): the float operations match.
+    """
+    grp, centre = tie_terms(sizes)
+    inner = 0.0
+    for row, total, ga, gx in zip(rows, rowsums, grp, centre):
+        in_event = 0.0
+        for val, gb in zip(row, grp):
+            in_event += val
+            if gb > ga:
+                inner -= val  # the event puts this row's item ahead
+        inner += gx * (total - in_event)  # the items the event leaves unranked
+    return n * (n - 1) / 4.0 - 0.5 * inner
 
 
 def pair_pref_prob(u: TiedRanking, i: int, j: int) -> float:
@@ -37,46 +72,33 @@ def pair_pref_prob(u: TiedRanking, i: int, j: int) -> float:
         return 1.0 if gi < gj else 0.0
     if gi is None and gj is None:
         return 0.5
+    _, centre = tie_terms(map(len, u.groups))
+    ranked = [x for group in u.groups for x in group]
     if gj is not None:  # only j ranked
-        return (1.0 + _center(u, j)) / 2.0
-    return 1.0 - (1.0 + _center(u, i)) / 2.0  # only i ranked
-
-
-def _pair_factor(u: TiedRanking, i: int, j: int) -> float:
-    """1 - 2 * pair_pref_prob(u, i, j); antisymmetric in (i, j)."""
-    gi, gj = u.group_index(i), u.group_index(j)
-    if gi is not None and gj is not None:
-        if gi == gj:
-            return 0.0
-        return -1.0 if gi < gj else 1.0
-    if gi is None and gj is None:
-        return 0.0
-    if gi is not None:
-        return _center(u, i)
-    return -_center(u, j)
+        return (1.0 + centre[ranked.index(j)]) / 2.0
+    return 1.0 - (1.0 + centre[ranked.index(i)]) / 2.0  # only i ranked
 
 
 def expected_kendall(s: TiedRanking, r: TiedRanking) -> float:
     """Mean Kendall tau between independent uniform draws from the two
-    consistent-permutation sets.
-
-    Iterates only over pairs drawn from the union of ranked items; pairs of
-    two never-ranked items contribute nothing and pairs of one ranked item
-    with the never-ranked pool collapse to a single multiplied term.
-    """
+    consistent-permutation sets: ``expected_distance`` of s against r's
+    pair factors, O(k^2) over the items s ranks."""
     if s.universe != r.universe:
         raise RankingError("universe mismatch")
     n = s.n
-    union = sorted(s.ranked_items() | r.ranked_items())
-    total = 0.0
-    for i, j in itertools.combinations(union, 2):
-        fs = _pair_factor(s, i, j)
-        if fs == 0.0:
-            continue
-        fr = _pair_factor(r, i, j)
-        total += fs * fr
-    outside = n - len(union)
-    if outside:
-        for i in union:
-            total += outside * _center(s, i) * _center(r, i)
-    return n * (n - 1) / 4.0 - total / 2.0
+    grp, centre = tie_terms(map(len, r.groups))
+    ranked = [x for group in r.groups for x in group]
+    # r's group index (-1 if unranked) and centre (0 if unranked) per item
+    r_grp, r_centre = np.full(n, -1), np.zeros(n)
+    r_grp[ranked], r_centre[ranked] = grp, centre
+    items = [x for group in s.groups for x in group]
+    g, c = r_grp[items], r_centre[items]
+    both = (g[:, None] >= 0) & (g >= 0)
+    block = np.where(both, np.sign(g[:, None] - g), c[:, None] - c)
+    # an item's pair factors against r's k ranked items sum to (k+1) times
+    # its centre and against the n-k unranked ones to (n-k) times it; an
+    # item r leaves unranked has centre 0, as r's centres sum to 0
+    rowsums = (n + 1) * c
+    return expected_distance(
+        n, list(map(len, s.groups)), block.tolist(), rowsums.tolist()
+    )

@@ -58,13 +58,17 @@ def _load_dataset(data, fmt, top_items, top_users):
     return descriptor, table, items, universe, rankings
 
 
-def _resolve_bandwidth(bandwidth: str, n: int) -> float:
-    if bandwidth == "auto":
-        return estimator.default_bandwidth(n)
+def _bandwidth(bandwidth: str, n: int, mode: str) -> float:
+    """h for n items; one the kernel cannot normalize is a usage error."""
     try:
-        return float(bandwidth)
+        h = estimator.default_bandwidth(n) if bandwidth == "auto" else float(bandwidth)
     except ValueError:
         raise click.UsageError(f"bad bandwidth {bandwidth!r}") from None
+    try:
+        triangular_normalization(n, h, mode)
+    except CombinatoricsError as exc:
+        raise click.UsageError(f"--bandwidth {bandwidth}: {exc}") from None
+    return h
 
 
 def _fit(rankings, n: int, bandwidth: str, kernel: str):
@@ -75,11 +79,8 @@ def _fit(rankings, n: int, bandwidth: str, kernel: str):
             f"--kernel exact enumerates permutations and allows at most "
             f"{DISTANCE_MATRIX_BOUND} items, got {n}"
         )
-    h = _resolve_bandwidth(bandwidth, n)
-    try:
-        return h, estimator.fit(rankings, h=h, mode=_mode(kernel))
-    except CombinatoricsError as exc:
-        raise click.UsageError(f"--bandwidth {bandwidth}: {exc}") from None
+    h = _bandwidth(bandwidth, n, _mode(kernel))
+    return h, estimator.fit(rankings, h=h, mode=_mode(kernel))
 
 
 common = [
@@ -180,6 +181,7 @@ def loglik(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict
     """Held-out log-likelihood: kernel vs empirical vs Mallows baseline."""
     if any(n > 5 for n in small_ns):
         raise click.UsageError("Mallows baseline requires n <= 5")
+    widths = {n_sub: _bandwidth(bandwidth, n_sub, _mode(kernel)) for n_sub in small_ns}
     _, _, items, universe, rankings = _load_dataset(data, fmt, top_items, top_users)
     rows = []
     rng = np.random.default_rng(seed)
@@ -191,7 +193,7 @@ def loglik(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict
                 rep_seed = int(rng.integers(2**31))
                 scores = _loglik_once(
                     [r for _, r in rankings], subset, m, rep_seed,
-                    bandwidth, _mode(kernel),
+                    widths[n_sub], _mode(kernel),
                 )
                 if scores is None:
                     continue
@@ -208,7 +210,7 @@ def loglik(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict
     _write_csv(Path(out), config, rows, ("n", "m", "estimator", "mean_loglik", "stderr"))
 
 
-def _loglik_once(rankings, subset, m, seed, bandwidth, mode):
+def _loglik_once(rankings, subset, m, seed, h, mode):
     from .rankings import project_ranking
 
     rng = np.random.default_rng(seed)
@@ -222,7 +224,6 @@ def _loglik_once(rankings, subset, m, seed, bandwidth, mode):
         return None
     train, test = projected[:m], projected[m : m + max(200, m // 2)]
     sub_n = len(subset)
-    h = estimator.default_bandwidth(sub_n) if bandwidth == "auto" else float(bandwidth)
     dist = oracle.brute_full_distribution(train, h, mode)
     pt = oracle.perm_table(sub_n)
     kernel_scorer = lambda ev: float(dist[pt.index[ev.enumerate_consistent()[0].order]])
@@ -323,7 +324,8 @@ def rules_cmd(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, str
 
 @cli.command()
 @with_common
-@click.option("--threshold", default=1.5, show_default=True, type=float)
+@click.option("--threshold", default=1.5, show_default=True,
+              type=click.FloatRange(min=0, min_open=True))
 @click.option("--subset-size", default=20, show_default=True, type=click.IntRange(min=1))
 def graph(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict,
           threshold, subset_size):

@@ -6,10 +6,10 @@ factors 1 - 2*P(x precedes y). So ``fit`` reduces the m training rankings
 of n items to their mean, the n x n antisymmetric matrix fbar, in
 O(sum of k^2 + n^2) for k items ranked per training ranking. A
 modified-kernel event probability then follows by the closed form in
-O(k^2) for the k items the event ranks, with no term in m; ``chain_prob``
-runs the same closed form over a whole batch of strict chains as array
-operations. The training rankings are kept for exact-support mode
-(enumeration) and persistence.
+O(k^2) for the k items the event ranks, with no term in m: ``event_prob``
+and ``chain_prob`` (a whole batch of strict chains as array operations)
+both evaluate ``censored.expected_distance`` against fbar. The training
+rankings are kept for exact-support mode (enumeration) and persistence.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .censored import expected_distance, tie_terms
 from .combinatorics import (
     MahonianTable,
     TriangularNormalization,
@@ -77,40 +78,33 @@ class _SubsetStats:
     wbar: np.ndarray
 
 
-def _tie_terms(groups: Sequence[Sequence[int]]):
-    """The ranked items of the tie groups (most preferred first), each with
-    its group index and 2c - 1, where c is the probability that a
-    never-ranked item lands ahead of it (see ``censored._center``)."""
-    k = sum(len(group) for group in groups)
-    items, grp, g = [], [], []
-    below = 0
-    for gi, group in enumerate(groups):
-        size = len(group)
-        items += group
-        grp += [gi] * size
-        g += [2.0 * (below + 1 + (size - 1) / 2.0) / (k + 1) - 1.0] * size
-        below += size
-    return items, grp, g
-
-
 def _mean_pair_factors(n: int, training: Sequence[TiedRanking]) -> np.ndarray:
     """The n x n training mean of 1 - 2*P(x precedes y | ranking).
 
     A pair factor is -1/0/+1 when both items are ranked (x in an
-    earlier/the same/a later group), g[x] when only x is ranked, -g[y]
-    when only y is, and 0 when neither is. The one-ranked cases sum to the
+    earlier/the same/a later group), x's centre g[x] (``tie_terms``) when
+    only x is ranked, -g[y] when only y is, and 0 when neither is. The one-ranked cases sum to the
     rank-one term gtot[x] - gtot[y] once each ranking's k x k block of
     ranked pairs subtracts its own share, so a ranking costs O(k^2).
     """
     total = np.zeros(n * n)  # flat, so a block is one fancy-indexed add
     gtot = np.zeros(n)
     for r in training:
-        items, grp, g = (np.array(terms) for terms in _tie_terms(r.groups))
+        items = np.array([x for group in r.groups for x in group])
+        grp, g = map(np.array, tie_terms(map(len, r.groups)))
         block = np.sign(grp[:, None] - grp) - (g[:, None] - g)
         total[(items * n)[:, None] + items] += block
         gtot[items] += g
     total = total.reshape(n, n) + (gtot[:, None] - gtot[None, :])
     return total / len(training)
+
+
+def _gathered_rows(flat: np.ndarray, n: int, cols: Sequence[np.ndarray]):
+    """Rows of the block of the n x n matrix ``flat`` over a batch of item
+    tuples; entry (a, b), flat[cols[a] * n + cols[b]], is gathered when read."""
+    for col in cols:
+        base = col * n
+        yield (flat[base + other] for other in cols)
 
 
 class KernelModel:
@@ -141,26 +135,13 @@ class KernelModel:
 
     # -- event scoring ---------------------------------------------------
 
-    def _modified_value(self, groups: Sequence[Sequence[int]]) -> float:
-        """Modified-kernel probability of the event with these tie groups,
-        by the expected-Kendall closed form over the event's ranked pairs:
-        O(k^2) for k ranked items, independent of the training size."""
-        n = self.universe.n
-        items, grp, g = _tie_terms(groups)
-        log_fraction = -self.logfact[len(items)]
-        for group in groups:
-            log_fraction += self.logfact[len(group)]
-        # a compact copy of the event's block, as Python floats for the loop
-        block = self.fbar.take(items, axis=0).take(items, axis=1).tolist()
-        inner = 0.0
-        for row, x, ga, gx in zip(block, items, grp, g):
-            in_event = 0.0
-            for val, gb in zip(row, grp):  # val is 0 on the diagonal
-                in_event += val
-                if gb > ga:
-                    inner -= val  # the event puts x ahead of this item
-            inner += gx * (self._rowsums[x] - in_event)  # items the event leaves unranked
-        e_mean = n * (n - 1) / 4.0 - 0.5 * inner
+    def _kernel_value(self, sizes: Sequence[int], e_mean):
+        """Modified-kernel probability of an event with these tie-group
+        sizes at expected distance e_mean from the training set: its set
+        fraction |R|/n! times the kernel's (1 - E/h)/C."""
+        log_fraction = -self.logfact[sum(sizes)]
+        for size in sizes:
+            log_fraction += self.logfact[size]
         return math.exp(log_fraction) * (1.0 - e_mean / self.h) / self.norm.normC
 
     def event_prob(self, r: TiedRanking) -> EventProbability:
@@ -169,7 +150,14 @@ class KernelModel:
         if r.universe != self.universe:
             raise EstimatorError("event universe differs from model universe")
         if self.mode == "modified":
-            value = self._modified_value(r.groups)
+            items = [x for group in r.groups for x in group]
+            sizes = list(map(len, r.groups))
+            # a compact copy of the event's block, as Python floats for the loop
+            block = self.fbar.take(items, axis=0).take(items, axis=1).tolist()
+            e_mean = expected_distance(
+                self.universe.n, sizes, block, [self._rowsums[x] for x in items]
+            )
+            value = self._kernel_value(sizes, e_mean)
         else:
             if self.universe.n > DISTANCE_MATRIX_BOUND:
                 raise EstimatorError(
@@ -197,12 +185,11 @@ class KernelModel:
         ranking. ``chains`` is a (B, k) int array of B chains of k items;
         the result holds B values, and a single 1-D chain gives a float.
 
-        Modified mode runs the float operations of ``_modified_value`` in
-        the same order, vectorized over the batch, so every value is
-        bit-identical to the one-event loop; it gathers one entry of fbar
-        per chain at a time, so temporaries are O(B). Exact-support mode
-        enumerates, one chain at a time. ``stats`` names the subset the
-        caller scores; fbar covers every pair, so any chain is valid."""
+        Modified mode makes the ``expected_distance`` call of ``event_prob``
+        with (B,) arrays for floats, so each value is bit-identical to it,
+        and temporaries are O(B). Exact-support mode enumerates, one chain
+        at a time. ``stats`` names the subset the caller scores; fbar
+        covers every pair, so any chain is valid."""
         chains = np.asarray(chains)
         batch = np.atleast_2d(chains)
         if self.mode != "modified":
@@ -211,30 +198,16 @@ class KernelModel:
                 for chain in batch.tolist()
             ])
         else:
-            values = self._modified_chain_values(batch)
+            n = self.universe.n
+            cols = list(batch.T)
+            sizes = [1] * len(cols)
+            rowsums = np.array(self._rowsums)
+            e_mean = expected_distance(
+                n, sizes, _gathered_rows(self.fbar.ravel(), n, cols),
+                [rowsums[col] for col in cols],
+            )
+            values = self._kernel_value(sizes, e_mean)
         return float(values[0]) if chains.ndim == 1 else values
-
-    def _modified_chain_values(self, chains: np.ndarray) -> np.ndarray:
-        """``_modified_value`` of each strict chain, a row of chains."""
-        n = self.universe.n
-        size, k = chains.shape
-        _, _, g = _tie_terms([(a,) for a in range(k)])
-        rowsums = np.array(self._rowsums)
-        flat = self.fbar.ravel()
-        cols = [chains[:, b] for b in range(k)]
-        inner = np.zeros(size)
-        for a in range(k):
-            row = cols[a] * n
-            in_event = np.zeros(size)
-            for b in range(k):
-                val = flat[row + cols[b]]
-                in_event += val
-                if b > a:
-                    inner -= val
-            inner += g[a] * (rowsums[cols[a]] - in_event)
-        e_mean = n * (n - 1) / 4.0 - 0.5 * inner
-        # the set fraction |R|/n! of a strict chain is 1/k!
-        return math.exp(-self.logfact[k]) * (1.0 - e_mean / self.h) / self.norm.normC
 
     def conditional_prob(self, r: TiedRanking, s: TiedRanking) -> float:
         """p(r)/p(s) for a refinement r of s."""

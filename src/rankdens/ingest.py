@@ -50,6 +50,8 @@ def parse_format(spec: str) -> FormatDescriptor:
         delim = parts[1] or ","
         cols = tuple(parts[2].split(","))
         lo, _, hi = parts[3].partition("-")
+        if not (lo.isdecimal() and hi.isdecimal() and int(lo) <= int(hi)):
+            raise IngestError(f"rating scale {parts[3]!r} is not <min>-<max> in integers")
         header = len(parts) > 4 and parts[4] == "header"
         return FormatDescriptor(delim, cols, header, (int(lo), int(hi)))
     raise IngestError(f"unknown ratings format {spec!r}")
@@ -100,11 +102,15 @@ def load_ratings(
             try:
                 user = int(parts[u_col])
                 item = int(parts[i_col])
-                level = int(float(parts[r_col]))
+                try:
+                    level = int(parts[r_col])
+                except ValueError:  # a level written as 4.0 is 4; 3.5 is none
+                    rating = float(parts[r_col])
+                    level = int(rating) if rating.is_integer() else None
             except (IndexError, ValueError):
                 malformed += 1
                 continue
-            if not lo <= level <= hi:
+            if level is None or not lo <= level <= hi:
                 malformed += 1
                 continue
             if (user, item) in ratings:

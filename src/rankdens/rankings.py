@@ -149,20 +149,6 @@ class TiedRanking:
         """True when every permutation is consistent (a single tie group)."""
         return len(self.groups) == 1
 
-    def ranked_position(self, item: int) -> Optional[tuple[int, int]]:
-        """(tau, phi): minimal position among ranked items and tie-group size.
-
-        Returns None for unranked items. tau counts positions only over the
-        ranked items, i.e. 1 + total size of strictly better groups.
-        """
-        if not 0 <= item < self.n:
-            raise RankingError(f"item index {item} out of range")
-        gi = self._group_of.get(item)
-        if gi is None:
-            return None
-        tau = 1 + sum(len(self.groups[j]) for j in range(gi))
-        return tau, len(self.groups[gi])
-
     def log_consistent_count(self) -> float:
         """log of the number of permutations consistent with this ranking."""
         total = math.lgamma(self.n + 1) - math.lgamma(self.k + 1)

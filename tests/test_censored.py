@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from rankdens import oracle
 from rankdens.censored import expected_kendall, pair_pref_prob
-from rankdens.rankings import ItemUniverse, parse_ranking
+from rankdens.rankings import ItemUniverse, TiedRanking, parse_ranking
 
 
 def test_documented_pair_cases():
@@ -70,3 +72,25 @@ def test_expected_kendall_identical_full_orders():
     assert expected_kendall(s, s) == 0.0
     rev = parse_ranking("3|1|4|2", u)
     assert expected_kendall(s, rev) == 6.0
+
+
+def _sparse_tied_ranking(rng, u, max_ranked):
+    """A random tied ranking of at most max_ranked of u's items."""
+    k = int(rng.integers(1, max_ranked + 1))
+    items = [int(x) for x in rng.permutation(u.n)[:k]]
+    cuts = sorted({0, k, *(int(c) for c in rng.integers(1, k + 1, size=k // 2))})
+    return TiedRanking(u, tuple(tuple(items[a:b]) for a, b in zip(cuts, cuts[1:])))
+
+
+def test_expected_kendall_is_the_sum_of_pair_disagreements():
+    # large n, few ranked items: the closed form against its pairwise definition
+    rng = np.random.default_rng(40)
+    u = ItemUniverse(40)
+    for _ in range(30):
+        s = _sparse_tied_ranking(rng, u, 8)
+        r = _sparse_tied_ranking(rng, u, 8)
+        want = 0.0
+        for i, j in itertools.combinations(range(u.n), 2):
+            ps, pr = pair_pref_prob(s, i, j), pair_pref_prob(r, i, j)
+            want += ps * (1.0 - pr) + (1.0 - ps) * pr
+        assert expected_kendall(s, r) == pytest.approx(want, rel=1e-12, abs=0)

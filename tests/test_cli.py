@@ -56,9 +56,14 @@ def test_usage_and_data_exit_codes(tmp_path):
     ["pairs", "--top-items", "8", "--top-users", "0"],
     ["rules", "--top-items", "8", "--mode", "mi", "--subset-size", "3"],
     ["rules", "--top-items", "8", "--top-t", "0"],
+    ["loglik", "--top-items", "8", "--n-items", "3", "--bandwidth", "nan"],
+    ["loglik", "--top-items", "8", "--n-items", "3", "--bandwidth", "0.5"],  # n(n-1)/4 = 1.5
+    ["graph", "--top-items", "8", "--threshold", "0"],
+    ["pairs", "--top-items", "8", "--format", "csv:,:user,item,rating:1.5-5"],
 ], ids=["exact-pairs", "exact-rules", "exact-predict-8", "bandwidth", "bandwidth-nan",
         "bandwidth-inf", "normtable-bandwidth", "normtable-nan", "format", "top-items",
-        "top-users", "mi-subset", "top-t"])
+        "top-users", "mi-subset", "top-t", "loglik-nan", "loglik-narrow", "threshold",
+        "fractional-scale"])
 def test_bad_option_is_a_one_line_usage_error(ratings_file, tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     command, *options = argv

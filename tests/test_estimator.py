@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rankdens import estimator, oracle
-from rankdens.censored import pair_pref_prob
+from rankdens.censored import expected_kendall, pair_pref_prob
 from rankdens.estimator import EstimatorError
 from rankdens.rankings import (
     ItemUniverse,
@@ -285,3 +285,17 @@ def test_select_bandwidth_returns_grid_member():
     grid = [2.0, 3.0, 4.0]
     h = estimator.select_bandwidth(train, grid, "exact-support", range(4), seed=0)
     assert h in grid
+
+
+def test_one_ranking_model_is_the_kernel_at_the_expected_kendall_distance():
+    # event_prob and expected_kendall reach the same closed form from two sides
+    rng = np.random.default_rng(21)
+    for n in (4, 9, 25):
+        u = ItemUniverse(n)
+        h = 0.6 * n * (n - 1)
+        for _ in range(40):
+            r, s = oracle.random_tied_ranking(rng, u), oracle.random_tied_ranking(rng, u)
+            model = estimator.fit([r], h=h)
+            fraction = math.exp(s.log_consistent_count() - math.lgamma(n + 1))
+            want = fraction * (1.0 - expected_kendall(s, r) / h) / model.norm.normC
+            assert model.event_prob(s).value == pytest.approx(want, rel=1e-12, abs=0)

@@ -33,6 +33,9 @@ def test_parse_format_csv_spec():
         parse_format("csv:;")
     with pytest.raises(IngestError):
         parse_format("parquet")
+    for scale in ("1.5-5", "5-1"):
+        with pytest.raises(IngestError):
+            parse_format(f"csv:,:user,item,rating:{scale}")
 
 
 def test_load_ratings_basic(tmp_path):
@@ -51,10 +54,12 @@ def test_load_ratings_last_duplicate_wins(tmp_path):
 
 
 def test_load_ratings_malformed_tolerated(tmp_path):
-    lines = ["1\t10\t5\t0"] * 30 + ["garbage line", "1\t11\t9\t0"]
+    lines = ["1\t10\t5\t0"] * 30 + ["garbage line", "1\t11\t9\t0", "1\t12\t3.5\t0",
+                                      "1\t13\t4.0\t0"]
     path = _write(tmp_path, "\n".join(lines) + "\n")
     table = load_ratings(path, FORMATS["ml100k"], error_rate_cap=0.1)
-    assert table.malformed == 2  # unparseable + out-of-scale rating
+    assert table.malformed == 3  # unparseable, out-of-scale and fractional rating
+    assert table.ratings[(1, 13)] == 4 and type(table.ratings[(1, 13)]) is int
 
 
 def test_load_ratings_error_cap(tmp_path):

@@ -82,14 +82,6 @@ def test_basic_structure(u4):
     assert parse_ranking("1,2,3,4", u4).is_unconstrained()
 
 
-def test_ranked_position(u4):
-    r = parse_ranking("3|1,4", u4)
-    assert r.ranked_position(2) == (1, 1)
-    assert r.ranked_position(0) == (2, 2)
-    assert r.ranked_position(3) == (2, 2)
-    assert r.ranked_position(1) is None
-
-
 def test_consistent_count_matches_enumeration():
     for text, n in (("3|2|1,4", 4), ("2|1,3", 5), ("1,2,3", 3)):
         u = ItemUniverse(n)
