@@ -3,6 +3,8 @@
 The expected Kendall distance between two tied, incomplete rankings is
 linear in either one's pair factors 1 - 2*P(x precedes y) (Lebanon & Mao,
 JMLR 2008): ``expected_distance``, which the kernel model also evaluates.
+So one more item inserted into an event moves it only through the item's
+pair factors and the new group centres: ``insertion_distances``.
 """
 
 from __future__ import annotations
@@ -55,6 +57,31 @@ def expected_distance(n: int, sizes: Sequence[int], rows, rowsums):
                 inner -= val  # the event puts this row's item ahead
         inner += gx * (total - in_event)  # the items the event leaves unranked
     return n * (n - 1) / 4.0 - 0.5 * inner
+
+
+def insertion_distances(F, e: TiedRanking, items, insertions):
+    """``expected_distance`` to the n x n pair-factor matrix F of the event e
+    with one more item z inserted: (B, L) for the B ``items`` z and L
+    insertions, each (the group sizes after it, z's group index).
+    By linearity, with g' the centres after the insertion, R F's row sums,
+    f_G = sum_{a in G} F[z, a] and T_G = sum_{a in G} (R_a - sum_{b in e} F[a, b]):
+    inner(e+z) = inner_ordered(e) + sum_{G before z} f_G - sum_{G after z} f_G
+    + sum_G g'_G (T_G + f_G) + g'_z (R_z - sum_G f_G); O(k^2 + B k L).
+    """
+    ranked = [x for group in e.groups for x in group]
+    rows, zrows = F[np.ix_(ranked, ranked)], F[np.ix_(items, ranked)]
+    grp = np.array(tie_terms(map(len, e.groups))[0])
+    ordered = -rows[grp[:, None] < grp].sum()
+    outside = F[ranked].sum(axis=1) - rows.sum(axis=1)
+    terms = []
+    for sizes, gz in insertions:
+        new_grp, centre = map(np.array, tie_terms(sizes))
+        at = sum(sizes[:gz])  # a place in z's group; e's items fill the others
+        new_grp, centre, cz = np.delete(new_grp, at), np.delete(centre, at), centre[at]
+        terms.append((np.sign(gz - new_grp) + centre - cz, ordered + centre @ outside, cz))
+    coef, const, zcoef = map(np.array, zip(*terms))
+    inner = const + np.outer(F[items].sum(axis=1), zcoef) + (zrows[:, None] * coef).sum(axis=2)
+    return len(F) * (len(F) - 1) / 4.0 - 0.5 * inner
 
 
 def pair_pref_prob(u: TiedRanking, i: int, j: int) -> float:

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -171,18 +172,18 @@ def pairs(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict)
 
 @cli.command()
 @with_common
-@click.option("--n-items", "small_ns", multiple=True, type=int, default=(3, 4, 5),
-              show_default=True, help="subset sizes (Mallows needs <= 5)")
-@click.option("--m-grid", multiple=True, type=int, default=(100, 500, 1000),
-              show_default=True)
-@click.option("--reps", default=5, show_default=True)
+@click.option("--n-items", "small_ns", multiple=True, type=click.IntRange(2, 5),
+              default=(3, 4, 5), show_default=True, help="subset sizes (Mallows needs <= 5)")
+@click.option("--m-grid", multiple=True, type=click.IntRange(min=1),
+              default=(100, 500, 1000), show_default=True)
+@click.option("--reps", default=5, show_default=True, type=click.IntRange(min=1))
 def loglik(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict,
            small_ns, m_grid, reps):
     """Held-out log-likelihood: kernel vs empirical vs Mallows baseline."""
-    if any(n > 5 for n in small_ns):
-        raise click.UsageError("Mallows baseline requires n <= 5")
     widths = {n_sub: _bandwidth(bandwidth, n_sub, _mode(kernel)) for n_sub in small_ns}
     _, _, items, universe, rankings = _load_dataset(data, fmt, top_items, top_users)
+    if max(small_ns) > universe.n:
+        raise click.UsageError(f"--n-items {max(small_ns)} exceeds the {universe.n} loaded items")
     rows = []
     rng = np.random.default_rng(seed)
     for n_sub in small_ns:
@@ -250,8 +251,10 @@ def _loglik_once(rankings, subset, m, seed, h, mode):
 @with_common
 @click.option("--loss", default="l1", show_default=True,
               help="l0 | l1 | le | path to CSV matrix")
-@click.option("--test-fraction", default=0.3, show_default=True)
-@click.option("--holdout-fraction", default=0.5, show_default=True)
+@click.option("--test-fraction", default=0.3, show_default=True,
+              type=click.FloatRange(0, 1, min_open=True, max_open=True))
+@click.option("--holdout-fraction", default=0.5, show_default=True,
+              type=click.FloatRange(0, 1, min_open=True, max_open=True))
 def predict(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict,
             loss, test_fraction, holdout_fraction):
     """Mean posterior-loss of held-out item level prediction."""
@@ -267,8 +270,9 @@ def predict(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, stric
     if not holdout.users:
         raise DataError("no test users with enough ranked items")
     h, model = _fit(train, universe.n, bandwidth, kernel)
+    counts = Counter()
     mean_loss = evaluate_prediction(
-        posterior_predictor(model, loss_matrix), holdout, loss_matrix
+        posterior_predictor(model, loss_matrix, counts), holdout, loss_matrix
     )
     config = {"cmd": "predict", "data": str(data), "sha256": _sha256(data),
               "loss": loss, "h": h, "kernel": kernel, "seed": seed,
@@ -280,6 +284,9 @@ def predict(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, stric
     ]
     _write_csv(Path(out), config, rows,
                ("train_users", "test_users", "held_out_items", "mean_loss"))
+    if counts["clamped"] and strict:
+        click.echo(f"{counts['clamped']} negative level weights", err=True)
+        sys.exit(EXIT_NUMERIC)
 
 
 @cli.command("rules")

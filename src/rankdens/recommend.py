@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .estimator import EstimatorError, KernelModel
+from .censored import insertion_distances
+from .estimator import KernelModel
 from .rankings import RankingError, TiedRanking
 
 
@@ -111,28 +113,38 @@ def builtin_loss(name: str, levels: Sequence[int]) -> LossMatrix:
 def level_posterior(
     model: KernelModel,
     user_ranking: TiedRanking,
-    item: int,
+    item: int | Sequence[int],
     levels: Sequence[int],
+    counts: Optional[Counter] = None,
 ) -> np.ndarray:
-    """Posterior over the levels at which ``item`` would be rated.
-
-    Each level's weight is the estimated probability of the user's ranking
-    augmented with the item at that level; the common denominator (the
-    probability of the observed ranking) cancels in the normalization.
-    Negative modified-kernel values are clamped at zero.
-    """
+    """Posterior over the levels at which each held-out item would be rated,
+    (B, L) for B items or (L,) for one. A level's weight is the estimated
+    probability of the user's ranking with the item inserted at that level
+    (the observed ranking's cancels), from one ``censored.insertion_distances``
+    pass in modified mode. Negative weights are clamped at zero and counted in
+    ``counts["clamped"]``; an item with none positive gets the uniform posterior."""
     if user_ranking.level_labels is None:
         raise RecommendError("user ranking carries no level labels")
-    if user_ranking.group_index(item) is not None:
+    batch = np.atleast_1d(item).tolist()
+    if any(user_ranking.group_index(z) is not None for z in batch):
         raise RecommendError("item is already ranked by the user")
-    weights = np.empty(len(levels))
-    for li, level in enumerate(levels):
-        augmented = user_ranking.insert_item(item, level=level)
-        weights[li] = max(model.event_prob(augmented).value, 0.0)
-    total = weights.sum()
-    if total <= 0:
-        return np.full(len(levels), 1.0 / len(levels))
-    return weights / total
+    if model.mode == "modified":
+        # insert_item's level rule: each level's group sizes and z's group
+        augmented = [user_ranking.insert_item(batch[0], level=lv) for lv in levels]
+        insertions = [(list(map(len, r.groups)), r.group_index(batch[0])) for r in augmented]
+        e_mean = insertion_distances(model.fbar, user_ranking, batch, insertions)
+        weights = np.column_stack([model._kernel_value(sizes, e)
+                                   for (sizes, _), e in zip(insertions, e_mean.T)])
+    else:
+        weights = np.array([[model.event_prob(user_ranking.insert_item(z, level=lv)).value
+                             for lv in levels] for z in batch])
+    if counts is not None:
+        counts["clamped"] += int((weights < 0).sum())
+    weights = np.maximum(weights, 0.0)
+    total = weights.sum(axis=1, keepdims=True)
+    post = np.full(weights.shape, 1.0 / len(levels))
+    np.divide(weights, total, out=post, where=total > 0)
+    return post[0] if np.ndim(item) == 0 else post
 
 
 def predict_level(posterior: np.ndarray, loss: LossMatrix) -> int:
@@ -204,25 +216,27 @@ def make_holdout(
 
 
 def evaluate_prediction(
-    predictor: Callable[[HoldoutUser, int], int],
+    predictor: Callable[[HoldoutUser], Sequence[int]],
     split: PredictionSplit,
     loss: LossMatrix,
 ) -> float:
-    """Mean loss of the predictor over all held-out (user, item) pairs."""
+    """Mean loss over all held-out (user, item) pairs of a per-user predictor."""
     losses = []
     for user in sorted(split.users, key=lambda u: str(u.user_id)):
-        for item, truth in user.held_out:
-            losses.append(loss.loss(predictor(user, item), truth))
+        for (_, truth), level in zip(user.held_out, predictor(user), strict=True):
+            losses.append(loss.loss(level, truth))
     if not losses:
         raise RecommendError("empty prediction split")
     return math.fsum(losses) / len(losses)
 
 
 def posterior_predictor(
-    model: KernelModel, loss: LossMatrix
-) -> Callable[[HoldoutUser, int], int]:
-    def predict(user: HoldoutUser, item: int) -> int:
-        post = level_posterior(model, user.observed, item, loss.levels)
-        return predict_level(post, loss)
+    model: KernelModel, loss: LossMatrix, counts: Optional[Counter] = None
+) -> Callable[[HoldoutUser], list[int]]:
+    """Loss-minimizing levels of a user's held-out items."""
+    def predict(user: HoldoutUser) -> list[int]:
+        items = [item for item, _ in user.held_out]
+        posts = level_posterior(model, user.observed, items, loss.levels, counts)
+        return [predict_level(post, loss) for post in posts]
 
     return predict

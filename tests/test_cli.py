@@ -60,10 +60,18 @@ def test_usage_and_data_exit_codes(tmp_path):
     ["loglik", "--top-items", "8", "--n-items", "3", "--bandwidth", "0.5"],  # n(n-1)/4 = 1.5
     ["graph", "--top-items", "8", "--threshold", "0"],
     ["pairs", "--top-items", "8", "--format", "csv:,:user,item,rating:1.5-5"],
+    ["loglik", "--top-items", "3", "--n-items", "5"],  # more than the loaded items
+    ["loglik", "--top-items", "8", "--n-items", "1"],
+    ["loglik", "--top-items", "8", "--n-items", "3", "--m-grid", "0"],
+    ["loglik", "--top-items", "8", "--n-items", "3", "--reps", "0"],
+    ["predict", "--top-items", "8", "--test-fraction", "0"],
+    ["predict", "--top-items", "8", "--test-fraction", "1.5"],
+    ["predict", "--top-items", "8", "--holdout-fraction", "1.5"],
 ], ids=["exact-pairs", "exact-rules", "exact-predict-8", "bandwidth", "bandwidth-nan",
         "bandwidth-inf", "normtable-bandwidth", "normtable-nan", "format", "top-items",
         "top-users", "mi-subset", "top-t", "loglik-nan", "loglik-narrow", "threshold",
-        "fractional-scale"])
+        "fractional-scale", "loglik-n-items-loaded", "loglik-n-items-1", "m-grid", "reps",
+        "test-fraction-0", "test-fraction-1.5", "holdout-fraction"])
 def test_bad_option_is_a_one_line_usage_error(ratings_file, tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     command, *options = argv
@@ -146,6 +154,22 @@ def test_predict(ratings_file, tmp_path):
     assert header == ["train_users", "test_users", "held_out_items", "mean_loss"]
     assert len(rows) == 1
     assert float(rows[0][3]) >= 0.0
+
+
+def test_strict_predict_exit_numeric_on_negative_level_weights(ratings_file, tmp_path, capsys):
+    # h just above n(n-1)/4 = 14: the signed kernel goes negative far from the data
+    plain, strict = tmp_path / "plain.csv", tmp_path / "strict.csv"
+    args = ["--data", str(ratings_file), "--top-items", "8", "--top-users", "300"]
+    assert main(["predict", *args, "--bandwidth", "14.1", "--out", str(plain)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["predict", *args, "--bandwidth", "14.1", "--strict",
+                 "--out", str(strict)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.endswith(" negative level weights\n") and err.count("\n") == 1
+    assert int(err.split()[0]) > 0
+    assert strict.read_text() == plain.read_text()
+    default = tmp_path / "default.csv"
+    assert main(["predict", *args, "--strict", "--out", str(default)]) == EXIT_OK
 
 
 def test_graph(ratings_file, tmp_path):

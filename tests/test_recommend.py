@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,75 @@ def test_level_posterior_normalizes():
         level_posterior(model, user, 0, list(range(1, 6)))  # already ranked
 
 
+def _labelled_ranking(rng, u):
+    """A random tied ranking leaving at least one item of u unranked, its
+    groups labelled by a descending draw from 1..10, so levels 0..11 join
+    groups, open groups between them, and go above and below them all."""
+    k = int(rng.integers(1, u.n))
+    items = rng.permutation(u.n)[:k].tolist()
+    g = int(rng.integers(1, min(k, 10) + 1))
+    cuts = sorted(rng.choice(np.arange(1, k), size=g - 1, replace=False).tolist()) if g > 1 else []
+    bounds = [0, *cuts, k]
+    labels = sorted(rng.choice(np.arange(1, 11), size=g, replace=False).tolist(), reverse=True)
+    groups = tuple(tuple(items[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return TiedRanking(u, groups, tuple(labels))
+
+
+def _per_level_posterior(prob, user, item, levels):
+    weights = np.array([max(prob(user.insert_item(item, level=lv)), 0.0) for lv in levels])
+    return weights / weights.sum()
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 30])
+def test_batched_level_posterior_matches_per_level_event_prob(n):
+    rng = np.random.default_rng(n)
+    u = ItemUniverse(n)
+    levels = list(range(12))
+    for _ in range(15):
+        train = [oracle.random_tied_ranking(rng, u) for _ in range(int(rng.integers(1, 20)))]
+        model = estimator.fit(train)
+        user = _labelled_ranking(rng, u)
+        held = [z for z in range(n) if user.group_index(z) is None]
+        post = level_posterior(model, user, held, levels)
+        assert post.shape == (len(held), len(levels))
+        for z, row in zip(held, post):
+            want = _per_level_posterior(lambda ev: model.event_prob(ev).value, user, z, levels)
+            np.testing.assert_allclose(row, want, rtol=1e-12, atol=0)
+        single = level_posterior(model, user, held[-1], levels)
+        assert single.shape == (len(levels),) and np.array_equal(single, post[-1])
+
+
+def test_batched_level_posterior_matches_enumeration():
+    rng = np.random.default_rng(6)
+    levels = list(range(12))
+    for n in (3, 4, 5, 6):
+        u = ItemUniverse(n)
+        for _ in range(4):
+            train = [oracle.random_tied_ranking(rng, u) for _ in range(int(rng.integers(1, 6)))]
+            h = estimator.default_bandwidth(n)
+            model = estimator.fit(train, h=h)
+            user = _labelled_ranking(rng, u)
+            held = [z for z in range(n) if user.group_index(z) is None]
+            post = level_posterior(model, user, held, levels)
+            for z, row in zip(held, post):
+                want = _per_level_posterior(
+                    lambda ev: oracle.brute_event_prob(train, h, "modified", ev), user, z, levels
+                )
+                np.testing.assert_allclose(row, want, rtol=1e-9, atol=1e-12)
+
+
+def test_level_posterior_falls_back_to_uniform_when_every_weight_is_clamped():
+    # h just above n(n-1)/4 = 7.5; the user reverses the training order on
+    # five items, so every insertion of item 0 is at distance >= 10 > h
+    u = ItemUniverse(6)
+    model = estimator.fit([parse_ranking("1|2|3|4|5|6", u)] * 3, h=8.0)
+    user = parse_ranking("6|5|4|3|2", u, level_labels=(5, 4, 3, 2, 1))
+    counts = Counter()
+    post = level_posterior(model, user, [0], list(range(1, 6)), counts)
+    assert np.array_equal(post, np.full((1, 5), 0.2))
+    assert counts["clamped"] == 5
+
+
 def test_make_holdout_deterministic():
     u = ItemUniverse(6)
     rankings = [
@@ -126,7 +197,7 @@ def test_evaluate_prediction_known_losses():
     from rankdens.recommend import PredictionSplit
     split = PredictionSplit(split_users, seed=0)
     loss = absolute_loss(range(1, 6))
-    mean = evaluate_prediction(lambda user, item: 3, split, loss)
+    mean = evaluate_prediction(lambda user: [3, 3], split, loss)
     assert mean == pytest.approx(1.0)  # |3-4| and |3-2|
 
 
@@ -140,5 +211,5 @@ def test_posterior_predictor_end_to_end():
     model = estimator.fit(train, h=11.0)
     loss = absolute_loss(range(1, 6))
     user = HoldoutUser("u", TiedRanking(u, ((0,), (2,)), (5, 3)), ((1, 4),))
-    pred = posterior_predictor(model, loss)(user, 1)
+    (pred,) = posterior_predictor(model, loss)(user)
     assert pred in loss.levels
