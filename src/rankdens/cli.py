@@ -44,11 +44,15 @@ def _write_csv(out_path: Path, config: dict, rows, columns) -> None:
             fh.write(",".join(str(x) for x in row) + "\n")
 
 
-def _load_dataset(data, fmt, top_items, top_users):
+def _format(fmt) -> ingest.FormatDescriptor:
     try:
-        descriptor = ingest.parse_format(fmt)
+        return ingest.parse_format(fmt)
     except ingest.IngestError as exc:
         raise click.UsageError(str(exc)) from None
+
+
+def _load_dataset(data, fmt, top_items, top_users):
+    descriptor = _format(fmt)
     try:
         table = ingest.load_ratings(data, descriptor)
         items = ingest.select_items(table, top_items)
@@ -56,7 +60,7 @@ def _load_dataset(data, fmt, top_items, top_users):
         universe, rankings = ingest.build_rankings(table, items, users)
     except ingest.IngestError as exc:
         raise DataError(str(exc)) from exc
-    return descriptor, table, items, universe, rankings
+    return universe, rankings
 
 
 def _bandwidth(bandwidth: str, n: int, mode: str) -> float:
@@ -139,7 +143,7 @@ def normtable(sizes, bandwidths, out):
 @with_common
 def pairs(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict):
     """Pairwise preference matrix and the r(i) preference ranking."""
-    _, _, items, universe, rankings = _load_dataset(data, fmt, top_items, top_users)
+    universe, rankings = _load_dataset(data, fmt, top_items, top_users)
     h, model = _fit([r for _, r in rankings], universe.n, bandwidth, kernel)
     n = universe.n
     matrix = np.full((n, n), 0.5)
@@ -181,7 +185,7 @@ def loglik(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict
            small_ns, m_grid, reps):
     """Held-out log-likelihood: kernel vs empirical vs Mallows baseline."""
     widths = {n_sub: _bandwidth(bandwidth, n_sub, _mode(kernel)) for n_sub in small_ns}
-    _, _, items, universe, rankings = _load_dataset(data, fmt, top_items, top_users)
+    universe, rankings = _load_dataset(data, fmt, top_items, top_users)
     if max(small_ns) > universe.n:
         raise click.UsageError(f"--n-items {max(small_ns)} exceeds the {universe.n} loaded items")
     rows = []
@@ -258,14 +262,14 @@ def _loglik_once(rankings, subset, m, seed, h, mode):
 def predict(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict,
             loss, test_fraction, holdout_fraction):
     """Mean posterior-loss of held-out item level prediction."""
-    descriptor, _, items, universe, rankings = _load_dataset(
-        data, fmt, top_items, top_users
-    )
-    levels = tuple(range(descriptor.scale[0], descriptor.scale[1] + 1))
-    if loss in ("l0", "l1", "le"):
-        loss_matrix = builtin_loss(loss, levels)
-    else:
-        loss_matrix = loss_from_csv(loss, levels)
+    lo, hi = _format(fmt).scale
+    levels = tuple(range(lo, hi + 1))
+    try:
+        loss_matrix = (builtin_loss(loss, levels) if loss in ("l0", "l1", "le")
+                       else loss_from_csv(loss, levels))
+    except (OSError, ValueError) as exc:  # a missing file, or a matrix not over the levels
+        raise click.UsageError(f"--loss {loss}: {exc}") from None
+    universe, rankings = _load_dataset(data, fmt, top_items, top_users)
     train, holdout = ingest.split_users(rankings, seed, test_fraction, holdout_fraction)
     if not holdout.users:
         raise DataError("no test users with enough ranked items")
@@ -299,7 +303,7 @@ def predict(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, stric
 def rules_cmd(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict,
               rule_mode, subset_size, top_t):
     """Mine association rules over the most rated items."""
-    _, _, items, universe, rankings = _load_dataset(data, fmt, top_items, top_users)
+    universe, rankings = _load_dataset(data, fmt, top_items, top_users)
     subset = list(range(min(subset_size, universe.n)))
     if rule_mode == "mi" and len(subset) < 4:
         raise click.UsageError(
@@ -337,10 +341,14 @@ def rules_cmd(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, str
 def graph(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict,
           threshold, subset_size):
     """Emit the affinity graph edge list for external layout tools."""
-    _, _, items, universe, rankings = _load_dataset(data, fmt, top_items, top_users)
+    universe, rankings = _load_dataset(data, fmt, top_items, top_users)
     h, model = _fit([r for _, r in rankings], universe.n, bandwidth, kernel)
     subset = list(range(min(subset_size, universe.n)))
-    edges = rules.affinity_graph(model, subset, threshold)
+    try:
+        edges = rules.affinity_graph(model, subset, threshold)
+    except rules.RulesError as exc:  # a signed kernel can leave a lift with no denominator
+        click.echo(f"numeric error: {exc}", err=True)
+        sys.exit(EXIT_NUMERIC)
     config = {"cmd": "graph", "data": str(data), "sha256": _sha256(data),
               "threshold": threshold, "subset_size": subset_size, "h": h,
               "kernel": kernel, "top_items": top_items, "top_users": top_users}

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,20 +59,57 @@ def parse_format(spec: str) -> FormatDescriptor:
 
 @dataclass
 class RatingsTable:
-    """(user, item, rating) triples; duplicates resolved last-wins."""
+    """(m, 3) int64 (user, item, level) rows sorted by (user, item); the last line wins."""
 
-    ratings: dict  # (user_id, item_id) -> level
+    ratings: np.ndarray
     scale: tuple[int, int]
     malformed: int = 0
     duplicates: int = 0
-    item_counts: Counter = field(default_factory=Counter)
 
-    def __post_init__(self):
-        if not self.item_counts:
-            counts = Counter()
-            for (_, item) in self.ratings:
-                counts[item] += 1
-            self.item_counts = counts
+
+def _parse_line(line: str, delimiter: str, cols) -> Optional[tuple[int, int, int]]:
+    """(user, item, level) of one stripped line, or None when malformed. A
+    level written as 4.0 is 4; 3.5 is none; so is a value outside int64."""
+    parts = line.split(delimiter)
+    try:
+        user, item = int(parts[cols[0]]), int(parts[cols[1]])
+        try:
+            level = int(parts[cols[2]])
+        except ValueError:
+            rating = float(parts[cols[2]])
+            level = int(rating) if rating.is_integer() else None
+    except (IndexError, ValueError):
+        return None
+    if level is None or not all(-(2**63) <= v < 2**63 for v in (user, item, level)):
+        return None
+    return user, item, level
+
+
+_CHUNK = 256  # lines per loadtxt call once a whole-file call has failed
+
+
+def _parse_rows(lines: list[str], delim: str, cols) -> tuple[np.ndarray, int]:
+    """(user, item, level) rows of the non-blank lines that parse, in file
+    order, and how many do not: one ``loadtxt`` call when it reads every
+    line, else the same over chunks of ``_CHUNK`` lines, with ``_parse_line``
+    over each chunk that ``loadtxt`` rejects."""
+    # loadtxt does not strip a line: with a whitespace delimiter and an
+    # unused first column, a leading delimiter would shift the fields
+    if len(delim) == 1 and (0 in cols or not delim.isspace()):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # older numpy reads 4.5 as 4 with a warning
+                return np.loadtxt(lines, np.int64, delimiter=delim, usecols=cols, ndmin=2,
+                                  comments=None), 0
+        except (ValueError, OverflowError, Warning):
+            pass
+    if len(lines) > _CHUNK:
+        parts = [_parse_rows(lines[a:a + _CHUNK], delim, cols)
+                 for a in range(0, len(lines), _CHUNK)]
+        return np.concatenate([rows for rows, _ in parts]), sum(bad for _, bad in parts)
+    text = [line for line in map(str.strip, lines) if line]
+    good = [row for line in text if (row := _parse_line(line, delim, cols))]
+    return np.array(good, np.int64).reshape(-1, 3), len(text) - len(good)
 
 
 def load_ratings(
@@ -80,57 +117,42 @@ def load_ratings(
 ) -> RatingsTable:
     """Parse a ratings file; malformed lines are counted and tolerated up
     to the cap."""
-    u_col, i_col, r_col = (fmt.column(c) for c in ("user", "item", "rating"))
-    ratings: dict = {}
-    malformed = 0
-    duplicates = 0
-    total = 0
-    lo, hi = fmt.scale
     try:
-        fh = open(path, encoding="utf-8", errors="replace")
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            lines = fh.read().split("\n")[int(fmt.header):]
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh):
-            if fmt.header and lineno == 0:
-                continue
-            line = line.strip()
-            if not line:
-                continue
-            total += 1
-            parts = line.split(fmt.delimiter)
-            try:
-                user = int(parts[u_col])
-                item = int(parts[i_col])
-                try:
-                    level = int(parts[r_col])
-                except ValueError:  # a level written as 4.0 is 4; 3.5 is none
-                    rating = float(parts[r_col])
-                    level = int(rating) if rating.is_integer() else None
-            except (IndexError, ValueError):
-                malformed += 1
-                continue
-            if level is None or not lo <= level <= hi:
-                malformed += 1
-                continue
-            if (user, item) in ratings:
-                duplicates += 1
-            ratings[(user, item)] = level
+    cols = tuple(fmt.column(c) for c in ("user", "item", "rating"))
+    rows, malformed = _parse_rows(lines, fmt.delimiter, cols)
+    total = len(rows) + malformed
+    lo, hi = fmt.scale
+    in_scale = (lo <= rows[:, 2]) & (rows[:, 2] <= hi)
+    malformed += len(rows) - int(in_scale.sum())
     if total and malformed / total > error_rate_cap:
         raise IngestError(
             f"{malformed}/{total} malformed lines exceeds cap {error_rate_cap}"
         )
-    if not ratings:
+    if not in_scale.any():
         raise IngestError(f"no usable ratings in {path}")
-    return RatingsTable(ratings, fmt.scale, malformed, duplicates)
+    rows = rows[in_scale]
+    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]  # stable: a pair's last line ends its run
+    last = np.r_[np.any(rows[1:, :2] != rows[:-1, :2], axis=1), True]
+    return RatingsTable(rows[last], fmt.scale, malformed, len(rows) - int(last.sum()))
+
+
+def _by_count(ids: np.ndarray, min_count: int = 0) -> list[int]:
+    """Distinct ids seen at least min_count times; most frequent first, then by id."""
+    ids, counts = np.unique(ids, return_counts=True)
+    order = np.lexsort((ids, -counts))
+    return ids[order[counts[order] >= min_count]].tolist()
 
 
 def select_items(table: RatingsTable, top_n: int) -> list[int]:
     """The top_n most rated item ids; count ties break by ascending id."""
-    ranked = sorted(table.item_counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = _by_count(table.ratings[:, 1])
     if top_n > len(ranked):
         raise IngestError(f"only {len(ranked)} distinct items available")
-    return [item for item, _ in ranked[:top_n]]
+    return ranked[:top_n]
 
 
 def select_users(
@@ -140,17 +162,8 @@ def select_users(
     top_m: Optional[int] = None,
 ) -> list[int]:
     """Users ranked by how many of the selected items they rated."""
-    item_set = set(items)
-    coverage: Counter = Counter()
-    for (user, item) in table.ratings:
-        if item in item_set:
-            coverage[user] += 1
-    ranked = sorted(coverage.items(), key=lambda kv: (-kv[1], kv[0]))
-    if min_count is not None:
-        ranked = [(u, c) for u, c in ranked if c >= min_count]
-    if top_m is not None:
-        ranked = ranked[:top_m]
-    return [u for u, _ in ranked]
+    users, rated = table.ratings[:, 0], table.ratings[:, 1]
+    return _by_count(users[np.isin(rated, items)], min_count or 0)[:top_m]
 
 
 def build_rankings(
@@ -165,21 +178,24 @@ def build_rankings(
     Output is ordered by ascending user id.
     """
     universe = ItemUniverse(len(items), tuple(str(i) for i in items))
-    index = {item: i for i, item in enumerate(items)}
-    user_set = set(users) if users is not None else None
-    by_user: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
-    for (user, item), level in table.ratings.items():
-        if item not in index:
-            continue
-        if user_set is not None and user not in user_set:
-            continue
-        by_user[user][level].append(index[item])
-    out = []
-    for user in sorted(by_user):
-        levels = sorted(by_user[user], reverse=True)
-        groups = tuple(tuple(sorted(by_user[user][lv])) for lv in levels)
-        out.append((user, TiedRanking(universe, groups, tuple(levels))))
-    return universe, out
+    user, item, level = table.ratings.T
+    keep = np.isin(item, items) & (users is None or np.isin(user, users))
+    if not keep.any():
+        return universe, []
+    user, item, level = user[keep], item[keep], level[keep]
+    index = np.argsort(items)[np.searchsorted(np.sort(items), item)]
+    order = np.lexsort((index, -level, user))
+    user, index, level = user[order], index[order].tolist(), level[order]
+    new_user = np.r_[True, user[1:] != user[:-1]]
+    new_group = new_user | np.r_[True, level[1:] != level[:-1]]
+    bounds = np.flatnonzero(np.r_[new_group, True]).tolist()
+    groups = [tuple(index[a:b]) for a, b in zip(bounds, bounds[1:])]
+    labels = level[new_group].tolist()
+    firsts = [*np.flatnonzero(new_user[new_group]).tolist(), len(groups)]
+    return universe, [
+        (uid, TiedRanking(universe, tuple(groups[a:b]), tuple(labels[a:b])))
+        for uid, a, b in zip(user[new_user].tolist(), firsts, firsts[1:])
+    ]
 
 
 def split_users(

@@ -40,6 +40,9 @@ def test_usage_and_data_exit_codes(tmp_path):
     out = tmp_path / "out.csv"
     assert main(["pairs", "--data", str(missing), "--out", str(out)]) == EXIT_DATA
     assert main(["definitely-not-a-command"]) == EXIT_USAGE
+    # a bad --loss is found before the data is read
+    assert main(["predict", "--data", str(missing), "--out", str(out),
+                 "--loss", str(tmp_path / "nope.csv")]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize("argv", [
@@ -67,14 +70,18 @@ def test_usage_and_data_exit_codes(tmp_path):
     ["predict", "--top-items", "8", "--test-fraction", "0"],
     ["predict", "--top-items", "8", "--test-fraction", "1.5"],
     ["predict", "--top-items", "8", "--holdout-fraction", "1.5"],
+    ["predict", "--top-items", "8", "--loss", "{tmp}/missing.csv"],
+    ["predict", "--top-items", "8", "--loss", "{tmp}/loss2x2.csv"],  # the scale has 5 levels
 ], ids=["exact-pairs", "exact-rules", "exact-predict-8", "bandwidth", "bandwidth-nan",
         "bandwidth-inf", "normtable-bandwidth", "normtable-nan", "format", "top-items",
         "top-users", "mi-subset", "top-t", "loglik-nan", "loglik-narrow", "threshold",
         "fractional-scale", "loglik-n-items-loaded", "loglik-n-items-1", "m-grid", "reps",
-        "test-fraction-0", "test-fraction-1.5", "holdout-fraction"])
+        "test-fraction-0", "test-fraction-1.5", "holdout-fraction", "loss-missing",
+        "loss-shape"])
 def test_bad_option_is_a_one_line_usage_error(ratings_file, tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
-    command, *options = argv
+    (tmp_path / "loss2x2.csv").write_text("0,1\n1,0\n")
+    command, *options = (arg.format(tmp=tmp_path) for arg in argv)
     data = [] if command == "normtable" else ["--data", str(ratings_file), "--top-users", "150"]
     code = main([command, *data, *options, "--out", str(out)])
     assert code == EXIT_USAGE
@@ -117,6 +124,19 @@ def test_rules_deterministic(ratings_file, tmp_path):
     assert len(rows) == 5
     scores = [float(r[2]) for r in rows]
     assert scores == sorted(scores, reverse=True)
+
+
+def test_graph_without_a_lift_denominator_exits_numeric(ratings_file, tmp_path, capsys):
+    # h just above n(n-1)/4 = 14: a signed kernel leaves a lift marginal at zero
+    out = tmp_path / "graph.csv"
+    args = ["graph", "--data", str(ratings_file), "--out", str(out), "--top-items", "8",
+            "--top-users", "300", "--subset-size", "8", "--bandwidth", "14.1",
+            "--threshold", "1e-9"]
+    for strict in ([], ["--strict"]):
+        assert main([*args, *strict]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == "numeric error: zero marginal in lift computation\n"
+    assert not out.exists()
 
 
 def test_strict_rules_exit_numeric_on_negative_mi_cells(ratings_file, tmp_path, capsys):

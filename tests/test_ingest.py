@@ -1,7 +1,13 @@
+import warnings
+from collections import Counter, defaultdict
+
+import numpy as np
 import pytest
 
+from rankdens import ingest
 from rankdens.ingest import (
     FORMATS,
+    FormatDescriptor,
     IngestError,
     build_rankings,
     load_ratings,
@@ -41,15 +47,15 @@ def test_parse_format_csv_spec():
 def test_load_ratings_basic(tmp_path):
     path = _write(tmp_path, "1\t10\t5\t0\n1\t11\t3\t1\n2\t10\t4\t2\n")
     table = load_ratings(path, FORMATS["ml100k"])
-    assert table.ratings == {(1, 10): 5, (1, 11): 3, (2, 10): 4}
+    assert table.ratings.tolist() == [[1, 10, 5], [1, 11, 3], [2, 10, 4]]
     assert table.malformed == 0
-    assert table.item_counts == {10: 2, 11: 1}
+    assert Counter(table.ratings[:, 1].tolist()) == {10: 2, 11: 1}
 
 
 def test_load_ratings_last_duplicate_wins(tmp_path):
     path = _write(tmp_path, "1\t10\t5\t0\n1\t10\t2\t9\n")
     table = load_ratings(path, FORMATS["ml100k"])
-    assert table.ratings[(1, 10)] == 2
+    assert table.ratings.tolist() == [[1, 10, 2]]
     assert table.duplicates == 1
 
 
@@ -59,7 +65,8 @@ def test_load_ratings_malformed_tolerated(tmp_path):
     path = _write(tmp_path, "\n".join(lines) + "\n")
     table = load_ratings(path, FORMATS["ml100k"], error_rate_cap=0.1)
     assert table.malformed == 3  # unparseable, out-of-scale and fractional rating
-    assert table.ratings[(1, 13)] == 4 and type(table.ratings[(1, 13)]) is int
+    assert table.ratings.tolist() == [[1, 10, 5], [1, 13, 4]]
+    assert table.ratings.dtype == np.int64  # the 4.0 line loads as an int
 
 
 def test_load_ratings_error_cap(tmp_path):
@@ -117,3 +124,165 @@ def test_synthetic_corpus_shape(ratings_file):
     universe, rankings = build_rankings(table, items, users)
     assert universe.n == 53
     assert len(rankings) == 2000
+
+
+def test_id_outside_int64_is_malformed(tmp_path):
+    lines = ["1\t10\t5\t0"] * 30 + [f"{2**64}\t10\t4\t0", f"1\t{-2**63 - 1}\t4\t0",
+                                      f"{-2**63}\t11\t4\t0"]
+    table = load_ratings(_write(tmp_path, "\n".join(lines) + "\n"), FORMATS["ml100k"],
+                         error_rate_cap=0.1)
+    assert table.malformed == 2
+    assert table.ratings.tolist() == [[-2**63, 11, 4], [1, 10, 5]]
+
+
+def test_load_ratings_ml1m_and_csv_header(tmp_path):
+    ml1m = _write(tmp_path, "1::10::5::978300760\n1::11::3::978302109\n2::10::4::978301968\n"
+                  "2::10::2::978301969\n", "ratings.dat")
+    table = load_ratings(ml1m, parse_format("ml1m"))
+    assert table.ratings.tolist() == [[1, 10, 5], [1, 11, 3], [2, 10, 2]]
+    assert (table.malformed, table.duplicates) == (0, 1)
+    csv = _write(tmp_path, "user,item,rating\n3,7,1\n3,8,5\n4,7,4.0\n4,8,3.5\n"
+                 * 1 + "3,7,2\n", "ratings.csv")
+    table = load_ratings(csv, parse_format("csv:,:user,item,rating:1-5:header"),
+                         error_rate_cap=0.5)
+    assert table.ratings.tolist() == [[3, 7, 2], [3, 8, 5], [4, 7, 4]]
+    assert (table.malformed, table.duplicates) == (1, 1)
+
+
+def test_loadtxt_that_warns_falls_back_to_the_per_line_parser(tmp_path, monkeypatch):
+    real = np.loadtxt
+
+    def old_numpy_loadtxt(lines, *args, **kwargs):  # numpy 1.23-1.x read 4.5 as 4
+        if any(".5" in line for line in lines):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            lines = [line.replace(".5", "") for line in lines]
+        return real(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", old_numpy_loadtxt)
+    path = _write(tmp_path, "1\t10\t4.5\t0\n1\t11\t3\t0\n")
+    table = load_ratings(path, FORMATS["ml100k"], error_rate_cap=1.0)
+    assert table.ratings.tolist() == [[1, 11, 3]]
+    assert table.malformed == 1
+
+
+# The per-line semantics the columnar loader must keep: every line is
+# stripped and split on the delimiter; a level written as 4.0 is 4, 3.5 is
+# malformed; ids outside int64 are malformed; the last line of a
+# (user, item) wins. Selections and rankings walk the resulting dict.
+
+def _reference_load(path, fmt):
+    cols = [fmt.column(c) for c in ("user", "item", "rating")]
+    ratings, malformed, duplicates = {}, 0, 0
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh):
+            line = line.strip()
+            if (fmt.header and lineno == 0) or not line:
+                continue
+            parts = line.split(fmt.delimiter)
+            try:
+                user, item = int(parts[cols[0]]), int(parts[cols[1]])
+                try:
+                    level = int(parts[cols[2]])
+                except ValueError:
+                    rating = float(parts[cols[2]])
+                    level = int(rating) if rating.is_integer() else None
+            except (IndexError, ValueError):
+                level = None
+            if level is None or not fmt.scale[0] <= level <= fmt.scale[1] or not all(
+                -2**63 <= v < 2**63 for v in (user, item)
+            ):
+                malformed += 1
+                continue
+            duplicates += (user, item) in ratings
+            ratings[(user, item)] = level
+    return ratings, malformed, duplicates
+
+
+def _reference_rankings(ratings, items, users):
+    index = {item: i for i, item in enumerate(items)}
+    by_user = defaultdict(lambda: defaultdict(list))
+    for (user, item), level in ratings.items():
+        if item in index and user in users:
+            by_user[user][level].append(index[item])
+    return [
+        (user, tuple(tuple(sorted(by_user[user][lv])) for lv in sorted(by_user[user])[::-1]),
+         tuple(sorted(by_user[user])[::-1]))
+        for user in sorted(by_user)
+    ]
+
+
+def _ranked(counts):
+    return [key for key, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
+
+
+def _dirty_file(path, rng, fmt, kinds):
+    """Lines of the given kinds over a small (user, item) pool, so that
+    duplicates span chunks that loadtxt reads and chunks read line by line."""
+    d = fmt.delimiter
+    lines = ["user" + d + "item" + d + "rating"] if fmt.header else []
+    for _ in range(int(rng.integers(20, 120))):
+        fields = {"user": str(rng.integers(1, 9)), "item": str(rng.integers(1, 12)),
+                  "rating": str(rng.integers(1, 6)), "timestamp": str(rng.integers(10**9))}
+        kind = rng.choice(kinds)
+        if kind == 1:
+            fields["rating"] += ".0"
+        elif kind == 2:
+            fields["rating"] = "+" + fields["rating"]
+        elif kind == 3:
+            fields["rating"] = " " + fields["rating"]
+        elif kind == 4:
+            fields["rating"] = "3.5"
+        elif kind == 5:
+            fields["rating"] = str(rng.choice([0, 6, 9, -1]))
+        elif kind == 6:
+            fields[rng.choice(["user", "rating"])] = str(10**19 + int(rng.integers(10**18)))
+        line = d.join(fields.get(c, "x") for c in fmt.columns)
+        if kind == 7:
+            line = rng.choice(["   ", "\t", "# a comment", d.join(line.split(d)[:2])])
+        elif kind == 8:
+            line = " " + line
+        elif kind == 11:
+            line = rng.choice(["\t", d]) + line
+        elif kind == 9:
+            line += rng.choice([" ", "\t", d, "\r"])
+        elif kind == 10:
+            line = ""
+        lines.append(line)
+    text = "\n".join(lines)
+    if rng.integers(2):
+        text = text.replace("\n", "\r\n")
+    if rng.integers(2):
+        text += "\n"
+    path.write_bytes(text.encode())
+    return path
+
+
+@pytest.mark.parametrize("fmt", [
+    FORMATS["ml100k"],
+    FORMATS["ml1m"],
+    parse_format("csv:,:user,item,rating:1-5:header"),
+    parse_format("csv:;:timestamp,item,user,rating:1-5"),
+    FormatDescriptor("\t", ("timestamp", "user", "item", "rating"), False, (1, 5)),
+], ids=["ml100k", "ml1m", "csv-header", "csv-permuted", "tab-unused-first"])
+def test_columnar_ingest_matches_per_line_reference(tmp_path, monkeypatch, fmt):
+    rng = np.random.default_rng(20101)
+    readable = [0] * 20 + [2, 3, 5, 8, 9, 10]  # one loadtxt call may take all of these
+    mixes = [readable, readable + [11], [0, 0, 0, *range(12)]]
+    for trial in range(18):
+        monkeypatch.setattr(ingest, "_CHUNK", (256, 7)[trial % 2])  # 7: many chunks per file
+        path = _dirty_file(tmp_path / f"r{trial}.txt", rng, fmt, mixes[trial % 3])
+        ratings, malformed, duplicates = _reference_load(path, fmt)
+        table = load_ratings(path, fmt, error_rate_cap=1.0)
+        assert table.ratings.tolist() == [[u, i, lv] for (u, i), lv in sorted(ratings.items())]
+        assert (table.malformed, table.duplicates) == (malformed, duplicates)
+        items = _ranked(Counter(i for _, i in ratings))[:6]
+        assert select_items(table, len(items)) == items
+        coverage = Counter(u for u, i in ratings if i in items)
+        for min_count, top_m in ((None, None), (2, None), (None, 3)):
+            expect = [u for u in _ranked(coverage) if coverage[u] >= (min_count or 0)][:top_m]
+            assert select_users(table, items, min_count, top_m) == expect
+        users = _ranked(coverage)[::2]
+        _, rankings = build_rankings(table, items, users)
+        assert [(u, r.groups, r.level_labels) for u, r in rankings] == _reference_rankings(
+            ratings, items, set(users))
