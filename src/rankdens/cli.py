@@ -14,7 +14,7 @@ import numpy as np
 
 from . import estimator, ingest, oracle, rules
 from .combinatorics import CombinatoricsError, mahonian_distribution, triangular_normalization
-from .rankings import DISTANCE_MATRIX_BOUND, ItemUniverse, Permutation, format_ranking
+from .rankings import ItemUniverse, Permutation, RankingError, format_ranking, parse_ranking
 from .recommend import builtin_loss, loss_from_csv, posterior_predictor, evaluate_prediction
 
 EXIT_OK = 0
@@ -76,16 +76,11 @@ def _bandwidth(bandwidth: str, n: int, mode: str) -> float:
     return h
 
 
-def _fit(rankings, n: int, bandwidth: str, kernel: str):
-    """(h, model) for a command; option values the model cannot take are
-    usage errors."""
-    if kernel == "exact" and n > DISTANCE_MATRIX_BOUND:
-        raise click.UsageError(
-            f"--kernel exact enumerates permutations and allows at most "
-            f"{DISTANCE_MATRIX_BOUND} items, got {n}"
-        )
-    h = _bandwidth(bandwidth, n, _mode(kernel))
-    return h, estimator.fit(rankings, h=h, mode=_mode(kernel))
+def _fit(rankings, n: int, bandwidth: str):
+    """(h, model) for a command; a bandwidth the model cannot take is a
+    usage error."""
+    h = _bandwidth(bandwidth, n, "modified")
+    return h, estimator.fit(rankings, h=h)
 
 
 common = [
@@ -95,8 +90,6 @@ common = [
     click.option("--top-items", default=53, show_default=True, type=click.IntRange(min=1)),
     click.option("--top-users", default=2000, show_default=True, type=click.IntRange(min=1)),
     click.option("--bandwidth", default="auto", show_default=True),
-    click.option("--kernel", default="modified", show_default=True,
-                 type=click.Choice(["modified", "exact"])),
     click.option("--seed", default=0, show_default=True),
     click.option("--out", required=True, type=click.Path()),
     click.option("--strict", is_flag=True, help="escalate numeric warnings"),
@@ -107,10 +100,6 @@ def with_common(fn):
     for opt in reversed(common):
         fn = opt(fn)
     return fn
-
-
-def _mode(kernel: str) -> str:
-    return "exact-support" if kernel == "exact" else "modified"
 
 
 @click.group()
@@ -141,10 +130,10 @@ def normtable(sizes, bandwidths, out):
 
 @cli.command()
 @with_common
-def pairs(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict):
+def pairs(data, fmt, top_items, top_users, bandwidth, seed, out, strict):
     """Pairwise preference matrix and the r(i) preference ranking."""
     universe, rankings = _load_dataset(data, fmt, top_items, top_users)
-    h, model = _fit([r for _, r in rankings], universe.n, bandwidth, kernel)
+    h, model = _fit([r for _, r in rankings], universe.n, bandwidth)
     n = universe.n
     matrix = np.full((n, n), 0.5)
     off = np.nonzero(~np.eye(n, dtype=bool))  # every ordered pair i != j
@@ -156,7 +145,7 @@ def pairs(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict)
     config = {
         "cmd": "pairs", "data": str(data), "sha256": _sha256(data), "format": fmt,
         "top_items": top_items, "top_users": top_users, "h": h,
-        "kernel": kernel, "seed": seed,
+        "kernel": "modified", "seed": seed,
     }
     rows = [
         (universe.label_of(i), universe.label_of(j), repr(float(matrix[i, j])))
@@ -176,15 +165,19 @@ def pairs(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict)
 
 @cli.command()
 @with_common
+@click.option("--kernel", default="modified", show_default=True,
+              type=click.Choice(["modified", "exact"]),
+              help="exact: the exact-support kernel, by enumeration")
 @click.option("--n-items", "small_ns", multiple=True, type=click.IntRange(2, 5),
               default=(3, 4, 5), show_default=True, help="subset sizes (Mallows needs <= 5)")
 @click.option("--m-grid", multiple=True, type=click.IntRange(min=1),
               default=(100, 500, 1000), show_default=True)
 @click.option("--reps", default=5, show_default=True, type=click.IntRange(min=1))
-def loglik(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict,
-           small_ns, m_grid, reps):
+def loglik(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
+           kernel, small_ns, m_grid, reps):
     """Held-out log-likelihood: kernel vs empirical vs Mallows baseline."""
-    widths = {n_sub: _bandwidth(bandwidth, n_sub, _mode(kernel)) for n_sub in small_ns}
+    mode = "exact-support" if kernel == "exact" else "modified"
+    widths = {n_sub: _bandwidth(bandwidth, n_sub, mode) for n_sub in small_ns}
     universe, rankings = _load_dataset(data, fmt, top_items, top_users)
     if max(small_ns) > universe.n:
         raise click.UsageError(f"--n-items {max(small_ns)} exceeds the {universe.n} loaded items")
@@ -198,7 +191,7 @@ def loglik(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict
                 rep_seed = int(rng.integers(2**31))
                 scores = _loglik_once(
                     [r for _, r in rankings], subset, m, rep_seed,
-                    widths[n_sub], _mode(kernel),
+                    widths[n_sub], kernel,
                 )
                 if scores is None:
                     continue
@@ -215,7 +208,7 @@ def loglik(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict
     _write_csv(Path(out), config, rows, ("n", "m", "estimator", "mean_loglik", "stderr"))
 
 
-def _loglik_once(rankings, subset, m, seed, h, mode):
+def _loglik_once(rankings, subset, m, seed, h, kernel):
     from .rankings import project_ranking
 
     rng = np.random.default_rng(seed)
@@ -229,9 +222,13 @@ def _loglik_once(rankings, subset, m, seed, h, mode):
         return None
     train, test = projected[:m], projected[m : m + max(200, m // 2)]
     sub_n = len(subset)
-    dist = oracle.brute_full_distribution(train, h, mode)
-    pt = oracle.perm_table(sub_n)
-    kernel_scorer = lambda ev: float(dist[pt.index[ev.enumerate_consistent()[0].order]])
+    if kernel == "exact":
+        dist = oracle.brute_full_distribution(train, h, "exact-support")
+        pt = oracle.perm_table(sub_n)
+        kernel_scorer = lambda ev: float(dist[pt.index[ev.enumerate_consistent()[0].order]])
+    else:
+        model = estimator.fit(train, h)
+        kernel_scorer = lambda ev: model.event_prob(ev).value
     empirical_scorer = lambda ev: estimator.empirical_prob(train, ev)
     full = [r.enumerate_consistent()[0] for r in train
             if r.k == sub_n and all(len(g) == 1 for g in r.groups)]
@@ -259,7 +256,7 @@ def _loglik_once(rankings, subset, m, seed, h, mode):
               type=click.FloatRange(0, 1, min_open=True, max_open=True))
 @click.option("--holdout-fraction", default=0.5, show_default=True,
               type=click.FloatRange(0, 1, min_open=True, max_open=True))
-def predict(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict,
+def predict(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
             loss, test_fraction, holdout_fraction):
     """Mean posterior-loss of held-out item level prediction."""
     lo, hi = _format(fmt).scale
@@ -273,13 +270,13 @@ def predict(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, stric
     train, holdout = ingest.split_users(rankings, seed, test_fraction, holdout_fraction)
     if not holdout.users:
         raise DataError("no test users with enough ranked items")
-    h, model = _fit(train, universe.n, bandwidth, kernel)
+    h, model = _fit(train, universe.n, bandwidth)
     counts = Counter()
     mean_loss = evaluate_prediction(
         posterior_predictor(model, loss_matrix, counts), holdout, loss_matrix
     )
     config = {"cmd": "predict", "data": str(data), "sha256": _sha256(data),
-              "loss": loss, "h": h, "kernel": kernel, "seed": seed,
+              "loss": loss, "h": h, "kernel": "modified", "seed": seed,
               "test_fraction": test_fraction, "holdout_fraction": holdout_fraction,
               "top_items": top_items, "top_users": top_users}
     rows = [
@@ -300,7 +297,7 @@ def predict(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, stric
 @click.option("--subset-size", default=20, show_default=True, type=click.IntRange(min=1),
               help="analyze the most-rated subset of this size")
 @click.option("--top-t", default=10, show_default=True, type=click.IntRange(min=1))
-def rules_cmd(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict,
+def rules_cmd(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
               rule_mode, subset_size, top_t):
     """Mine association rules over the most rated items."""
     universe, rankings = _load_dataset(data, fmt, top_items, top_users)
@@ -310,17 +307,22 @@ def rules_cmd(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, str
             f"--mode mi pairs up disjoint item pairs and needs at least 4 "
             f"subset items, got {len(subset)}"
         )
-    h, model = _fit([r for _, r in rankings], universe.n, bandwidth, kernel)
-    negatives = 0
+    h, model = _fit([r for _, r in rankings], universe.n, bandwidth)
     if rule_mode == "mi":
         mined = rules.mine_mi_rules(model, subset, top_t)
-        negatives = mined.negative_cells
+        negatives, what = mined.negative_cells, "negative MI joint-table cells"
     else:
         lift_mode = "top2" if rule_mode == "lift-top2" else "top-bottom"
-        mined = rules.mine_lift_rules(model, subset, lift_mode, top_t)
+        counts = Counter()
+        try:
+            mined = rules.mine_lift_rules(model, subset, lift_mode, top_t, counts)
+        except rules.RulesError as exc:  # a signed kernel can leave a lift with no denominator
+            click.echo(f"numeric error: {exc}", err=True)
+            sys.exit(EXIT_NUMERIC)
+        negatives, what = counts["negative"], "negative event probabilities"
     config = {"cmd": "rules", "data": str(data), "sha256": _sha256(data),
               "mode": rule_mode, "subset_size": subset_size, "top_t": top_t,
-              "h": h, "kernel": kernel, "seed": seed,
+              "h": h, "kernel": "modified", "seed": seed,
               "top_items": top_items, "top_users": top_users}
     rows = []
     for rule in mined:
@@ -329,7 +331,7 @@ def rules_cmd(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, str
         rows.append((ante, cons, repr(rule.score)))
     _write_csv(Path(out), config, rows, ("antecedent", "consequent", "score"))
     if negatives and strict:
-        click.echo(f"{negatives} negative MI joint-table cells", err=True)
+        click.echo(f"{negatives} {what}", err=True)
         sys.exit(EXIT_NUMERIC)
 
 
@@ -338,20 +340,21 @@ def rules_cmd(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, str
 @click.option("--threshold", default=1.5, show_default=True,
               type=click.FloatRange(min=0, min_open=True))
 @click.option("--subset-size", default=20, show_default=True, type=click.IntRange(min=1))
-def graph(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict,
+def graph(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
           threshold, subset_size):
     """Emit the affinity graph edge list for external layout tools."""
     universe, rankings = _load_dataset(data, fmt, top_items, top_users)
-    h, model = _fit([r for _, r in rankings], universe.n, bandwidth, kernel)
+    h, model = _fit([r for _, r in rankings], universe.n, bandwidth)
     subset = list(range(min(subset_size, universe.n)))
+    counts = Counter()
     try:
-        edges = rules.affinity_graph(model, subset, threshold)
+        edges = rules.affinity_graph(model, subset, threshold, counts)
     except rules.RulesError as exc:  # a signed kernel can leave a lift with no denominator
         click.echo(f"numeric error: {exc}", err=True)
         sys.exit(EXIT_NUMERIC)
     config = {"cmd": "graph", "data": str(data), "sha256": _sha256(data),
               "threshold": threshold, "subset_size": subset_size, "h": h,
-              "kernel": kernel, "top_items": top_items, "top_users": top_users}
+              "kernel": "modified", "top_items": top_items, "top_users": top_users}
     rows = [
         (universe.label_of(i), universe.label_of(j), repr(w)) for i, j, w in edges
     ]
@@ -365,27 +368,42 @@ def graph(data, fmt, top_items, top_users, bandwidth, kernel, seed, out, strict,
         for i, j, w in edges:
             fh.write(f"  n{i} -- n{j} [weight={w:.4f}];\n")
         fh.write("}\n")
+    if counts["negative"] and strict:
+        click.echo(f"{counts['negative']} negative event probabilities", err=True)
+        sys.exit(EXIT_NUMERIC)
+
+
+def _finite(ctx, param, value):
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not finite")
+    return value
 
 
 @cli.command()
-@click.option("--n", default=5, show_default=True)
-@click.option("--users", "m", default=100, show_default=True)
-@click.option("--centers", default="", help="semicolon-separated rankings, e.g. '1|2|3;3|2|1'")
-@click.option("--concentration", default=1.0, show_default=True, type=float)
-@click.option("--rho", default=1.0, show_default=True, type=float)
-@click.option("--tie-block", default=1, show_default=True, type=int)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--n", default=5, show_default=True, type=click.IntRange(min=1))
+@click.option("--users", "m", default=100, show_default=True, type=click.IntRange(min=1))
+@click.option("--centers", default="",
+              help="semicolon-separated strict orders of all n items, e.g. '1|2|3;3|2|1'")
+@click.option("--concentration", default=1.0, show_default=True,
+              type=click.FloatRange(min=0), callback=_finite)
+@click.option("--rho", default=1.0, show_default=True,
+              type=click.FloatRange(0, 1, min_open=True), callback=_finite)
+@click.option("--tie-block", default=1, show_default=True, type=click.IntRange(min=1))
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", required=True, type=click.Path())
 def synth(n, m, centers, concentration, rho, tie_block, seed, out):
     """Generate a reproducible synthetic corpus of censored rankings."""
     universe = ItemUniverse(n)
     if centers:
-        from .rankings import parse_ranking
-
         perms = []
         for text in centers.split(";"):
-            r = parse_ranking(text, universe)
-            perms.append(Permutation(tuple(i for g in r.groups for i in g)))
+            try:
+                r = parse_ranking(text, universe)
+            except RankingError as exc:
+                raise click.UsageError(f"--centers: {exc}") from None
+            if r.k != n or any(len(g) != 1 for g in r.groups):
+                raise click.UsageError(f"--centers: {text!r} is not a strict order of all {n} items")
+            perms.append(Permutation(tuple(g[0] for g in r.groups)))
     else:
         perms = [Permutation(tuple(range(n)))]
     weights = tuple(1.0 / len(perms) for _ in perms)

@@ -8,8 +8,8 @@ O(sum of k^2 + n^2) for k items ranked per training ranking. A
 modified-kernel event probability then follows by the closed form in
 O(k^2) for the k items the event ranks, with no term in m: ``event_prob``
 and ``chain_prob`` (a whole batch of strict chains as array operations)
-both evaluate ``censored.expected_distance`` against fbar. The training
-rankings are kept for exact-support mode (enumeration) and persistence.
+both evaluate ``censored.expected_distance`` against fbar. The model keeps
+fbar and no training ranking; ``save_model`` writes fbar itself.
 """
 
 from __future__ import annotations
@@ -30,13 +30,10 @@ from .combinatorics import (
     triangular_normalization,
 )
 from .rankings import (
-    DISTANCE_MATRIX_BOUND,
     ItemUniverse,
     Permutation,
     TiedRanking,
     chain_ranking,
-    format_ranking,
-    parse_ranking,
     project_ranking,
 )
 
@@ -108,29 +105,27 @@ def _gathered_rows(flat: np.ndarray, n: int, cols: Sequence[np.ndarray]):
 
 
 class KernelModel:
-    """Triangular-kernel smoother over censored rankings.
+    """Modified triangular-kernel smoother over censored rankings.
 
-    In modified mode the training set enters every event probability only
-    through ``fbar``, the mean pair-factor matrix, and its row sums."""
+    The training set enters every event probability only through ``fbar``,
+    the mean pair-factor matrix of its m rankings, and its row sums."""
 
     def __init__(
         self,
         universe: ItemUniverse,
-        training: Sequence[TiedRanking],
+        fbar: np.ndarray,
         h: float,
-        mode: str,
+        m: int,
         norm: TriangularNormalization,
     ):
         self.universe = universe
-        self.training = tuple(training)
+        self.fbar = fbar
         self.h = float(h)
-        self.mode = mode
+        self.m = m
         self.norm = norm
-        self.m = len(self.training)
         self.logfact = np.concatenate(
             ([0.0], np.cumsum(np.log(np.arange(1, universe.n + 1))))
         ).tolist()
-        self.fbar = _mean_pair_factors(universe.n, self.training)
         self._rowsums = self.fbar.sum(axis=1).tolist()
 
     # -- event scoring ---------------------------------------------------
@@ -145,28 +140,17 @@ class KernelModel:
         return math.exp(log_fraction) * (1.0 - e_mean / self.h) / self.norm.normC
 
     def event_prob(self, r: TiedRanking) -> EventProbability:
-        """Estimated probability of the event r (Kendall closed form in
-        modified mode; direct enumeration in exact-support mode)."""
+        """Estimated probability of the event r, by the Kendall closed form."""
         if r.universe != self.universe:
             raise EstimatorError("event universe differs from model universe")
-        if self.mode == "modified":
-            items = [x for group in r.groups for x in group]
-            sizes = list(map(len, r.groups))
-            # a compact copy of the event's block, as Python floats for the loop
-            block = self.fbar.take(items, axis=0).take(items, axis=1).tolist()
-            e_mean = expected_distance(
-                self.universe.n, sizes, block, [self._rowsums[x] for x in items]
-            )
-            value = self._kernel_value(sizes, e_mean)
-        else:
-            if self.universe.n > DISTANCE_MATRIX_BOUND:
-                raise EstimatorError(
-                    "exact-support mode requires n <= "
-                    f"{DISTANCE_MATRIX_BOUND} (enumeration)"
-                )
-            from . import oracle
-
-            value = oracle.brute_event_prob(self.training, self.h, self.mode, r)
+        items = [x for group in r.groups for x in group]
+        sizes = list(map(len, r.groups))
+        # a compact copy of the event's block, as Python floats for the loop
+        block = self.fbar.take(items, axis=0).take(items, axis=1).tolist()
+        e_mean = expected_distance(
+            self.universe.n, sizes, block, [self._rowsums[x] for x in items]
+        )
+        value = self._kernel_value(sizes, e_mean)
         negative = value < 0
         log_value = math.log(value) if value > 0 else -math.inf
         return EventProbability(value, log_value, negative)
@@ -185,28 +169,20 @@ class KernelModel:
         ranking. ``chains`` is a (B, k) int array of B chains of k items;
         the result holds B values, and a single 1-D chain gives a float.
 
-        Modified mode makes the ``expected_distance`` call of ``event_prob``
-        with (B,) arrays for floats, so each value is bit-identical to it,
-        and temporaries are O(B). Exact-support mode enumerates, one chain
-        at a time. ``stats`` names the subset the caller scores; fbar
-        covers every pair, so any chain is valid."""
+        It makes the ``expected_distance`` call of ``event_prob`` with (B,)
+        arrays for floats, so each value is bit-identical to it, and
+        temporaries are O(B). ``stats`` names the subset the caller scores;
+        fbar covers every pair, so any chain is valid."""
         chains = np.asarray(chains)
-        batch = np.atleast_2d(chains)
-        if self.mode != "modified":
-            values = np.array([
-                self.event_prob(chain_ranking(self.universe, chain)).value
-                for chain in batch.tolist()
-            ])
-        else:
-            n = self.universe.n
-            cols = list(batch.T)
-            sizes = [1] * len(cols)
-            rowsums = np.array(self._rowsums)
-            e_mean = expected_distance(
-                n, sizes, _gathered_rows(self.fbar.ravel(), n, cols),
-                [rowsums[col] for col in cols],
-            )
-            values = self._kernel_value(sizes, e_mean)
+        cols = list(np.atleast_2d(chains).T)
+        n = self.universe.n
+        sizes = [1] * len(cols)
+        rowsums = np.array(self._rowsums)
+        e_mean = expected_distance(
+            n, sizes, _gathered_rows(self.fbar.ravel(), n, cols),
+            [rowsums[col] for col in cols],
+        )
+        values = self._kernel_value(sizes, e_mean)
         return float(values[0]) if chains.ndim == 1 else values
 
     def conditional_prob(self, r: TiedRanking, s: TiedRanking) -> float:
@@ -246,23 +222,12 @@ class KernelModel:
             "n": self.universe.n,
             "labels": list(self.universe.labels) if self.universe.labels else None,
             "h": self.h,
-            "mode": self.mode,
-            "rankings": [
-                {
-                    "groups": format_ranking(r),
-                    "levels": list(r.level_labels) if r.level_labels else None,
-                }
-                for r in self.training
-            ],
+            "m": self.m,
+            "fbar": self.fbar.tolist(),
         }
 
 
-def fit(
-    rankings: Sequence[TiedRanking],
-    h: Optional[float] = None,
-    mode: str = "modified",
-    table: Optional[MahonianTable] = None,
-) -> KernelModel:
+def fit(rankings: Sequence[TiedRanking], h: Optional[float] = None) -> KernelModel:
     """Build the memory-based model (no training-time optimization)."""
     if not rankings:
         raise EstimatorError("empty training set")
@@ -273,8 +238,8 @@ def fit(
     n = universe.n
     if h is None:
         h = default_bandwidth(n)
-    norm = triangular_normalization(n, h, mode, table=table)
-    return KernelModel(universe, rankings, h, mode, norm)
+    norm = triangular_normalization(n, h)
+    return KernelModel(universe, _mean_pair_factors(n, rankings), h, len(rankings), norm)
 
 
 def save_model(model: KernelModel, path) -> None:
@@ -283,21 +248,20 @@ def save_model(model: KernelModel, path) -> None:
 
 
 def load_model(path) -> KernelModel:
-    """Re-fit from the archive; nothing besides the data is persisted."""
+    """The model of an archive. JSON writes floats by ``repr``, so fbar,
+    and with it every probability, round-trips exactly."""
     with open(path) as fh:
         archive = json.load(fh)
-    universe = ItemUniverse(
-        archive["n"],
-        tuple(archive["labels"]) if archive.get("labels") else None,
-    )
-    rankings = [
-        parse_ranking(
-            entry["groups"], universe,
-            level_labels=entry["levels"] if entry.get("levels") else None,
-        )
-        for entry in archive["rankings"]
-    ]
-    return fit(rankings, h=archive["h"], mode=archive["mode"])
+    n = archive["n"]
+    universe = ItemUniverse(n, tuple(archive["labels"]) if archive.get("labels") else None)
+    try:
+        fbar = np.array(archive["fbar"], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        fbar = None
+    if fbar is None or fbar.shape != (n, n) or not np.isfinite(fbar).all():
+        raise EstimatorError(f"archive has no finite {n} x {n} fbar")
+    h = archive["h"]
+    return KernelModel(universe, fbar, h, archive["m"], triangular_normalization(n, h))
 
 
 def _has_cycle(nodes, edges) -> bool:
@@ -420,7 +384,6 @@ def heldout_loglikelihood(
 def select_bandwidth(
     rankings: Sequence[TiedRanking],
     candidates: Sequence[float],
-    mode: str,
     items: Sequence[int],
     seed: int = 0,
     val_fraction: float = 0.25,
@@ -438,7 +401,7 @@ def select_bandwidth(
     best_h, best_ll = None, -math.inf
     for h in candidates:
         try:
-            model = fit(train, h=h, mode=mode)
+            model = fit(train, h=h)
             ll = heldout_loglikelihood(
                 lambda ev: model.event_prob(
                     _lift_event(ev, model.universe, items)

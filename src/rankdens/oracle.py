@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .rankings import (
-    DISTANCE_MATRIX_BOUND,
     ItemUniverse,
     Permutation,
     RankingError,
@@ -24,6 +23,8 @@ from .rankings import (
 )
 
 BRUTE_BOUND = 8
+# The largest n whose n! x n! Kendall distance matrix ``PermTable.dist`` builds.
+DISTANCE_MATRIX_BOUND = 7
 
 
 class PermTable:

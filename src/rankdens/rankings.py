@@ -8,9 +8,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 ENUMERATION_BOUND = 8
-# The largest n whose n! x n! Kendall distance matrix is built: exact-support
-# (enumerated) event scoring needs that matrix.
-DISTANCE_MATRIX_BOUND = 7
 
 GROUP_SEPARATORS = ("|", "≺")  # "|" or the precedes symbol
 

@@ -121,23 +121,19 @@ def level_posterior(
     (B, L) for B items or (L,) for one. A level's weight is the estimated
     probability of the user's ranking with the item inserted at that level
     (the observed ranking's cancels), from one ``censored.insertion_distances``
-    pass in modified mode. Negative weights are clamped at zero and counted in
+    pass. Negative weights are clamped at zero and counted in
     ``counts["clamped"]``; an item with none positive gets the uniform posterior."""
     if user_ranking.level_labels is None:
         raise RecommendError("user ranking carries no level labels")
     batch = np.atleast_1d(item).tolist()
     if any(user_ranking.group_index(z) is not None for z in batch):
         raise RecommendError("item is already ranked by the user")
-    if model.mode == "modified":
-        # insert_item's level rule: each level's group sizes and z's group
-        augmented = [user_ranking.insert_item(batch[0], level=lv) for lv in levels]
-        insertions = [(list(map(len, r.groups)), r.group_index(batch[0])) for r in augmented]
-        e_mean = insertion_distances(model.fbar, user_ranking, batch, insertions)
-        weights = np.column_stack([model._kernel_value(sizes, e)
-                                   for (sizes, _), e in zip(insertions, e_mean.T)])
-    else:
-        weights = np.array([[model.event_prob(user_ranking.insert_item(z, level=lv)).value
-                             for lv in levels] for z in batch])
+    # insert_item's level rule: each level's group sizes and z's group
+    augmented = [user_ranking.insert_item(batch[0], level=lv) for lv in levels]
+    insertions = [(list(map(len, r.groups)), r.group_index(batch[0])) for r in augmented]
+    e_mean = insertion_distances(model.fbar, user_ranking, batch, insertions)
+    weights = np.column_stack([model._kernel_value(sizes, e)
+                               for (sizes, _), e in zip(insertions, e_mean.T)])
     if counts is not None:
         counts["clamped"] += int((weights < 0).sum())
     weights = np.maximum(weights, 0.0)

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -173,16 +174,22 @@ def mine_mi_rules(
     return MinedRules(rules, negative)
 
 
-def _lift_scorer(model: KernelModel, subset: Sequence[int], mode: str):
+def _lift_scorer(
+    model: KernelModel, subset: Sequence[int], mode: str, counts: Optional[Counter] = None
+):
     """lift(i, j) over a sorted subset. Each event probability and each
     marginal is computed once per scorer, and a marginal always sums in
-    subset order, so a lift does not depend on which lifts came before."""
+    subset order, so a lift does not depend on which lifts came before.
+    Event probabilities below zero are counted in ``counts["negative"]``."""
     if mode not in ("top2", "top-bottom"):
         raise RulesError(f"unknown lift mode {mode!r}")
 
     def prob(*groups) -> float:
         event = TiedRanking(model.universe, tuple(g for g in groups if g))
-        return model.event_prob(event).value
+        p = model.event_prob(event)
+        if counts is not None:
+            counts["negative"] += int(p.negative)
+        return p.value
 
     def rest(*drop) -> tuple[int, ...]:
         return tuple(x for x in subset if x not in drop)
@@ -232,10 +239,13 @@ def lift_score(
 
 
 def mine_lift_rules(
-    model: KernelModel, items: Sequence[int], mode: str, top_t: int
+    model: KernelModel, items: Sequence[int], mode: str, top_t: int,
+    counts: Optional[Counter] = None,
 ) -> list[Rule]:
+    """The top_t lifts over ordered item pairs of the subset; negative event
+    probabilities are counted in ``counts["negative"]``."""
     items = sorted(set(items))
-    lift = _lift_scorer(model, items, mode)
+    lift = _lift_scorer(model, items, mode, counts)
     scored = []
     for i in items:
         for j in items:
@@ -247,15 +257,16 @@ def mine_lift_rules(
 
 
 def affinity_graph(
-    model: KernelModel, items: Sequence[int], threshold: float
+    model: KernelModel, items: Sequence[int], threshold: float,
+    counts: Optional[Counter] = None,
 ) -> list[tuple[int, int, float]]:
     """Undirected edges {i, j} weighted by the mean of the two directed
     top-pair lifts, kept above the threshold. Isolated vertices do not
-    appear."""
+    appear; negative event probabilities are counted in ``counts["negative"]``."""
     if threshold <= 0:
         raise RulesError("threshold must be positive")
     items = sorted(set(items))
-    lift = _lift_scorer(model, items, "top2")
+    lift = _lift_scorer(model, items, "top2", counts)
     edges = []
     for i, j in itertools.combinations(items, 2):
         w = 0.5 * (lift(i, j) + lift(j, i))

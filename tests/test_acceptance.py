@@ -144,7 +144,7 @@ def test_criterion_03_censored_statistics(report):
 
 def test_criterion_04_event_probability_closed_form(report):
     u3 = ItemUniverse(3)
-    model = estimator.fit([parse_ranking("1|2|3", u3)], h=3, mode="modified")
+    model = estimator.fit([parse_ranking("1|2|3", u3)], h=3)
     ok = _rel_err(model.event_prob(parse_ranking("1|2", u3)).value, 2 / 3) < 1e-12
 
     worst = 0.0
@@ -158,7 +158,7 @@ def test_criterion_04_event_probability_closed_form(report):
                 for _ in range(int(rng.integers(1, 6)))
             ]
             event = oracle.random_tied_ranking(rng, u)
-            got = estimator.fit(train, h=h, mode="modified").event_prob(event).value
+            got = estimator.fit(train, h=h).event_prob(event).value
             want = oracle.brute_event_prob(train, h, "modified", event)
             worst = max(worst, abs(got - want) / max(abs(want), 1e-12))
     ok &= worst < 1e-9
@@ -217,8 +217,8 @@ def test_criterion_06_heldout_likelihood(report):
                                             rho=1.0, tie_block=1)
             test = oracle.synthesize(test_cfg, 300, seed + 77777)
 
-            # the exact-support estimator over full permutations, evaluated
-            # in one enumeration pass (unit-tested equal to event_prob)
+            # the exact-support estimator over full permutations, by one
+            # oracle enumeration pass (the library scores only the modified kernel)
             dist = oracle.brute_full_distribution(train, h, "exact-support")
             kernel = lambda ev: float(dist[pt.index[ev.enumerate_consistent()[0].order]])
             empirical = lambda ev: estimator.empirical_prob(train, ev)
@@ -351,7 +351,7 @@ def test_criterion_10_mutual_information(report):
     # agreement with exhaustive enumeration at n = 5
     u = ItemUniverse(5)
     train = [oracle.random_tied_ranking(rng, u) for _ in range(25)]
-    model = estimator.fit(train, h=10.0, mode="modified")
+    model = estimator.fit(train, h=10.0)
     pt = oracle.perm_table(5)
     dist = oracle.brute_full_distribution(train, 10.0, "modified")
     worst = 0.0

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rankdens.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from rankdens import estimator, oracle
+from rankdens.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _loglik_once, main
 from rankdens.combinatorics import mahonian_distribution
+from rankdens.rankings import ItemUniverse, Permutation
 
 
 def _read_csv(path):
@@ -46,9 +48,10 @@ def test_usage_and_data_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["pairs", "--kernel", "exact", "--top-items", "9"],
-    ["rules", "--kernel", "exact", "--top-items", "9"],
-    ["predict", "--kernel", "exact", "--top-items", "8"],  # no 8! x 8! distance matrix
+    ["pairs", "--top-items", "8", "--kernel", "exact"],  # --kernel is a loglik option
+    ["rules", "--top-items", "8", "--kernel", "modified"],
+    ["predict", "--top-items", "8", "--kernel", "exact"],
+    ["graph", "--top-items", "8", "--kernel", "modified"],
     ["pairs", "--top-items", "8", "--bandwidth", "14"],  # n(n-1)/4 = 14
     ["pairs", "--top-items", "8", "--bandwidth", "nan"],
     ["pairs", "--top-items", "8", "--bandwidth", "inf"],
@@ -72,17 +75,34 @@ def test_usage_and_data_exit_codes(tmp_path):
     ["predict", "--top-items", "8", "--holdout-fraction", "1.5"],
     ["predict", "--top-items", "8", "--loss", "{tmp}/missing.csv"],
     ["predict", "--top-items", "8", "--loss", "{tmp}/loss2x2.csv"],  # the scale has 5 levels
-], ids=["exact-pairs", "exact-rules", "exact-predict-8", "bandwidth", "bandwidth-nan",
+    ["synth", "--n", "0"],
+    ["synth", "--n", "3", "--centers", "1|2|9"],
+    ["synth", "--n", "3", "--centers", "1|2"],  # item 3 would never be ranked
+    ["synth", "--n", "3", "--centers", "1,2|3"],  # a Mallows centre has no ties
+    ["synth", "--tie-block", "0"],
+    ["synth", "--rho", "0"],
+    ["synth", "--rho", "1.5"],
+    ["synth", "--rho", "nan"],
+    ["synth", "--concentration", "nan"],
+    ["synth", "--concentration", "-1"],
+    ["synth", "--users", "0"],
+    ["synth", "--users", "-3"],
+    ["synth", "--seed", "-1"],
+], ids=["kernel-pairs", "kernel-rules", "kernel-predict", "kernel-graph", "bandwidth", "bandwidth-nan",
         "bandwidth-inf", "normtable-bandwidth", "normtable-nan", "format", "top-items",
         "top-users", "mi-subset", "top-t", "loglik-nan", "loglik-narrow", "threshold",
         "fractional-scale", "loglik-n-items-loaded", "loglik-n-items-1", "m-grid", "reps",
         "test-fraction-0", "test-fraction-1.5", "holdout-fraction", "loss-missing",
-        "loss-shape"])
+        "loss-shape", "synth-n", "synth-centers-label", "synth-centers-partial",
+        "synth-centers-tied", "synth-tie-block", "synth-rho-0", "synth-rho-1.5", "synth-rho-nan",
+        "synth-concentration-nan", "synth-concentration-negative", "synth-users-0",
+        "synth-users-negative", "synth-seed-negative"])
 def test_bad_option_is_a_one_line_usage_error(ratings_file, tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     (tmp_path / "loss2x2.csv").write_text("0,1\n1,0\n")
     command, *options = (arg.format(tmp=tmp_path) for arg in argv)
-    data = [] if command == "normtable" else ["--data", str(ratings_file), "--top-users", "150"]
+    no_data = command in ("normtable", "synth")
+    data = [] if no_data else ["--data", str(ratings_file), "--top-users", "150"]
     code = main([command, *data, *options, "--out", str(out)])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
@@ -137,6 +157,42 @@ def test_graph_without_a_lift_denominator_exits_numeric(ratings_file, tmp_path, 
         err = capsys.readouterr().err
         assert err == "numeric error: zero marginal in lift computation\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["lift-top2", "lift-topbottom"])
+def test_lift_rules_without_a_lift_denominator_exit_numeric(ratings_file, tmp_path, capsys, mode):
+    # h just above n(n-1)/4 = 14: a signed kernel leaves a lift marginal at zero
+    out = tmp_path / "lift.csv"
+    args = ["rules", "--data", str(ratings_file), "--out", str(out), "--top-items", "8",
+            "--top-users", "300", "--bandwidth", "14.1", "--mode", mode]
+    for extra in (["--subset-size", "4"], ["--subset-size", "6"], ["--subset-size", "8", "--strict"]):
+        assert main([*args, *extra]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == "numeric error: zero marginal in lift computation\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["rules", "--mode", "lift-top2"],
+    ["rules", "--mode", "lift-topbottom"],
+    ["graph", "--threshold", "1e-9"],
+], ids=["lift-top2", "lift-topbottom", "graph"])
+def test_strict_lift_exits_numeric_on_negative_event_probabilities(ratings_file, tmp_path,
+                                                                   capsys, command):
+    # h = 16 > n(n-1)/4 = 14: some lift events are negative, but no marginal is
+    plain, strict = tmp_path / "plain.csv", tmp_path / "strict.csv"
+    args = [*command, "--data", str(ratings_file), "--top-items", "8", "--top-users", "300",
+            "--subset-size", "8"]
+    assert main([*args, "--bandwidth", "16", "--out", str(plain)]) == EXIT_OK
+    capsys.readouterr()
+    assert main([*args, "--bandwidth", "16", "--strict", "--out", str(strict)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.endswith(" negative event probabilities\n") and err.count("\n") == 1
+    assert int(err.split()[0]) > 0
+    assert strict.read_text() == plain.read_text()
+    if command[0] == "graph":
+        assert strict.with_suffix(".dot").read_text() == plain.with_suffix(".dot").read_text()
+    default = tmp_path / "default.csv"
+    assert main([*args, "--strict", "--out", str(default)]) == EXIT_OK
 
 
 def test_strict_rules_exit_numeric_on_negative_mi_cells(ratings_file, tmp_path, capsys):
@@ -213,6 +269,24 @@ def test_loglik(ratings_file, tmp_path):
     assert "kernel" in names and "empirical" in names
     for r in rows:
         assert float(r[3]) <= 0.0  # mean log-likelihoods
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_loglik_kernel_row_is_the_enumerated_modified_kernel(n):
+    u = ItemUniverse(n)
+    cfg = oracle.MixtureConfig(u, (Permutation(tuple(range(n))),), (1.0,), (1.0,), rho=0.7)
+    rankings = oracle.synthesize(cfg, 400, seed=n)
+    m, seed, items = 150, 11, list(range(n))
+    # _loglik_once's split: every synthesized ranking ranks an item, so none is dropped
+    shuffled = [rankings[i] for i in np.random.default_rng(seed).permutation(len(rankings))]
+    train, test = shuffled[:m], shuffled[m:m + 200]
+    pt = oracle.perm_table(n)
+    for h in (n * (n - 1) / 4 + 0.5, n * (n - 1) / 2):  # signed, and the non-negative default
+        dist = oracle.brute_full_distribution(train, h, "modified")
+        enumerated = lambda ev: float(dist[pt.index[ev.enumerate_consistent()[0].order]])
+        want = estimator.heldout_loglikelihood(enumerated, test, items).mean
+        got = _loglik_once(rankings, items, m, seed, h, "modified")["kernel"]
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_loglik_rejects_large_n():

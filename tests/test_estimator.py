@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ def _random_training(rng, universe, m):
 
 def test_hand_verified_event():
     u = ItemUniverse(3)
-    model = estimator.fit([parse_ranking("1|2|3", u)], h=3, mode="modified")
+    model = estimator.fit([parse_ranking("1|2|3", u)], h=3)
     assert model.event_prob(parse_ranking("1|2", u)).value == pytest.approx(2 / 3)
 
 
@@ -42,20 +43,10 @@ def test_modified_matches_enumeration():
             train = _random_training(rng, u, int(rng.integers(1, 6)))
             event = oracle.random_tied_ranking(rng, u)
             h = float(n * (n - 1) / 2)
-            model = estimator.fit(train, h=h, mode="modified")
+            model = estimator.fit(train, h=h)
             got = model.event_prob(event).value
             want = oracle.brute_event_prob(train, h, "modified", event)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
-
-
-def test_exact_support_matches_enumeration():
-    rng = np.random.default_rng(2)
-    u = ItemUniverse(4)
-    train = _random_training(rng, u, 5)
-    event = parse_ranking("2|3", u)
-    model = estimator.fit(train, h=3.0, mode="exact-support")
-    want = oracle.brute_event_prob(train, 3.0, "exact-support", event)
-    assert model.event_prob(event).value == pytest.approx(want, rel=1e-12)
 
 
 def test_complement_is_exact():
@@ -73,7 +64,7 @@ def test_negative_flag():
     # a single training ranking far from the event can push the modified
     # kernel estimate below zero; the flag must record that
     u = ItemUniverse(4)
-    model = estimator.fit([parse_ranking("1|2|3|4", u)], h=3.5, mode="modified")
+    model = estimator.fit([parse_ranking("1|2|3|4", u)], h=3.5)
     p = model.event_prob(parse_ranking("4|3|2|1", u))
     assert p.value < 0
     assert p.negative
@@ -90,13 +81,12 @@ def test_chain_prob_matches_event_prob():
         assert model.chain_prob(stats, chain) == pytest.approx(direct, abs=1e-12)
 
 
-@pytest.mark.parametrize("mode", ["modified", "exact-support"])
-def test_batched_chain_prob_is_bit_identical_to_one_chain(mode):
+def test_batched_chain_prob_is_bit_identical_to_one_chain():
     rng = np.random.default_rng(15)
-    n = 5 if mode == "exact-support" else 12
+    n = 12
     u = ItemUniverse(n)
     h = float(n * (n - 1) / 4 + 1)  # a signed kernel: some chains are negative
-    model = estimator.fit(_random_training(rng, u, 30), h=h, mode=mode)
+    model = estimator.fit(_random_training(rng, u, 30), h=h)
     stats = model.subset_stats(range(n))
     for k in (2, 3, 4, 5):
         chains = np.array([rng.permutation(n)[:k] for _ in range(10)])
@@ -117,15 +107,6 @@ def test_subset_stats_reuse_across_subsets():
     assert model.chain_prob(sub, (3, 1)) == pytest.approx(
         model.chain_prob(full, (3, 1)), abs=1e-12
     )
-
-
-def test_chain_prob_in_exact_support_mode_enumerates():
-    rng = np.random.default_rng(14)
-    u = ItemUniverse(4)
-    model = estimator.fit(_random_training(rng, u, 6), h=3.0, mode="exact-support")
-    stats = model.subset_stats(range(4))
-    direct = model.event_prob(chain_ranking(u, (2, 0, 3))).value
-    assert model.chain_prob(stats, (2, 0, 3)) == direct
 
 
 def test_fbar_is_the_training_mean_of_censored_pair_factors():
@@ -175,7 +156,7 @@ def test_conjunction_matches_enumeration():
     u = ItemUniverse(5)
     train = _random_training(rng, u, 8)
     h = 10.0
-    model = estimator.fit(train, h=h, mode="modified")
+    model = estimator.fit(train, h=h)
     pt = oracle.perm_table(5)
     dist = oracle.brute_full_distribution(train, h, "modified")
     for _ in range(20):
@@ -191,7 +172,7 @@ def test_conjunction_matches_enumeration():
 
 def test_conditional_prob():
     u = ItemUniverse(3)
-    model = estimator.fit([parse_ranking("1|2|3", u)], h=3, mode="modified")
+    model = estimator.fit([parse_ranking("1|2|3", u)], h=3)
     r = parse_ranking("1|2|3", u)
     s = parse_ranking("1|2", u)
     assert model.conditional_prob(r, s) == pytest.approx(
@@ -219,15 +200,33 @@ def test_save_load_roundtrip(tmp_path):
     train = [
         oracle.random_tied_ranking(rng, u, level_labels=True) for _ in range(12)
     ]
-    model = estimator.fit(train, h=7.0, mode="modified")
+    model = estimator.fit(train, h=7.0)
     path = tmp_path / "model.json"
     estimator.save_model(model, path)
     loaded = estimator.load_model(path)
-    event = parse_ranking("2|4", u)
-    assert loaded.event_prob(event).value == pytest.approx(
-        model.event_prob(event).value, abs=1e-15
-    )
-    assert loaded.h == model.h and loaded.mode == model.mode
+    assert np.array_equal(loaded.fbar, model.fbar)
+    for _ in range(20):
+        event = oracle.random_tied_ranking(rng, u)
+        assert loaded.event_prob(event) == model.event_prob(event)
+    assert loaded.h == model.h and loaded.m == model.m == 12
+    assert "rankings" not in json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("fbar", [
+    None, [[0.0] * 5] * 4, [[0.0] * 5] * 4 + [[0.0] * 4], [[0.0] * 5] * 4 + [[0.0] * 4 + [math.nan]],
+    [["x"] * 5] * 5,
+], ids=["missing", "rows", "ragged", "nan", "text"])
+def test_load_rejects_an_archive_without_a_finite_fbar(tmp_path, fbar):
+    u = ItemUniverse(5)
+    path = tmp_path / "model.json"
+    estimator.save_model(estimator.fit([parse_ranking("1|2|3", u)], h=7.0), path)
+    archive = json.loads(path.read_text())
+    archive["fbar"] = fbar
+    if fbar is None:
+        del archive["fbar"]
+    path.write_text(json.dumps(archive))
+    with pytest.raises(EstimatorError):
+        estimator.load_model(path)
 
 
 def test_empirical_prob():
@@ -282,8 +281,8 @@ def test_select_bandwidth_returns_grid_member():
         u, (Permutation((0, 1, 2, 3)),), (2.0,), (1.0,), rho=0.9, tie_block=1
     )
     train = oracle.synthesize(cfg, 120, seed=12)
-    grid = [2.0, 3.0, 4.0]
-    h = estimator.select_bandwidth(train, grid, "exact-support", range(4), seed=0)
+    grid = [3.5, 4.5, 6.0]  # the modified kernel needs h > n(n-1)/4 = 3
+    h = estimator.select_bandwidth(train, grid, range(4), seed=0)
     assert h in grid
 
 

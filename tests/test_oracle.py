@@ -6,6 +6,7 @@ import pytest
 
 from rankdens import oracle
 from rankdens.rankings import ItemUniverse, Permutation, RankingError, parse_ranking
+from rankdens.rules import JointPairTable, mutual_information
 
 
 def test_perm_table_sizes():
@@ -108,3 +109,25 @@ def test_random_tied_ranking_respects_min_ranked():
     for _ in range(100):
         r = oracle.random_tied_ranking(rng, u, min_ranked=3)
         assert r.k >= 3
+
+
+def test_exact_support_mi_finds_planted_correlation():
+    # strongly bimodal data: pair orientations are strongly coupled; the
+    # exact-support kernel keeps that dependence in the joint table
+    u = ItemUniverse(6)
+    cfg = oracle.MixtureConfig(
+        u,
+        (Permutation(tuple(range(6))), Permutation(tuple(reversed(range(6))))),
+        (2.0, 2.0),
+        (0.5, 0.5),
+        rho=0.8,
+        tie_block=1,
+    )
+    train = oracle.synthesize(cfg, 300, seed=3)
+    dist = oracle.brute_full_distribution(train, 6.0, "exact-support")
+    cells = np.zeros((2, 2))
+    for p, pos in zip(dist, oracle.perm_table(6).pos):
+        cells[int(pos[0] > pos[3]), int(pos[1] > pos[5])] += p
+    t = JointPairTable((0, 3), (1, 5), cells)
+    assert t.cells[0, 0] + t.cells[1, 1] > 0.6  # orientations move together
+    assert mutual_information(t) > 0.01

@@ -131,25 +131,6 @@ def test_mine_mi_rules_matches_per_quadruple_reference(monkeypatch, h, block):
     assert (mined.negative_cells > 0) == (h is not None)
 
 
-def test_exact_support_mi_finds_planted_correlation():
-    # strongly bimodal data: pair orientations are strongly coupled; the
-    # exact-support kernel keeps that dependence in the joint table
-    u = ItemUniverse(6)
-    cfg = oracle.MixtureConfig(
-        u,
-        (Permutation(tuple(range(6))), Permutation(tuple(reversed(range(6))))),
-        (2.0, 2.0),
-        (0.5, 0.5),
-        rho=0.8,
-        tie_block=1,
-    )
-    train = oracle.synthesize(cfg, 300, seed=3)
-    model = estimator.fit(train, h=6.0, mode="exact-support")
-    t = joint_pair_table(model, 0, 3, 1, 5)
-    assert t.cells[0, 0] + t.cells[1, 1] > 0.6  # orientations move together
-    assert mutual_information(t) > 0.01
-
-
 def test_mine_needs_four_items():
     model = _structured_model()
     with pytest.raises(RulesError):
