@@ -35,13 +35,13 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_csv(out_path: Path, config: dict, rows, columns) -> None:
+def _write_csv(out_path: Path, config: dict, columns, lines) -> None:
+    """The config comment, the header, then ``lines``: rows already joined and newline-ended."""
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w") as fh:
         fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(str(x) for x in row) + "\n")
+        fh.writelines(lines)
 
 
 def _format(fmt) -> ingest.FormatDescriptor:
@@ -90,7 +90,7 @@ common = [
     click.option("--top-items", default=53, show_default=True, type=click.IntRange(min=1)),
     click.option("--top-users", default=2000, show_default=True, type=click.IntRange(min=1)),
     click.option("--bandwidth", default="auto", show_default=True),
-    click.option("--seed", default=0, show_default=True),
+    click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0)),
     click.option("--out", required=True, type=click.Path()),
     click.option("--strict", is_flag=True, help="escalate numeric warnings"),
 ]
@@ -113,19 +113,18 @@ def cli():
 @click.option("--out", required=True, type=click.Path())
 def normtable(sizes, bandwidths, out):
     """Emit the tau-distance mass table and C(h) normalizations as CSV."""
-    rows = []
+    lines = []
     try:
         for n in sizes:
             table = mahonian_distribution(n)
-            for t, mass in enumerate(table.mass):
-                rows.append((n, "g", t, repr(float(mass))))
+            lines += [f"{n},g,{t},{mass!r}\n" for t, mass in enumerate(table.mass.tolist())]
             for h in bandwidths:
                 norm = triangular_normalization(n, h, "exact-support", table)
-                rows.append((n, "normC", h, repr(norm.normC)))
+                lines.append(f"{n},normC,{h},{norm.normC!r}\n")
     except CombinatoricsError as exc:
         raise click.UsageError(str(exc)) from None
     config = {"cmd": "normtable", "n": list(sizes), "h": list(bandwidths)}
-    _write_csv(Path(out), config, rows, ("n", "kind", "index", "value"))
+    _write_csv(Path(out), config, ("n", "kind", "index", "value"), lines)
 
 
 @cli.command()
@@ -140,24 +139,19 @@ def pairs(data, fmt, top_items, top_users, bandwidth, seed, out, strict):
     probs = model.chain_prob(model.subset_stats(range(n)), np.column_stack(off))
     matrix[off] = probs
     negatives = int((probs < 0).sum())
-    r_scores = matrix.sum(axis=1) / n
+    r_scores = (matrix.sum(axis=1) / n).tolist()
     order = sorted(range(n), key=lambda i: (-r_scores[i], i))
     config = {
         "cmd": "pairs", "data": str(data), "sha256": _sha256(data), "format": fmt,
         "top_items": top_items, "top_users": top_users, "h": h,
         "kernel": "modified", "seed": seed,
     }
-    rows = [
-        (universe.label_of(i), universe.label_of(j), repr(float(matrix[i, j])))
-        for i in range(n) for j in range(n)
-    ]
-    _write_csv(Path(out), config, rows, ("item_i", "item_j", "p_i_before_j"))
-    rank_rows = [
-        (rank + 1, universe.label_of(i), repr(float(r_scores[i])))
-        for rank, i in enumerate(order)
-    ]
-    _write_csv(Path(out).with_suffix(".ranking.csv"), config, rank_rows,
-               ("rank", "item", "r_score"))
+    labels = [universe.label_of(i) for i in range(n)]
+    lines = [f"{a},{b},{p!r}\n" for a, row in zip(labels, matrix.tolist())
+             for b, p in zip(labels, row)]
+    _write_csv(Path(out), config, ("item_i", "item_j", "p_i_before_j"), lines)
+    lines = [f"{rank},{labels[i]},{r_scores[i]!r}\n" for rank, i in enumerate(order, 1)]
+    _write_csv(Path(out).with_suffix(".ranking.csv"), config, ("rank", "item", "r_score"), lines)
     if negatives and strict:
         click.echo(f"{negatives} negative pair probabilities", err=True)
         sys.exit(EXIT_NUMERIC)
@@ -181,7 +175,8 @@ def loglik(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
     universe, rankings = _load_dataset(data, fmt, top_items, top_users)
     if max(small_ns) > universe.n:
         raise click.UsageError(f"--n-items {max(small_ns)} exceeds the {universe.n} loaded items")
-    rows = []
+    lines = []
+    empty = no_mallows = 0  # cells with no rows at all, and with no mallows row
     rng = np.random.default_rng(seed)
     for n_sub in small_ns:
         subset = list(range(n_sub))  # the n_sub most rated items
@@ -197,15 +192,23 @@ def loglik(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
                     continue
                 for key, val in scores.items():
                     results[key].append(val)
+            if not results["kernel"]:
+                empty += 1
+            elif not results["mallows"]:
+                no_mallows += 1
             for key, vals in results.items():
                 if vals:
                     mean = float(np.mean(vals))
                     se = float(np.std(vals) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-                    rows.append((n_sub, m, key, repr(mean), repr(se)))
+                    lines.append(f"{n_sub},{m},{key},{mean!r},{se!r}\n")
     config = {"cmd": "loglik", "data": str(data), "sha256": _sha256(data),
               "n": list(small_ns), "m_grid": list(m_grid), "reps": reps,
               "seed": seed, "bandwidth": bandwidth, "kernel": kernel}
-    _write_csv(Path(out), config, rows, ("n", "m", "estimator", "mean_loglik", "stderr"))
+    _write_csv(Path(out), config, ("n", "m", "estimator", "mean_loglik", "stderr"), lines)
+    if empty or no_mallows:
+        click.echo(f"{empty} of {len(small_ns) * len(m_grid)} (n, m) cells dropped (too few or "
+                   f"unusable held-out rankings), {no_mallows} without a mallows row (no full "
+                   f"training ranking)", err=True)
 
 
 def _loglik_once(rankings, subset, m, seed, h, kernel):
@@ -279,12 +282,9 @@ def predict(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
               "loss": loss, "h": h, "kernel": "modified", "seed": seed,
               "test_fraction": test_fraction, "holdout_fraction": holdout_fraction,
               "top_items": top_items, "top_users": top_users}
-    rows = [
-        (len(train), len(holdout.users),
-         sum(len(u.held_out) for u in holdout.users), repr(mean_loss)),
-    ]
-    _write_csv(Path(out), config, rows,
-               ("train_users", "test_users", "held_out_items", "mean_loss"))
+    held_out = sum(len(u.held_out) for u in holdout.users)
+    _write_csv(Path(out), config, ("train_users", "test_users", "held_out_items", "mean_loss"),
+               [f"{len(train)},{len(holdout.users)},{held_out},{mean_loss!r}\n"])
     if counts["clamped"] and strict:
         click.echo(f"{counts['clamped']} negative level weights", err=True)
         sys.exit(EXIT_NUMERIC)
@@ -324,12 +324,12 @@ def rules_cmd(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
               "mode": rule_mode, "subset_size": subset_size, "top_t": top_t,
               "h": h, "kernel": "modified", "seed": seed,
               "top_items": top_items, "top_users": top_users}
-    rows = []
+    lines = []
     for rule in mined:
         ante = "<".join(universe.label_of(i) for i in rule.antecedent)
         cons = "<".join(universe.label_of(i) for i in rule.consequent)
-        rows.append((ante, cons, repr(rule.score)))
-    _write_csv(Path(out), config, rows, ("antecedent", "consequent", "score"))
+        lines.append(f"{ante},{cons},{rule.score!r}\n")
+    _write_csv(Path(out), config, ("antecedent", "consequent", "score"), lines)
     if negatives and strict:
         click.echo(f"{negatives} {what}", err=True)
         sys.exit(EXIT_NUMERIC)
@@ -355,10 +355,8 @@ def graph(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
     config = {"cmd": "graph", "data": str(data), "sha256": _sha256(data),
               "threshold": threshold, "subset_size": subset_size, "h": h,
               "kernel": "modified", "top_items": top_items, "top_users": top_users}
-    rows = [
-        (universe.label_of(i), universe.label_of(j), repr(w)) for i, j, w in edges
-    ]
-    _write_csv(Path(out), config, rows, ("item_a", "item_b", "weight"))
+    lines = [f"{universe.label_of(i)},{universe.label_of(j)},{w!r}\n" for i, j, w in edges]
+    _write_csv(Path(out), config, ("item_a", "item_b", "weight"), lines)
     dot_path = Path(out).with_suffix(".dot")
     with open(dot_path, "w") as fh:
         fh.write("graph affinity {\n")

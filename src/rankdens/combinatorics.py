@@ -71,17 +71,20 @@ def mahonian_distribution(n: int) -> MahonianTable:
 
     Incremental recursion with a sliding-window prefix sum: extending from
     j-1 to j items convolves with a length-j uniform window, O(1) per
-    coefficient, O(n^3) total.
+    coefficient, O(n^3) total. With cs the cumulative sum of the L old
+    coefficients, the window sum at t is cs[min(t, L-1)] - cs[t-j] (t >= j):
+    cs padded with its last value, less cs shifted right by j; no gathers.
     """
     if n < 1:
         raise CombinatoricsError("n must be >= 1")
     g = np.ones(1)
     for j in range(2, n + 1):
-        length = len(g) + j - 1
-        cs = np.concatenate(([0.0], np.cumsum(g)))
-        hi = np.minimum(np.arange(1, length + 1), len(g))
-        lo = np.maximum(np.arange(1, length + 1) - j, 0)
-        g = (cs[hi] - cs[lo]) / j
+        cs = np.cumsum(g)
+        g = np.empty(len(cs) + j - 1)
+        g[: len(cs)] = cs
+        g[len(cs):] = cs[-1]
+        g[j:] -= cs[:-1]
+        g /= j
     return MahonianTable(n, g)
 
 

@@ -252,7 +252,12 @@ def load_model(path) -> KernelModel:
     and with it every probability, round-trips exactly."""
     with open(path) as fh:
         archive = json.load(fh)
+    missing = sorted({"n", "h", "m"} - archive.keys())
+    if missing:
+        raise EstimatorError(f"archive has no {', '.join(missing)}")
     n = archive["n"]
+    if type(n) is not int or n < 1:  # a JSON true loads as a bool, an int subclass
+        raise EstimatorError(f"archive n must be a positive integer, got {n!r}")
     universe = ItemUniverse(n, tuple(archive["labels"]) if archive.get("labels") else None)
     try:
         fbar = np.array(archive["fbar"], dtype=float)

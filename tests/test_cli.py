@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from rankdens import estimator, oracle
 from rankdens.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _loglik_once, main
-from rankdens.combinatorics import mahonian_distribution
+from rankdens.combinatorics import mahonian_distribution, triangular_normalization
 from rankdens.rankings import ItemUniverse, Permutation
 
 
@@ -34,6 +35,25 @@ def test_normtable(tmp_path):
     np.testing.assert_allclose(mass, mahonian_distribution(3).mass)
     normc = [float(r[3]) for r in rows if r[1] == "normC"]
     assert normc == [pytest.approx(2 / 6)]  # C(2)/3! = (1 + 2*0.5)/6
+
+
+def test_normtable_bytes_match_the_row_tuple_writer(tmp_path):
+    out = tmp_path / "norm.csv"
+    argv = ["normtable", "--n", "3", "--n", "40", "--bandwidth", "2", "--bandwidth", "900"]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    sizes, bandwidths = (3, 40), (2.0, 900.0)
+    rows = []  # the tuple rows and per-field str join the CSV writer first used
+    for n in sizes:
+        table = mahonian_distribution(n)
+        for t, mass in enumerate(table.mass):
+            rows.append((n, "g", t, repr(float(mass))))
+        for h in bandwidths:
+            norm = triangular_normalization(n, h, "exact-support", table)
+            rows.append((n, "normC", h, repr(norm.normC)))
+    config = {"cmd": "normtable", "n": list(sizes), "h": list(bandwidths)}
+    want = "# config: " + json.dumps(config, sort_keys=True) + "\n" + "n,kind,index,value\n"
+    want += "".join(",".join(str(x) for x in row) + "\n" for row in rows)
+    assert out.read_text() == want
 
 
 def test_usage_and_data_exit_codes(tmp_path):
@@ -75,6 +95,8 @@ def test_usage_and_data_exit_codes(tmp_path):
     ["predict", "--top-items", "8", "--holdout-fraction", "1.5"],
     ["predict", "--top-items", "8", "--loss", "{tmp}/missing.csv"],
     ["predict", "--top-items", "8", "--loss", "{tmp}/loss2x2.csv"],  # the scale has 5 levels
+    ["predict", "--top-items", "8", "--seed", "-1"],
+    ["loglik", "--top-items", "8", "--n-items", "3", "--seed", "-1"],
     ["synth", "--n", "0"],
     ["synth", "--n", "3", "--centers", "1|2|9"],
     ["synth", "--n", "3", "--centers", "1|2"],  # item 3 would never be ranked
@@ -93,7 +115,8 @@ def test_usage_and_data_exit_codes(tmp_path):
         "top-users", "mi-subset", "top-t", "loglik-nan", "loglik-narrow", "threshold",
         "fractional-scale", "loglik-n-items-loaded", "loglik-n-items-1", "m-grid", "reps",
         "test-fraction-0", "test-fraction-1.5", "holdout-fraction", "loss-missing",
-        "loss-shape", "synth-n", "synth-centers-label", "synth-centers-partial",
+        "loss-shape", "predict-seed-negative", "loglik-seed-negative", "synth-n",
+        "synth-centers-label", "synth-centers-partial",
         "synth-centers-tied", "synth-tie-block", "synth-rho-0", "synth-rho-1.5", "synth-rho-nan",
         "synth-concentration-nan", "synth-concentration-negative", "synth-users-0",
         "synth-users-negative", "synth-seed-negative"])
@@ -260,15 +283,31 @@ def test_graph(ratings_file, tmp_path):
         assert float(w) > 0
 
 
-def test_loglik(ratings_file, tmp_path):
+def test_loglik(ratings_file, tmp_path, capsys):
     out = tmp_path / "ll.csv"
     args = ["--n-items", "3", "--m-grid", "60", "--reps", "2"]
     assert main(["loglik", *_common(ratings_file, out), *args]) == EXIT_OK
     _, rows = _read_csv(out)
     names = {r[2] for r in rows}
-    assert "kernel" in names and "empirical" in names
+    assert names == {"kernel", "empirical", "mallows"}
     for r in rows:
         assert float(r[3]) <= 0.0  # mean log-likelihoods
+    assert capsys.readouterr().err == ""  # no cell dropped, so nothing to report
+
+
+def test_loglik_names_the_cells_it_drops(ratings_file, tmp_path, capsys):
+    out = tmp_path / "ll.csv"
+    args = ["--data", str(ratings_file), "--out", str(out), "--top-items", "8",
+            "--top-users", "2000", "--n-items", "3", "--n-items", "4", "--n-items", "5",
+            "--m-grid", "100", "--m-grid", "400", "--reps", "3"]
+    assert main(["loglik", *args]) == EXIT_OK
+    _, rows = _read_csv(out)
+    cells = {(r[0], r[1]) for r in rows}
+    assert ("5", "100") not in cells and ("5", "400") not in cells  # too few rankings rank all 5
+    assert ("4", "100") in cells and ("4", "100", "mallows") not in {tuple(r[:3]) for r in rows}
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "2 of 6 (n, m) cells dropped" in err and "1 without a mallows row" in err
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -66,6 +66,24 @@ def test_mahonian_invariants(n):
     assert abs(mean - n * (n - 1) / 4) / (n * (n - 1) / 4) < 1e-9
 
 
+def _gather_mahonian(n):
+    """The recursion as first written: each window sum gathered through
+    clipped index arrays into a zero-padded cumulative sum."""
+    g = np.ones(1)
+    for j in range(2, n + 1):
+        length = len(g) + j - 1
+        cs = np.concatenate(([0.0], np.cumsum(g)))
+        hi = np.minimum(np.arange(1, length + 1), len(g))
+        lo = np.maximum(np.arange(1, length + 1) - j, 0)
+        g = (cs[hi] - cs[lo]) / j
+    return g
+
+
+@pytest.mark.parametrize("n", [*range(1, 61), 250])
+def test_mahonian_is_bit_identical_to_the_gather_recursion(n):
+    assert np.array_equal(mahonian_distribution(n).mass, _gather_mahonian(n))
+
+
 def test_unnormalized_guard():
     with pytest.raises(CombinatoricsError):
         mahonian_distribution(19).unnormalized()

@@ -229,6 +229,24 @@ def test_load_rejects_an_archive_without_a_finite_fbar(tmp_path, fbar):
         estimator.load_model(path)
 
 
+@pytest.mark.parametrize("change", [
+    {"n": None}, {"h": None}, {"m": None}, {"n": 0}, {"n": 5.0}, {"n": "5"}, {"n": True},
+], ids=["no-n", "no-h", "no-m", "n-zero", "n-float", "n-text", "n-bool"])
+def test_load_rejects_an_archive_without_a_positive_int_n_or_without_h_or_m(tmp_path, change):
+    u = ItemUniverse(5)
+    path = tmp_path / "model.json"
+    estimator.save_model(estimator.fit([parse_ranking("1|2|3", u)], h=7.0), path)
+    archive = json.loads(path.read_text())
+    for key, value in change.items():
+        if value is None:
+            del archive[key]
+        else:
+            archive[key] = value
+    path.write_text(json.dumps(archive))
+    with pytest.raises(EstimatorError):
+        estimator.load_model(path)
+
+
 def test_empirical_prob():
     u = ItemUniverse(3)
     train = [parse_ranking("1|2|3", u), parse_ranking("2|1", u)]
