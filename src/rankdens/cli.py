@@ -27,6 +27,10 @@ class DataError(click.ClickException):
     exit_code = EXIT_DATA
 
 
+class NumericError(click.ClickException):
+    exit_code = EXIT_NUMERIC
+
+
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -136,7 +140,7 @@ def pairs(data, fmt, top_items, top_users, bandwidth, seed, out, strict):
     n = universe.n
     matrix = np.full((n, n), 0.5)
     off = np.nonzero(~np.eye(n, dtype=bool))  # every ordered pair i != j
-    probs = model.chain_prob(model.subset_stats(range(n)), np.column_stack(off))
+    probs = model.chain_prob(np.column_stack(off))
     matrix[off] = probs
     negatives = int((probs < 0).sum())
     r_scores = (matrix.sum(axis=1) / n).tolist()
@@ -153,8 +157,7 @@ def pairs(data, fmt, top_items, top_users, bandwidth, seed, out, strict):
     lines = [f"{rank},{labels[i]},{r_scores[i]!r}\n" for rank, i in enumerate(order, 1)]
     _write_csv(Path(out).with_suffix(".ranking.csv"), config, ("rank", "item", "r_score"), lines)
     if negatives and strict:
-        click.echo(f"{negatives} negative pair probabilities", err=True)
-        sys.exit(EXIT_NUMERIC)
+        raise NumericError(f"{negatives} negative pair probabilities")
 
 
 @cli.command()
@@ -286,8 +289,7 @@ def predict(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
     _write_csv(Path(out), config, ("train_users", "test_users", "held_out_items", "mean_loss"),
                [f"{len(train)},{len(holdout.users)},{held_out},{mean_loss!r}\n"])
     if counts["clamped"] and strict:
-        click.echo(f"{counts['clamped']} negative level weights", err=True)
-        sys.exit(EXIT_NUMERIC)
+        raise NumericError(f"{counts['clamped']} negative level weights")
 
 
 @cli.command("rules")
@@ -317,8 +319,7 @@ def rules_cmd(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
         try:
             mined = rules.mine_lift_rules(model, subset, lift_mode, top_t, counts)
         except rules.RulesError as exc:  # a signed kernel can leave a lift with no denominator
-            click.echo(f"numeric error: {exc}", err=True)
-            sys.exit(EXIT_NUMERIC)
+            raise NumericError(str(exc)) from exc
         negatives, what = counts["negative"], "negative event probabilities"
     config = {"cmd": "rules", "data": str(data), "sha256": _sha256(data),
               "mode": rule_mode, "subset_size": subset_size, "top_t": top_t,
@@ -331,8 +332,7 @@ def rules_cmd(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
         lines.append(f"{ante},{cons},{rule.score!r}\n")
     _write_csv(Path(out), config, ("antecedent", "consequent", "score"), lines)
     if negatives and strict:
-        click.echo(f"{negatives} {what}", err=True)
-        sys.exit(EXIT_NUMERIC)
+        raise NumericError(f"{negatives} {what}")
 
 
 @cli.command()
@@ -350,8 +350,7 @@ def graph(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
     try:
         edges = rules.affinity_graph(model, subset, threshold, counts)
     except rules.RulesError as exc:  # a signed kernel can leave a lift with no denominator
-        click.echo(f"numeric error: {exc}", err=True)
-        sys.exit(EXIT_NUMERIC)
+        raise NumericError(str(exc)) from exc
     config = {"cmd": "graph", "data": str(data), "sha256": _sha256(data),
               "threshold": threshold, "subset_size": subset_size, "h": h,
               "kernel": "modified", "top_items": top_items, "top_users": top_users}
@@ -367,8 +366,7 @@ def graph(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
             fh.write(f"  n{i} -- n{j} [weight={w:.4f}];\n")
         fh.write("}\n")
     if counts["negative"] and strict:
-        click.echo(f"{counts['negative']} negative event probabilities", err=True)
-        sys.exit(EXIT_NUMERIC)
+        raise NumericError(f"{counts['negative']} negative event probabilities")
 
 
 def _finite(ctx, param, value):
@@ -430,6 +428,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         click.echo(f"data error: {exc.format_message()}", err=True)
         return EXIT_DATA
+    except NumericError as exc:
+        click.echo(f"numeric error: {exc.format_message()}", err=True)
+        return EXIT_NUMERIC
     except click.ClickException as exc:
         exc.show()
         return exc.exit_code

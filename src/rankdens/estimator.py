@@ -7,9 +7,10 @@ of n items to their mean, the n x n antisymmetric matrix fbar, in
 O(sum of k^2 + n^2) for k items ranked per training ranking. A
 modified-kernel event probability then follows by the closed form in
 O(k^2) for the k items the event ranks, with no term in m: ``event_prob``
-and ``chain_prob`` (a whole batch of strict chains as array operations)
-both evaluate ``censored.expected_distance`` against fbar. The model keeps
-fbar and no training ranking; ``save_model`` writes fbar itself.
+and ``chain_prob`` (a whole batch of events with the same tie-group sizes
+as array operations) both evaluate ``censored.expected_distance`` against
+fbar. The model keeps fbar and no training ranking; ``save_model`` writes
+fbar itself.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from .censored import expected_distance, tie_terms
 from .combinatorics import (
+    CombinatoricsError,
     MahonianTable,
     TriangularNormalization,
     mahonian_distribution,
@@ -32,6 +34,7 @@ from .combinatorics import (
 from .rankings import (
     ItemUniverse,
     Permutation,
+    RankingError,
     TiedRanking,
     chain_ranking,
     project_ranking,
@@ -58,21 +61,6 @@ class EventProbability:
 
     def __float__(self) -> float:
         return self.value
-
-
-@dataclass(frozen=True)
-class _SubsetStats:
-    """Training-side pair statistics restricted to an item subset.
-
-    fbar[x, y] is the training mean of 1 - 2*P(item x precedes item y |
-    training ranking), antisymmetric. wbar[x] is the mean, over training
-    rankings, of the summed pair factor between subset item x and every
-    item outside the subset.
-    """
-
-    items: tuple[int, ...]
-    fbar: np.ndarray
-    wbar: np.ndarray
 
 
 def _mean_pair_factors(n: int, training: Sequence[TiedRanking]) -> np.ndarray:
@@ -155,28 +143,26 @@ class KernelModel:
         log_value = math.log(value) if value > 0 else -math.inf
         return EventProbability(value, log_value, negative)
 
-    def subset_stats(self, items: Sequence[int]) -> _SubsetStats:
-        """Training pair statistics for an item subset: a slice of fbar,
-        O(s^2) for s items."""
-        items = tuple(items)
-        fbar = self.fbar[np.ix_(items, items)]
-        rowsums = np.array([self._rowsums[x] for x in items])
-        return _SubsetStats(items, fbar, rowsums - fbar.sum(axis=1))
+    def subset_stats(self, items: Sequence[int]) -> np.ndarray:
+        """fbar's block over an item subset. Nothing in the package calls
+        it; it stays while rankbench's tracer and its tests expect it."""
+        return self.fbar[np.ix_(items, items)]
 
-    def chain_prob(self, stats: _SubsetStats, chains) -> np.ndarray | float:
-        """Probabilities of strict chain events chain[0] < chain[1] < ...
-        (other items unranked), each equal to event_prob of the chain
-        ranking. ``chains`` is a (B, k) int array of B chains of k items;
-        the result holds B values, and a single 1-D chain gives a float.
+    def chain_prob(self, chains, sizes: Optional[Sequence[int]] = None) -> np.ndarray | float:
+        """Probabilities of B same-shaped events: ``chains`` is a (B, k) int
+        array, each row the event's k items in group order, and ``sizes``
+        the tie-group sizes every row shares (all 1 by default: strict chains
+        chain[0] < chain[1] < ..., other items unranked). The result holds B
+        values, and a single 1-D row gives a float.
 
         It makes the ``expected_distance`` call of ``event_prob`` with (B,)
-        arrays for floats, so each value is bit-identical to it, and
-        temporaries are O(B). ``stats`` names the subset the caller scores;
-        fbar covers every pair, so any chain is valid."""
+        arrays for floats, so each value is bit-identical to event_prob of
+        the row's ranking when each group lists its items in ascending
+        order, and temporaries are O(B)."""
         chains = np.asarray(chains)
         cols = list(np.atleast_2d(chains).T)
         n = self.universe.n
-        sizes = [1] * len(cols)
+        sizes = [1] * len(cols) if sizes is None else list(sizes)
         rowsums = np.array(self._rowsums)
         e_mean = expected_distance(
             n, sizes, _gathered_rows(self.fbar.ravel(), n, cols),
@@ -255,18 +241,27 @@ def load_model(path) -> KernelModel:
     missing = sorted({"n", "h", "m"} - archive.keys())
     if missing:
         raise EstimatorError(f"archive has no {', '.join(missing)}")
-    n = archive["n"]
-    if type(n) is not int or n < 1:  # a JSON true loads as a bool, an int subclass
-        raise EstimatorError(f"archive n must be a positive integer, got {n!r}")
-    universe = ItemUniverse(n, tuple(archive["labels"]) if archive.get("labels") else None)
+    n, h, m = archive["n"], archive["h"], archive["m"]
+    for key, value in (("n", n), ("m", m)):
+        if type(value) is not int or value < 1:  # a JSON true loads as a bool, an int subclass
+            raise EstimatorError(f"archive {key} must be a positive integer, got {value!r}")
+    try:
+        universe = ItemUniverse(n, tuple(archive["labels"]) if archive.get("labels") else None)
+    except (RankingError, TypeError) as exc:
+        raise EstimatorError(f"archive labels: {exc}") from None
     try:
         fbar = np.array(archive["fbar"], dtype=float)
     except (KeyError, TypeError, ValueError):
         fbar = None
     if fbar is None or fbar.shape != (n, n) or not np.isfinite(fbar).all():
         raise EstimatorError(f"archive has no finite {n} x {n} fbar")
-    h = archive["h"]
-    return KernelModel(universe, fbar, h, archive["m"], triangular_normalization(n, h))
+    if type(h) not in (int, float):
+        raise EstimatorError(f"archive h must be a number, got {h!r}")
+    try:
+        norm = triangular_normalization(n, h)
+    except CombinatoricsError as exc:
+        raise EstimatorError(f"archive h = {h!r}: {exc}") from None
+    return KernelModel(universe, fbar, h, m, norm)
 
 
 def _has_cycle(nodes, edges) -> bool:

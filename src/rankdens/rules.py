@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -11,7 +10,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .estimator import KernelModel
-from .rankings import TiedRanking
 
 
 class RulesError(ValueError):
@@ -148,13 +146,12 @@ def mine_mi_rules(
         raise RulesError("rule mining needs at least 4 items")
     if top_t < 0:
         raise RulesError("top_t must be non-negative")
-    stats = model.subset_stats(items)
     best_mi, best_terms = np.zeros(0), np.zeros((0, 4))
     best_quads = np.zeros((0, 4), dtype=int)
     negative = 0
     for quads in _quadruple_blocks(items):
         chains = quads[:, _ORDERS].reshape(-1, 4)
-        probs = model.chain_prob(stats, chains).reshape(len(quads), len(_ORDERS))
+        probs = model.chain_prob(chains).reshape(len(quads), len(_ORDERS))
         cells = np.zeros((len(quads), 4))
         for order, cell in enumerate(_ORDER_CELLS):
             cells[:, cell] += probs[:, order]
@@ -174,53 +171,53 @@ def mine_mi_rules(
     return MinedRules(rules, negative)
 
 
-def _lift_scorer(
-    model: KernelModel, subset: Sequence[int], mode: str, counts: Optional[Counter] = None
-):
-    """lift(i, j) over a sorted subset. Each event probability and each
-    marginal is computed once per scorer, and a marginal always sums in
-    subset order, so a lift does not depend on which lifts came before.
-    Event probabilities below zero are counted in ``counts["negative"]``."""
+def _lifts(
+    model: KernelModel, subset: Sequence[int], mode: str,
+    counts: Optional[Counter] = None, pair: Optional[tuple[int, int]] = None,
+) -> list[list[float]]:
+    """lift[a][b] of 'subset[a] ranked highest' against 'subset[b] ranked
+    second' (mode "top2") or 'ranked lowest' (mode "top-bottom") over a
+    sorted subset of s items: the joint probability over the product of the
+    two marginals. Every event of one kind has the same tie groups, (1, 1,
+    s-2), (1, s-2, 1), (1, s-1) or (s-1, 1), the other items tied in subset
+    order, so each kind is one ``chain_prob`` call; the "b second" marginal
+    sums the joint column in subset order, one row at a time. Raises
+    RulesError when the denominator of the lift at positions ``pair``, or of
+    any lift, is not positive. Event probabilities below zero are counted in
+    ``counts["negative"]``."""
     if mode not in ("top2", "top-bottom"):
         raise RulesError(f"unknown lift mode {mode!r}")
-
-    def prob(*groups) -> float:
-        event = TiedRanking(model.universe, tuple(g for g in groups if g))
-        p = model.event_prob(event)
-        if counts is not None:
-            counts["negative"] += int(p.negative)
-        return p.value
-
-    def rest(*drop) -> tuple[int, ...]:
-        return tuple(x for x in subset if x not in drop)
-
-    @functools.cache
-    def joint(i: int, j: int) -> float:  # i highest and j second, or j lowest
-        if mode == "top2":
-            return prob((i,), (j,), rest(i, j))
-        return prob((i,), rest(i, j), (j,))
-
-    @functools.cache
-    def top(i: int) -> float:
-        return prob((i,), rest(i))
-
-    @functools.cache
-    def other(j: int) -> float:  # j second, summed over the top item; or j lowest
-        if mode == "top-bottom":
-            return prob(rest(j), (j,))
-        p_second = 0.0
-        for x in subset:
-            if x != j:
-                p_second += joint(x, j)
-        return p_second
-
-    def lift(i: int, j: int) -> float:
-        denom = top(i) * other(j)
-        if denom <= 0:
-            raise RulesError("zero marginal in lift computation")
-        return joint(i, j) / denom
-
-    return lift
+    s = len(subset)
+    if s < 2:  # no pair to score
+        return np.zeros((s, s)).tolist()
+    items, pos = np.array(subset), np.arange(s)
+    a, b = np.nonzero(pos[:, None] != pos)  # every ordered pair, row-major
+    # the other items of each pair and of each item, ascending: the columns a mask keeps
+    rest = items[((pos != a[:, None]) & (pos != b[:, None])).nonzero()[1]]
+    rest = rest.reshape(len(a), s - 2)
+    others = items[(pos != pos[:, None]).nonzero()[1]].reshape(s, s - 1)
+    if mode == "top2":
+        probs = model.chain_prob(np.column_stack((items[a], items[b], rest)), (1, 1, s - 2))
+    else:
+        probs = model.chain_prob(np.column_stack((items[a], rest, items[b])), (1, s - 2, 1))
+    top = model.chain_prob(np.column_stack((items, others)), (1, s - 1))
+    events = [probs, top]
+    joint = np.zeros((s, s))
+    joint[a, b] = probs
+    if mode == "top2":
+        other = np.zeros(s)
+        for row in joint:  # the diagonal adds 0.0
+            other += row
+    else:
+        other = model.chain_prob(np.column_stack((others, items)), (s - 1, 1))
+        events.append(other)
+    if counts is not None:
+        counts["negative"] += sum(int((p < 0).sum()) for p in events)
+    denom = top[:, None] * other
+    if (denom[~np.eye(s, dtype=bool) if pair is None else pair] <= 0).any():
+        raise RulesError("zero marginal in lift computation")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (joint / denom).tolist()
 
 
 def lift_score(
@@ -235,7 +232,8 @@ def lift_score(
     subset = sorted(set(subset))
     if i == j or i not in subset or j not in subset:
         raise RulesError("i, j must be distinct subset members")
-    return _lift_scorer(model, subset, mode)(i, j)
+    a, b = subset.index(i), subset.index(j)
+    return _lifts(model, subset, mode, pair=(a, b))[a][b]
 
 
 def mine_lift_rules(
@@ -245,12 +243,9 @@ def mine_lift_rules(
     """The top_t lifts over ordered item pairs of the subset; negative event
     probabilities are counted in ``counts["negative"]``."""
     items = sorted(set(items))
-    lift = _lift_scorer(model, items, mode, counts)
-    scored = []
-    for i in items:
-        for j in items:
-            if i != j:
-                scored.append((lift(i, j), i, j))
+    lift = _lifts(model, items, mode, counts)
+    scored = [(lift[a][b], i, j) for a, i in enumerate(items)
+              for b, j in enumerate(items) if a != b]
     scored.sort(key=lambda t: (-t[0], t[1], t[2]))
     kind = f"lift-{mode}"
     return [Rule((i,), (j,), s, kind) for s, i, j in scored[:top_t]]
@@ -266,10 +261,10 @@ def affinity_graph(
     if threshold <= 0:
         raise RulesError("threshold must be positive")
     items = sorted(set(items))
-    lift = _lift_scorer(model, items, "top2", counts)
+    lift = _lifts(model, items, "top2", counts)
     edges = []
-    for i, j in itertools.combinations(items, 2):
-        w = 0.5 * (lift(i, j) + lift(j, i))
+    for a, b in itertools.combinations(range(len(items)), 2):
+        w = 0.5 * (lift[a][b] + lift[b][a])
         if w > threshold:
-            edges.append((i, j, w))
+            edges.append((items[a], items[b], w))
     return edges

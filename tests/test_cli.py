@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -209,8 +210,7 @@ def test_strict_lift_exits_numeric_on_negative_event_probabilities(ratings_file,
     capsys.readouterr()
     assert main([*args, "--bandwidth", "16", "--strict", "--out", str(strict)]) == EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert err.endswith(" negative event probabilities\n") and err.count("\n") == 1
-    assert int(err.split()[0]) > 0
+    assert re.fullmatch(r"numeric error: [1-9]\d* negative event probabilities\n", err)
     assert strict.read_text() == plain.read_text()
     if command[0] == "graph":
         assert strict.with_suffix(".dot").read_text() == plain.with_suffix(".dot").read_text()
@@ -226,12 +226,27 @@ def test_strict_rules_exit_numeric_on_negative_mi_cells(ratings_file, tmp_path, 
     capsys.readouterr()
     assert main(["rules", *_common(ratings_file, strict), *args, "--strict"]) == EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert err.endswith(" negative MI joint-table cells\n") and err.count("\n") == 1
-    assert int(err.split()[0]) > 0
+    assert re.fullmatch(r"numeric error: [1-9]\d* negative MI joint-table cells\n", err)
     assert strict.read_text() == plain.read_text().replace(str(plain), str(strict))
     default = tmp_path / "default.csv"
     assert main(["rules", *_common(ratings_file, default), "--subset-size", "8",
                  "--strict"]) == EXIT_OK  # h = n(n-1)/2 keeps every weight >= 0
+
+
+def test_strict_pairs_exits_numeric_on_negative_pair_probabilities(ratings_file, tmp_path,
+                                                                   capsys):
+    # h just above n(n-1)/4 = 14: the signed kernel goes negative far from the data
+    plain, strict = tmp_path / "plain.csv", tmp_path / "strict.csv"
+    args = ["pairs", "--data", str(ratings_file), "--top-items", "8", "--top-users", "300"]
+    assert main([*args, "--bandwidth", "14.1", "--out", str(plain)]) == EXIT_OK
+    capsys.readouterr()
+    assert main([*args, "--bandwidth", "14.1", "--strict", "--out", str(strict)]) == EXIT_NUMERIC
+    negatives = sum(float(row[2]) < 0 for row in _read_csv(plain)[1])
+    assert negatives > 0
+    assert capsys.readouterr().err == f"numeric error: {negatives} negative pair probabilities\n"
+    assert strict.read_text() == plain.read_text()
+    default = tmp_path / "default.csv"
+    assert main([*args, "--strict", "--out", str(default)]) == EXIT_OK
 
 
 def test_rules_lift_mode(ratings_file, tmp_path):
@@ -264,8 +279,7 @@ def test_strict_predict_exit_numeric_on_negative_level_weights(ratings_file, tmp
     assert main(["predict", *args, "--bandwidth", "14.1", "--strict",
                  "--out", str(strict)]) == EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert err.endswith(" negative level weights\n") and err.count("\n") == 1
-    assert int(err.split()[0]) > 0
+    assert re.fullmatch(r"numeric error: [1-9]\d* negative level weights\n", err)
     assert strict.read_text() == plain.read_text()
     default = tmp_path / "default.csv"
     assert main(["predict", *args, "--strict", "--out", str(default)]) == EXIT_OK

@@ -74,39 +74,34 @@ def test_chain_prob_matches_event_prob():
     rng = np.random.default_rng(4)
     u = ItemUniverse(8)
     model = estimator.fit(_random_training(rng, u, 25))
-    stats = model.subset_stats(range(8))
     for _ in range(40):
         chain = [int(x) for x in rng.permutation(8)[: rng.integers(2, 5)]]
         direct = model.event_prob(chain_ranking(u, chain)).value
-        assert model.chain_prob(stats, chain) == pytest.approx(direct, abs=1e-12)
+        assert model.chain_prob(chain) == pytest.approx(direct, abs=1e-12)
 
 
 def test_batched_chain_prob_is_bit_identical_to_one_chain():
     rng = np.random.default_rng(15)
     n = 12
     u = ItemUniverse(n)
-    h = float(n * (n - 1) / 4 + 1)  # a signed kernel: some chains are negative
+    h = float(n * (n - 1) / 4 + 1)  # a signed kernel: some events are negative
     model = estimator.fit(_random_training(rng, u, 30), h=h)
-    stats = model.subset_stats(range(n))
-    for k in (2, 3, 4, 5):
+    # (1, 1, 0) ends in an empty group, as the lift events of a two-item subset do
+    for sizes in ((1, 1), (1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 3), (2, 3),
+                  (1, 4, 1), (3, 1), (1, 1, 0)):
+        k = sum(sizes)
         chains = np.array([rng.permutation(n)[:k] for _ in range(10)])
-        batch = model.chain_prob(stats, chains)
+        bounds = np.cumsum((0, *sizes))
+        for lo, hi in zip(bounds, bounds[1:]):  # each group's items ascending
+            chains[:, lo:hi].sort(axis=1)
+        strict = all(size == 1 for size in sizes)
+        batch = model.chain_prob(chains, None if strict else sizes)
         assert batch.shape == (10,)
         for chain, value in zip(chains.tolist(), batch.tolist()):
-            assert value == model.event_prob(chain_ranking(u, chain)).value
-            single = model.chain_prob(stats, chain)
+            groups = [tuple(chain[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+            assert value == model.event_prob(TiedRanking(u, tuple(groups))).value
+            single = model.chain_prob(chain, sizes)
             assert type(single) is float and single == value
-
-
-def test_subset_stats_reuse_across_subsets():
-    rng = np.random.default_rng(5)
-    u = ItemUniverse(7)
-    model = estimator.fit(_random_training(rng, u, 20))
-    full = model.subset_stats(range(7))
-    sub = model.subset_stats([1, 3, 5])
-    assert model.chain_prob(sub, (3, 1)) == pytest.approx(
-        model.chain_prob(full, (3, 1)), abs=1e-12
-    )
 
 
 def test_fbar_is_the_training_mean_of_censored_pair_factors():
@@ -115,18 +110,13 @@ def test_fbar_is_the_training_mean_of_censored_pair_factors():
         u = ItemUniverse(n)
         train = _random_training(rng, u, int(rng.integers(1, 30)))
         model = estimator.fit(train)
-        full = model.subset_stats(range(n))
         for x in range(n):
             for y in range(n):
                 if x != y:
                     want = np.mean([1.0 - 2.0 * pair_pref_prob(r, x, y) for r in train])
-                    assert full.fbar[x, y] == pytest.approx(want, rel=0, abs=1e-12)
-        assert np.abs(full.wbar).max() <= 1e-12
+                    assert model.fbar[x, y] == pytest.approx(want, rel=0, abs=1e-12)
         subset = sorted(int(x) for x in rng.permutation(n)[: int(rng.integers(1, n))])
-        stats = model.subset_stats(subset)
-        for a, x in enumerate(subset):
-            outside = sum(full.fbar[x, y] for y in range(n) if y not in subset)
-            assert stats.wbar[a] == pytest.approx(outside, rel=0, abs=1e-12)
+        assert np.array_equal(model.subset_stats(subset), model.fbar[np.ix_(subset, subset)])
 
 
 def test_conjunction_cells_sum_to_one():
@@ -231,7 +221,9 @@ def test_load_rejects_an_archive_without_a_finite_fbar(tmp_path, fbar):
 
 @pytest.mark.parametrize("change", [
     {"n": None}, {"h": None}, {"m": None}, {"n": 0}, {"n": 5.0}, {"n": "5"}, {"n": True},
-], ids=["no-n", "no-h", "no-m", "n-zero", "n-float", "n-text", "n-bool"])
+    {"h": "x"}, {"h": 1.0}, {"h": math.nan}, {"labels": ["a"]}, {"m": "x"}, {"m": -3},
+], ids=["no-n", "no-h", "no-m", "n-zero", "n-float", "n-text", "n-bool",
+        "h-text", "h-small", "h-nan", "labels-short", "m-text", "m-negative"])
 def test_load_rejects_an_archive_without_a_positive_int_n_or_without_h_or_m(tmp_path, change):
     u = ItemUniverse(5)
     path = tmp_path / "model.json"
@@ -243,7 +235,7 @@ def test_load_rejects_an_archive_without_a_positive_int_n_or_without_h_or_m(tmp_
         else:
             archive[key] = value
     path.write_text(json.dumps(archive))
-    with pytest.raises(EstimatorError):
+    with pytest.raises(EstimatorError, match=rf"\b{next(iter(change))}\b"):  # names the field
         estimator.load_model(path)
 
 

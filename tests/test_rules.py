@@ -1,10 +1,11 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from rankdens import estimator, oracle, rules as rules_module
-from rankdens.rankings import ItemUniverse, Permutation, chain_ranking
+from rankdens.rankings import ItemUniverse, Permutation, TiedRanking, chain_ranking
 from rankdens.rules import (
     JointPairTable,
     RulesError,
@@ -172,3 +173,74 @@ def test_affinity_graph_threshold():
         assert i < j and w > 0
     with pytest.raises(RulesError):
         affinity_graph(model, [0, 1, 2], threshold=0)
+
+
+def _reference_lifts(model, subset, mode):
+    """Every lift of a sorted subset from event_prob of its own TiedRanking
+    events: {(i, j): lift, or None when the denominator is not positive},
+    and the number of negative events among every joint, "i highest" and
+    "j lowest" event, each scored once. The "j second" marginal sums the
+    joint events (x, j) in subset order."""
+    negative = 0
+
+    def prob(*groups):
+        nonlocal negative
+        p = model.event_prob(TiedRanking(model.universe, tuple(g for g in groups if g)))
+        negative += p.negative
+        return p.value
+
+    def rest(*drop):
+        return tuple(x for x in subset if x not in drop)
+
+    pairs = [(i, j) for i in subset for j in subset if i != j]
+    if not pairs:
+        return {}, 0
+    if mode == "top2":
+        joint = {(i, j): prob((i,), (j,), rest(i, j)) for i, j in pairs}
+    else:
+        joint = {(i, j): prob((i,), rest(i, j), (j,)) for i, j in pairs}
+    top = {i: prob((i,), rest(i)) for i in subset}
+    if mode == "top2":
+        other = {}
+        for j in subset:
+            other[j] = 0.0
+            for x in subset:
+                if x != j:
+                    other[j] += joint[x, j]
+    else:
+        other = {j: prob(rest(j), (j,)) for j in subset}
+    denoms = {(i, j): top[i] * other[j] for i, j in pairs}
+    return {p: joint[p] / d if d > 0 else None for p, d in denoms.items()}, negative
+
+
+@pytest.mark.parametrize("h", [None, 14.5, 14.1],
+                         ids=["default-h", "signed-kernel", "zero-marginals"])  # n(n-1)/4 = 14
+@pytest.mark.parametrize("size", [1, 2, 3, 8])
+def test_lifts_match_per_event_reference(h, size):
+    model = _structured_model(n=8, h=h)
+    subset = [7, 0, 5, 2, 6, 1, 3, 4][:size]  # unsorted, as callers may pass it
+    for mode in ("top2", "top-bottom"):
+        want, negative = _reference_lifts(model, sorted(subset), mode)
+        for (i, j), lift in want.items():
+            if lift is None:
+                with pytest.raises(RulesError):
+                    lift_score(model, i, j, mode, subset)
+            else:
+                assert lift_score(model, i, j, mode, subset) == lift
+        counts = Counter()
+        if None in want.values():
+            with pytest.raises(RulesError):
+                mine_lift_rules(model, subset, mode, top_t=len(want), counts=counts)
+            continue
+        mined = mine_lift_rules(model, subset, mode, top_t=len(want), counts=counts)
+        ranked = sorted(((lift, i, j) for (i, j), lift in want.items()),
+                        key=lambda t: (-t[0], t[1], t[2]))
+        assert [(r.score, *r.antecedent, *r.consequent) for r in mined] == ranked
+        assert counts["negative"] == negative
+        if mode == "top2":
+            counts = Counter()
+            edges = affinity_graph(model, subset, threshold=1.0, counts=counts)
+            assert edges == [(i, j, 0.5 * (want[i, j] + want[j, i]))
+                             for i, j in itertools.combinations(sorted(subset), 2)
+                             if 0.5 * (want[i, j] + want[j, i]) > 1.0]
+            assert counts["negative"] == negative
