@@ -32,6 +32,7 @@ from .estimator import (
     mallows_fit,
     save_model,
     select_bandwidth,
+    strict_orders,
 )
 from .recommend import (
     LossMatrix,

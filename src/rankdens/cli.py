@@ -14,7 +14,9 @@ import numpy as np
 
 from . import estimator, ingest, oracle, rules
 from .combinatorics import CombinatoricsError, mahonian_distribution, triangular_normalization
-from .rankings import ItemUniverse, Permutation, RankingError, format_ranking, parse_ranking
+from .rankings import (
+    ItemUniverse, Permutation, RankingError, format_ranking, parse_ranking, project_ranking,
+)
 from .recommend import builtin_loss, loss_from_csv, posterior_predictor, evaluate_prediction
 
 EXIT_OK = 0
@@ -183,14 +185,13 @@ def loglik(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
     rng = np.random.default_rng(seed)
     for n_sub in small_ns:
         subset = list(range(n_sub))  # the n_sub most rated items
+        sub_universe = ItemUniverse(n_sub, tuple(universe.label_of(i) for i in subset))
+        projected = [project_ranking(r, subset, sub_universe) for _, r in rankings]
         for m in m_grid:
             results = {"kernel": [], "empirical": [], "mallows": []}
             for rep in range(reps):
                 rep_seed = int(rng.integers(2**31))
-                scores = _loglik_once(
-                    [r for _, r in rankings], subset, m, rep_seed,
-                    widths[n_sub], kernel,
-                )
+                scores = _loglik_once(projected, m, rep_seed, widths[n_sub], kernel)
                 if scores is None:
                     continue
                 for key, val in scores.items():
@@ -214,43 +215,39 @@ def loglik(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
                    f"training ranking)", err=True)
 
 
-def _loglik_once(rankings, subset, m, seed, h, kernel):
-    from .rankings import project_ranking
-
+def _loglik_once(projected, m, seed, h, kernel):
+    """One run's mean log-likelihood per estimator, or None when too few
+    rankings are left. ``projected`` holds each ranking restricted to the
+    subset (None when it ranks no subset item); after a seeded shuffle the
+    first m kept are the training set and the strict full orders of the
+    subset among the next ones are the test events."""
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(rankings))
-    projected = []
-    for idx in order:
-        p = project_ranking(rankings[idx], subset)
-        if p is not None:
-            projected.append(p)
-    if len(projected) < m + 20:
+    kept = [r for r in (projected[i] for i in rng.permutation(len(projected))) if r is not None]
+    if len(kept) < m + 20:
         return None
-    train, test = projected[:m], projected[m : m + max(200, m // 2)]
-    sub_n = len(subset)
+    train, test = kept[:m], kept[m : m + max(200, m // 2)]
+    items = range(train[0].n)
+    orders = estimator.strict_orders(test, items)
+    if not len(orders):
+        return None
+    events = list(map(tuple, orders.tolist()))
     if kernel == "exact":
         dist = oracle.brute_full_distribution(train, h, "exact-support")
-        pt = oracle.perm_table(sub_n)
-        kernel_scorer = lambda ev: float(dist[pt.index[ev.enumerate_consistent()[0].order]])
+        index = oracle.perm_table(len(items)).index
+        kernel_probs = dist[[index[e] for e in events]]
     else:
-        model = estimator.fit(train, h)
-        kernel_scorer = lambda ev: model.event_prob(ev).value
-    empirical_scorer = lambda ev: estimator.empirical_prob(train, ev)
-    full = [r.enumerate_consistent()[0] for r in train
-            if r.k == sub_n and all(len(g) == 1 for g in r.groups)]
-    out = {}
-    items = list(range(sub_n))
-    try:
-        out["kernel"] = estimator.heldout_loglikelihood(kernel_scorer, test, items).mean
-        out["empirical"] = estimator.heldout_loglikelihood(empirical_scorer, test, items).mean
-        if full:
-            mallows = estimator.mallows_fit(full)
-            scorer = lambda ev: math.exp(
-                mallows.log_prob(ev.enumerate_consistent()[0])
-            )
-            out["mallows"] = estimator.heldout_loglikelihood(scorer, test, items).mean
-    except estimator.EstimatorError:
-        return None
+        kernel_probs = estimator.fit(train, h).chain_prob(orders)
+    full = list(map(tuple, estimator.strict_orders(train, items).tolist()))
+    counts = Counter(full)  # only the identical strict full order implies an event
+    out = {
+        "kernel": estimator.heldout_loglikelihood(kernel_probs).mean,
+        "empirical": estimator.heldout_loglikelihood([counts[e] / m for e in events]).mean,
+    }
+    if full:
+        mallows = estimator.mallows_fit([Permutation(order) for order in full])
+        out["mallows"] = estimator.heldout_loglikelihood(
+            [math.exp(mallows.log_prob(Permutation(e))) for e in events]
+        ).mean
     return out
 
 

@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .rankings import (
     RankingError,
     TiedRanking,
     chain_ranking,
-    project_ranking,
 )
 
 LIKELIHOOD_FLOOR = 1e-12
@@ -170,15 +169,6 @@ class KernelModel:
         )
         values = self._kernel_value(sizes, e_mean)
         return float(values[0]) if chains.ndim == 1 else values
-
-    def conditional_prob(self, r: TiedRanking, s: TiedRanking) -> float:
-        """p(r)/p(s) for a refinement r of s."""
-        if not r.implies(s):
-            raise EstimatorError("conditional requires that r refine s")
-        denom = self.event_prob(s).value
-        if denom <= 0:
-            raise EstimatorError(f"conditioning event has probability {denom}")
-        return self.event_prob(r).value / denom
 
     def conjunction_prob(self, constraints: Sequence[tuple[int, int]]) -> float:
         """Probability that all ordered pair constraints hold, via the sum
@@ -352,33 +342,29 @@ class LogLikResult:
     n_floored: int
 
 
-def heldout_loglikelihood(
-    scorer: Callable[[TiedRanking], float],
-    test_rankings: Sequence[TiedRanking],
-    items: Sequence[int],
-    floor: float = LIKELIHOOD_FLOOR,
-) -> LogLikResult:
-    """Mean log probability assigned to test rankings projected onto the
-    item subset; users whose projection is not a full strict order of the
-    subset are dropped."""
-    sub_universe = None
-    logs = []
-    floored = 0
-    for r in test_rankings:
-        proj = project_ranking(r, list(items), universe=sub_universe)
-        if proj is None:
-            continue
-        sub_universe = proj.universe
-        if proj.k != len(items) or any(len(g) != 1 for g in proj.groups):
-            continue
-        p = scorer(proj)
-        if p < floor:
-            p = floor
-            floored += 1
-        logs.append(math.log(p))
-    if not logs:
+def strict_orders(rankings: Sequence[TiedRanking], items: Sequence[int]) -> np.ndarray:
+    """The (T, k) int array of the rankings that put all k ``items`` in k
+    distinct groups, in input order: row t lists their positions in
+    ``items``, most preferred first. Ties with other items do not count."""
+    k = len(items)
+    rows = []
+    for r in rankings:
+        groups = [r.group_index(x) for x in items]
+        if None not in groups and len(set(groups)) == k:
+            rows.append(sorted(range(k), key=groups.__getitem__))
+    return np.array(rows, dtype=int).reshape(-1, k)
+
+
+def heldout_loglikelihood(probs, floor: float = LIKELIHOOD_FLOOR) -> LogLikResult:
+    """Mean log probability of held-out events, each floored at ``floor``.
+    The logs are taken one value at a time by ``math.log``, as numpy's log
+    may differ from libm in the last bit."""
+    probs = np.asarray(probs, dtype=float)
+    if not probs.size:
         raise EstimatorError("no usable test rankings")
-    return LogLikResult(math.fsum(logs) / len(logs), len(logs), floored)
+    floored = probs < floor
+    logs = [math.log(p) for p in np.where(floored, floor, probs).tolist()]
+    return LogLikResult(math.fsum(logs) / len(logs), len(logs), int(floored.sum()))
 
 
 def select_bandwidth(
@@ -388,7 +374,9 @@ def select_bandwidth(
     seed: int = 0,
     val_fraction: float = 0.25,
 ) -> float:
-    """Held-out-likelihood bandwidth selection over a candidate grid."""
+    """Held-out-likelihood bandwidth selection over a candidate grid: the
+    validation rankings' strict orders of ``items``, scored at each h from
+    one fit, as fbar does not depend on h."""
     if not candidates:
         raise EstimatorError("no bandwidth candidates")
     rng = np.random.default_rng(seed)
@@ -398,17 +386,15 @@ def select_bandwidth(
     train = [rankings[i] for i in order[n_val:]]
     if not train:
         raise EstimatorError("not enough data to split for selection")
+    model = fit(train)
+    n = model.universe.n
+    chains = np.asarray(items)[strict_orders(val, items)]
     best_h, best_ll = None, -math.inf
     for h in candidates:
         try:
-            model = fit(train, h=h)
-            ll = heldout_loglikelihood(
-                lambda ev: model.event_prob(
-                    _lift_event(ev, model.universe, items)
-                ).value,
-                val,
-                items,
-            ).mean
+            norm = triangular_normalization(n, h)
+            at_h = KernelModel(model.universe, model.fbar, h, model.m, norm)
+            ll = heldout_loglikelihood(at_h.chain_prob(chains)).mean
         except (EstimatorError, ValueError):
             continue
         if ll > best_ll:
@@ -416,11 +402,3 @@ def select_bandwidth(
     if best_h is None:
         raise EstimatorError("no valid bandwidth candidate")
     return best_h
-
-
-def _lift_event(
-    proj: TiedRanking, universe: ItemUniverse, items: Sequence[int]
-) -> TiedRanking:
-    """Map a projected sub-universe event back to the model universe."""
-    groups = tuple(tuple(items[i] for i in g) for g in proj.groups)
-    return TiedRanking(universe, groups)

@@ -329,17 +329,27 @@ def test_loglik_kernel_row_is_the_enumerated_modified_kernel(n):
     u = ItemUniverse(n)
     cfg = oracle.MixtureConfig(u, (Permutation(tuple(range(n))),), (1.0,), (1.0,), rho=0.7)
     rankings = oracle.synthesize(cfg, 400, seed=n)
-    m, seed, items = 150, 11, list(range(n))
+    m, seed = 150, 11
     # _loglik_once's split: every synthesized ranking ranks an item, so none is dropped
     shuffled = [rankings[i] for i in np.random.default_rng(seed).permutation(len(rankings))]
     train, test = shuffled[:m], shuffled[m:m + 200]
+    strict = lambda r: r.k == n and all(len(g) == 1 for g in r.groups)
+    events = [r for r in test if strict(r)]
     pt = oracle.perm_table(n)
     for h in (n * (n - 1) / 4 + 0.5, n * (n - 1) / 2):  # signed, and the non-negative default
         dist = oracle.brute_full_distribution(train, h, "modified")
-        enumerated = lambda ev: float(dist[pt.index[ev.enumerate_consistent()[0].order]])
-        want = estimator.heldout_loglikelihood(enumerated, test, items).mean
-        got = _loglik_once(rankings, items, m, seed, h, "modified")["kernel"]
-        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        want = estimator.heldout_loglikelihood(
+            [dist[pt.index[ev.enumerate_consistent()[0].order]] for ev in events]
+        ).mean
+        got = _loglik_once(rankings, m, seed, h, "modified")
+        assert got["kernel"] == pytest.approx(want, rel=1e-12, abs=0)
+    # the baselines, one event at a time over the TiedRankings
+    empirical = [estimator.empirical_prob(train, ev) for ev in events]
+    assert got["empirical"] == estimator.heldout_loglikelihood(empirical).mean
+    mallows = estimator.mallows_fit([r.enumerate_consistent()[0] for r in train if strict(r)])
+    log_probs = [mallows.log_prob(ev.enumerate_consistent()[0]) for ev in events]
+    assert got["mallows"] == estimator.heldout_loglikelihood([math.exp(lp) for lp in log_probs]).mean
+    assert got["mallows"] == pytest.approx(math.fsum(log_probs) / len(log_probs), rel=1e-12)
 
 
 def test_loglik_rejects_large_n():

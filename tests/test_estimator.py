@@ -15,6 +15,7 @@ from rankdens.rankings import (
     full_group_ranking,
     pair_ranking,
     parse_ranking,
+    project_ranking,
 )
 
 
@@ -160,16 +161,6 @@ def test_conjunction_matches_enumeration():
         assert got == pytest.approx(want, abs=1e-10)
 
 
-def test_conditional_prob():
-    u = ItemUniverse(3)
-    model = estimator.fit([parse_ranking("1|2|3", u)], h=3)
-    r = parse_ranking("1|2|3", u)
-    s = parse_ranking("1|2", u)
-    assert model.conditional_prob(r, s) == pytest.approx(
-        model.event_prob(r).value / model.event_prob(s).value
-    )
-
-
 def test_fit_validation():
     u = ItemUniverse(3)
     with pytest.raises(EstimatorError):
@@ -271,29 +262,69 @@ def test_test_loglikelihood_drops_partial_users():
         parse_ranking("1|2", u),        # not full on the subset: dropped
         parse_ranking("1,2|3|4", u),    # tied: dropped
     ]
-    res = estimator.heldout_loglikelihood(lambda r: 0.5, test, range(4))
+    orders = estimator.strict_orders(test, range(4))
+    res = estimator.heldout_loglikelihood([0.5] * len(orders))
     assert res.n_used == 1
     assert res.mean == pytest.approx(math.log(0.5))
 
 
+def test_strict_orders_are_positions_in_items_in_input_order():
+    u = ItemUniverse(6)
+    rankings = [
+        parse_ranking("4|3|2|1", u),
+        parse_ranking("1|2", u),           # not every item ranked: dropped
+        parse_ranking("1,2|3|4", u),       # tied items: dropped
+        parse_ranking("5|2,6|4|1|3", u),   # ties only with items outside `items`
+        parse_ranking("1|2|3|4", u),
+    ]
+    items = [3, 0, 2, 1]  # labels 4, 1, 3, 2
+    orders = estimator.strict_orders(rankings, items)
+    assert orders.dtype.kind == "i"
+    assert orders.tolist() == [[0, 2, 3, 1], [3, 0, 1, 2], [1, 3, 2, 0]]
+    assert estimator.strict_orders(rankings[1:3], items).shape == (0, 4)
+
+
 def test_test_loglikelihood_floor():
-    u = ItemUniverse(3)
-    test = [parse_ranking("1|2|3", u)]
-    res = estimator.heldout_loglikelihood(lambda r: 0.0, test, range(3))
+    res = estimator.heldout_loglikelihood([0.0])
     assert res.n_floored == 1
     assert res.mean == pytest.approx(math.log(estimator.LIKELIHOOD_FLOOR))
+    with pytest.raises(EstimatorError):
+        estimator.heldout_loglikelihood([])
 
 
 def test_select_bandwidth_returns_grid_member():
     rng = np.random.default_rng(11)
-    u = ItemUniverse(4)
+    u = ItemUniverse(6)
     cfg = oracle.MixtureConfig(
-        u, (Permutation((0, 1, 2, 3)),), (2.0,), (1.0,), rho=0.9, tie_block=1
+        u, (Permutation((0, 1, 2, 3, 4, 5)),), (2.0,), (1.0,), rho=0.9, tie_block=1
     )
-    train = oracle.synthesize(cfg, 120, seed=12)
-    grid = [3.5, 4.5, 6.0]  # the modified kernel needs h > n(n-1)/4 = 3
-    h = estimator.select_bandwidth(train, grid, range(4), seed=0)
-    assert h in grid
+    train = oracle.synthesize(cfg, 160, seed=12)
+    items = [4, 1, 3]
+    # the modified kernel needs h > n(n-1)/4 = 7.5; 7.0 is skipped
+    grid = [15.0, 7.0, 9.0, 7.6, 12.0, 8.0]
+    h = estimator.select_bandwidth(train, grid, items, seed=0)
+
+    # reference: a refit per candidate, each projected event scored by event_prob
+    order = np.random.default_rng(0).permutation(len(train))
+    n_val = len(train) // 4
+    val = [train[i] for i in order[:n_val]]
+    fit_on = [train[i] for i in order[n_val:]]
+    events = []
+    for r in val:
+        proj = project_ranking(r, items)
+        if proj is not None and proj.k == len(items) and all(len(g) == 1 for g in proj.groups):
+            events.append(chain_ranking(u, [items[g[0]] for g in proj.groups]))
+    scores = {}
+    for cand in grid:
+        try:
+            model = estimator.fit(fit_on, h=cand)
+        except ValueError:
+            continue
+        probs = [model.event_prob(ev).value for ev in events]
+        scores[cand] = estimator.heldout_loglikelihood(probs).mean
+    assert 7.0 not in scores and len(set(scores.values())) == len(scores)
+    assert h == max(scores, key=scores.get)
+    assert h != grid[0]  # the pick is not just the first valid candidate
 
 
 def test_one_ranking_model_is_the_kernel_at_the_expected_kendall_distance():
