@@ -321,7 +321,7 @@ def mallows_fit(
     mean_dist = totals[center_idx] / len(perms)
 
     table = mahonian_distribution(n)
-    log_counts = np.log(table.mass) + math.lgamma(n + 1)
+    log_counts = np.log(table.unnormalized())  # exact integer counts, so log 1 = 0 at t = 0
     t = np.arange(table.max_distance + 1, dtype=float)
 
     def neg_loglik(c: float) -> float:

@@ -250,6 +250,17 @@ def test_mallows_fit_recovers_center():
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_mallows_log_probabilities_are_at_most_zero_and_normalize(n):
+    # one repeated order saturates the concentration, so log_prob(center) is -log(1 + tiny)
+    center = Permutation(tuple(reversed(range(n))))
+    model = estimator.mallows_fit([center] * 3)
+    assert model.center == center
+    assert model.log_prob(center) <= 0
+    total = math.fsum(math.exp(model.log_prob(p)) for p in oracle.perm_table(n).perms)
+    assert total == pytest.approx(1.0, abs=1e-12)
+
+
 def test_mallows_fit_empty():
     with pytest.raises(EstimatorError):
         estimator.mallows_fit([])
