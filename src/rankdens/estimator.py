@@ -375,8 +375,8 @@ def select_bandwidth(
     val_fraction: float = 0.25,
 ) -> float:
     """Held-out-likelihood bandwidth selection over a candidate grid: the
-    validation rankings' strict orders of ``items``, scored at each h from
-    one fit, as fbar does not depend on h."""
+    validation rankings' strict orders of ``items``, scored at each h on
+    one fbar, which does not depend on h."""
     if not candidates:
         raise EstimatorError("no bandwidth candidates")
     rng = np.random.default_rng(seed)
@@ -386,15 +386,17 @@ def select_bandwidth(
     train = [rankings[i] for i in order[n_val:]]
     if not train:
         raise EstimatorError("not enough data to split for selection")
-    model = fit(train)
-    n = model.universe.n
     chains = np.asarray(items)[strict_orders(val, items)]
+    model = None  # fitted at the first h that normalizes, then rescored at each
     best_h, best_ll = None, -math.inf
     for h in candidates:
         try:
-            norm = triangular_normalization(n, h)
-            at_h = KernelModel(model.universe, model.fbar, h, model.m, norm)
-            ll = heldout_loglikelihood(at_h.chain_prob(chains)).mean
+            if model is None:
+                model = fit(train, h=h)
+            else:
+                norm = triangular_normalization(model.universe.n, h)
+                model = KernelModel(model.universe, model.fbar, h, model.m, norm)
+            ll = heldout_loglikelihood(model.chain_prob(chains)).mean
         except (EstimatorError, ValueError):
             continue
         if ll > best_ll:

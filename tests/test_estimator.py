@@ -312,7 +312,7 @@ def test_select_bandwidth_returns_grid_member():
     train = oracle.synthesize(cfg, 160, seed=12)
     items = [4, 1, 3]
     # the modified kernel needs h > n(n-1)/4 = 7.5; 7.0 is skipped
-    grid = [15.0, 7.0, 9.0, 7.6, 12.0, 8.0]
+    grid = [7.0, 15.0, 9.0, 7.6, 12.0, 8.0]
     h = estimator.select_bandwidth(train, grid, items, seed=0)
 
     # reference: a refit per candidate, each projected event scored by event_prob
@@ -335,7 +335,14 @@ def test_select_bandwidth_returns_grid_member():
         scores[cand] = estimator.heldout_loglikelihood(probs).mean
     assert 7.0 not in scores and len(set(scores.values())) == len(scores)
     assert h == max(scores, key=scores.get)
-    assert h != grid[0]  # the pick is not just the first valid candidate
+    assert h != grid[1]  # the pick is not just the first valid candidate
+
+
+def test_select_bandwidth_on_one_item_takes_the_first_valid_candidate():
+    # fit's default h is 0 at n = 1; every event has probability 1 at any h > 0
+    u = ItemUniverse(1)
+    rankings = [parse_ranking("1", u)] * 8
+    assert estimator.select_bandwidth(rankings, [0.0, 2.0, 1.0], [0]) == 2.0
 
 
 def test_one_ranking_model_is_the_kernel_at_the_expected_kendall_distance():
