@@ -355,7 +355,9 @@ def strict_orders(rankings: Sequence[TiedRanking], items: Sequence[int]) -> np.n
     return np.array(rows, dtype=int).reshape(-1, k)
 
 
-def heldout_loglikelihood(probs, floor: float = LIKELIHOOD_FLOOR) -> LogLikResult:
+def heldout_loglikelihood(
+    probs: Sequence[float] | np.ndarray, floor: float = LIKELIHOOD_FLOOR
+) -> LogLikResult:
     """Mean log probability of held-out events, each floored at ``floor``.
     The logs are taken one value at a time by ``math.log``, as numpy's log
     may differ from libm in the last bit."""
