@@ -57,16 +57,16 @@ def _format(fmt) -> ingest.FormatDescriptor:
         raise click.UsageError(str(exc)) from None
 
 
-def _load_dataset(data, fmt, top_items, top_users):
+def _selection(data, fmt, top_items, top_users):
+    """The ratings table and the selected item and user ids of a command."""
     descriptor = _format(fmt)
     try:
         table = ingest.load_ratings(data, descriptor)
         items = ingest.select_items(table, top_items)
         users = ingest.select_users(table, items, top_m=top_users)
-        universe, rankings = ingest.build_rankings(table, items, users)
     except ingest.IngestError as exc:
         raise DataError(str(exc)) from exc
-    return universe, rankings
+    return table, items, users
 
 
 def _bandwidth(bandwidth: str, n: int, mode: str) -> float:
@@ -83,8 +83,8 @@ def _bandwidth(bandwidth: str, n: int, mode: str) -> float:
 
 
 def _fit(rankings, n: int, bandwidth: str):
-    """(h, model) for a command; a bandwidth the model cannot take is a
-    usage error."""
+    """(h, model) for a command, fitted from its rankings or their grouped
+    record; a bandwidth the model cannot take is a usage error."""
     h = _bandwidth(bandwidth, n, "modified")
     return h, estimator.fit(rankings, h=h)
 
@@ -137,12 +137,14 @@ def normtable(sizes, bandwidths, out):
 @with_common
 def pairs(data, fmt, top_items, top_users, bandwidth, seed, out, strict):
     """Pairwise preference matrix and the r(i) preference ranking."""
-    universe, rankings = _load_dataset(data, fmt, top_items, top_users)
-    h, model = _fit([r for _, r in rankings], universe.n, bandwidth)
+    grouped = ingest.group_ratings(*_selection(data, fmt, top_items, top_users))
+    universe = grouped.universe
+    h, model = _fit(grouped, universe.n, bandwidth)
     n = universe.n
     matrix = np.full((n, n), 0.5)
     off = np.nonzero(~np.eye(n, dtype=bool))  # every ordered pair i != j
-    probs = model.chain_prob(np.column_stack(off))
+    # one item has no pair: no pair event fits its universe
+    probs = model.chain_prob(np.column_stack(off)) if n > 1 else np.zeros(0)
     matrix[off] = probs
     negatives = int((probs < 0).sum())
     r_scores = (matrix.sum(axis=1) / n).tolist()
@@ -177,7 +179,7 @@ def loglik(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
     """Held-out log-likelihood: kernel vs empirical vs Mallows baseline."""
     mode = "exact-support" if kernel == "exact" else "modified"
     widths = {n_sub: _bandwidth(bandwidth, n_sub, mode) for n_sub in small_ns}
-    universe, rankings = _load_dataset(data, fmt, top_items, top_users)
+    universe, rankings = ingest.build_rankings(*_selection(data, fmt, top_items, top_users))
     if max(small_ns) > universe.n:
         raise click.UsageError(f"--n-items {max(small_ns)} exceeds the {universe.n} loaded items")
     lines = []
@@ -269,7 +271,7 @@ def predict(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
                        else loss_from_csv(loss, levels))
     except (OSError, ValueError) as exc:  # a missing file, or a matrix not over the levels
         raise click.UsageError(f"--loss {loss}: {exc}") from None
-    universe, rankings = _load_dataset(data, fmt, top_items, top_users)
+    universe, rankings = ingest.build_rankings(*_selection(data, fmt, top_items, top_users))
     train, holdout = ingest.split_users(rankings, seed, test_fraction, holdout_fraction)
     if not holdout.users:
         raise DataError("no test users with enough ranked items")
@@ -299,14 +301,15 @@ def predict(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
 def rules_cmd(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
               rule_mode, subset_size, top_t):
     """Mine association rules over the most rated items."""
-    universe, rankings = _load_dataset(data, fmt, top_items, top_users)
+    grouped = ingest.group_ratings(*_selection(data, fmt, top_items, top_users))
+    universe = grouped.universe
     subset = list(range(min(subset_size, universe.n)))
     if rule_mode == "mi" and len(subset) < 4:
         raise click.UsageError(
             f"--mode mi pairs up disjoint item pairs and needs at least 4 "
             f"subset items, got {len(subset)}"
         )
-    h, model = _fit([r for _, r in rankings], universe.n, bandwidth)
+    h, model = _fit(grouped, universe.n, bandwidth)
     if rule_mode == "mi":
         mined = rules.mine_mi_rules(model, subset, top_t)
         negatives, what = mined.negative_cells, "negative MI joint-table cells"
@@ -340,8 +343,9 @@ def rules_cmd(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
 def graph(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
           threshold, subset_size):
     """Emit the affinity graph edge list for external layout tools."""
-    universe, rankings = _load_dataset(data, fmt, top_items, top_users)
-    h, model = _fit([r for _, r in rankings], universe.n, bandwidth)
+    grouped = ingest.group_ratings(*_selection(data, fmt, top_items, top_users))
+    universe = grouped.universe
+    h, model = _fit(grouped, universe.n, bandwidth)
     subset = list(range(min(subset_size, universe.n)))
     counts = Counter()
     try:

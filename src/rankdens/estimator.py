@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .censored import expected_distance, tie_terms
+from .censored import expected_distance
 from .combinatorics import (
     CombinatoricsError,
     MahonianTable,
@@ -48,8 +48,9 @@ class EstimatorError(ValueError):
 
 def default_bandwidth(n: int) -> float:
     """n(n-1)/2: the largest possible distance, keeping modified-kernel
-    weights non-negative everywhere."""
-    return n * (n - 1) / 2.0
+    weights non-negative everywhere. At n = 1, where that distance is 0
+    and every h > 0 gives the one permutation probability 1, it is 1."""
+    return n * (n - 1) / 2.0 if n > 1 else 1.0
 
 
 @dataclass(frozen=True)
@@ -62,25 +63,62 @@ class EventProbability:
         return self.value
 
 
-def _mean_pair_factors(n: int, training: Sequence[TiedRanking]) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class GroupedRankings:
+    """m tied rankings of one universe as flat arrays. ``items`` lists the
+    ranked items, ranking by ranking in ``users`` order, each ranking's
+    groups most preferred first and each group ascending. Ranking u is
+    items[user_starts[u]:user_starts[u + 1]] and group j is
+    items[group_starts[j]:group_starts[j + 1]], at rating level
+    ``levels[j]`` (None when the rankings carry no levels)."""
+
+    universe: ItemUniverse
+    users: np.ndarray  # (m,) ids, ascending
+    items: np.ndarray
+    user_starts: np.ndarray  # (m + 1,) offsets into items
+    group_starts: np.ndarray  # (G + 1,) offsets into items
+    levels: Optional[np.ndarray] = None  # (G,)
+
+
+def _grouped(rankings: Sequence[TiedRanking]) -> GroupedRankings:
+    """The record of a sequence of rankings, numbered 0..m-1 in order."""
+    groups = [g for r in rankings for g in r.groups]
+    return GroupedRankings(
+        rankings[0].universe,
+        np.arange(len(rankings)),
+        np.fromiter(itertools.chain.from_iterable(groups), np.int64),
+        np.cumsum([0, *(r.k for r in rankings)]),
+        np.cumsum([0, *map(len, groups)]),
+    )
+
+
+def _mean_pair_factors(grouped: GroupedRankings) -> np.ndarray:
     """The n x n training mean of 1 - 2*P(x precedes y | ranking).
 
     A pair factor is -1/0/+1 when both items are ranked (x in an
     earlier/the same/a later group), x's centre g[x] (``tie_terms``) when
-    only x is ranked, -g[y] when only y is, and 0 when neither is. The one-ranked cases sum to the
-    rank-one term gtot[x] - gtot[y] once each ranking's k x k block of
-    ranked pairs subtracts its own share, so a ranking costs O(k^2).
+    only x is ranked, -g[y] when only y is, and 0 when neither is. The
+    one-ranked cases sum to the rank-one term gtot[x] - gtot[y] once each
+    ranking's k x k block of ranked pairs subtracts its own share, so a
+    ranking costs O(k^2). The blocks are added one ranking at a time, in
+    order, and gtot by one ``bincount``, which also adds in order: any
+    other grouping of the float sums would change fbar's last bits.
     """
+    n = grouped.universe.n
+    items, starts, bounds = grouped.items, grouped.user_starts, grouped.group_starts
+    sizes = np.diff(bounds)
+    owner = np.searchsorted(starts, bounds[:-1], side="right") - 1  # each group's ranking
+    k, below = np.diff(starts)[owner], bounds[:-1] - starts[owner]
+    # tie_terms' float expression, one group at a time
+    g = np.repeat(2.0 * (below + 1 + (sizes - 1) / 2.0) / (k + 1) - 1.0, sizes)
+    grp = np.repeat(np.arange(len(sizes)), sizes)
     total = np.zeros(n * n)  # flat, so a block is one fancy-indexed add
-    gtot = np.zeros(n)
-    for r in training:
-        items = np.array([x for group in r.groups for x in group])
-        grp, g = map(np.array, tie_terms(map(len, r.groups)))
-        block = np.sign(grp[:, None] - grp) - (g[:, None] - g)
-        total[(items * n)[:, None] + items] += block
-        gtot[items] += g
+    for a, b in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        x, gx, q = items[a:b], g[a:b], grp[a:b]
+        total[(x * n)[:, None] + x] += np.sign(q[:, None] - q) - (gx[:, None] - gx)
+    gtot = np.bincount(items, weights=g, minlength=n)
     total = total.reshape(n, n) + (gtot[:, None] - gtot[None, :])
-    return total / len(training)
+    return total / (len(starts) - 1)
 
 
 def _gathered_rows(flat: np.ndarray, n: int, cols: Sequence[np.ndarray]):
@@ -203,19 +241,28 @@ class KernelModel:
         }
 
 
-def fit(rankings: Sequence[TiedRanking], h: Optional[float] = None) -> KernelModel:
-    """Build the memory-based model (no training-time optimization)."""
-    if not rankings:
+def fit(
+    rankings: Sequence[TiedRanking] | GroupedRankings, h: Optional[float] = None
+) -> KernelModel:
+    """Build the memory-based model (no training-time optimization) from
+    training rankings or their grouped record."""
+    if isinstance(rankings, GroupedRankings):
+        grouped = rankings
+    else:
+        if not rankings:
+            raise EstimatorError("empty training set")
+        for r in rankings:
+            if r.universe != rankings[0].universe:
+                raise EstimatorError("training rankings must share a universe")
+        grouped = _grouped(rankings)
+    m = len(grouped.users)
+    if not m:
         raise EstimatorError("empty training set")
-    universe = rankings[0].universe
-    for r in rankings:
-        if r.universe != universe:
-            raise EstimatorError("training rankings must share a universe")
-    n = universe.n
+    n = grouped.universe.n
     if h is None:
         h = default_bandwidth(n)
     norm = triangular_normalization(n, h)
-    return KernelModel(universe, _mean_pair_factors(n, rankings), h, len(rankings), norm)
+    return KernelModel(grouped.universe, _mean_pair_factors(grouped), h, m, norm)
 
 
 def save_model(model: KernelModel, path) -> None:
@@ -300,12 +347,11 @@ def mallows_fit(
     """Exhaustive-center maximum likelihood fit at small n.
 
     The center minimizing total distance is the MLE for any positive
-    concentration; the concentration is then maximized by a bracketing
-    scalar optimizer on the profile likelihood.
+    concentration c. The profile log-likelihood -c * mean_dist - log Z(c)
+    is concave in c, with slope E_c[t] - mean_dist, which falls as c grows,
+    so c is its root in [0, max_concentration], found by bisection to
+    within 1e-6, or the end where the slope keeps one sign.
     """
-    from scipy.optimize import minimize_scalar
-    from scipy.special import logsumexp
-
     from . import oracle
 
     if not perms:
@@ -324,15 +370,29 @@ def mallows_fit(
     log_counts = np.log(table.unnormalized())  # exact integer counts, so log 1 = 0 at t = 0
     t = np.arange(table.max_distance + 1, dtype=float)
 
-    def neg_loglik(c: float) -> float:
-        return c * mean_dist + logsumexp(log_counts - c * t)
+    def log_terms(c: float) -> tuple[np.ndarray, float]:
+        """exp(log_counts - c t) scaled by exp(-top), and top, their largest log."""
+        logs = log_counts - c * t
+        top = float(logs.max())
+        return np.exp(logs - top), top
 
-    res = minimize_scalar(
-        neg_loglik, bounds=(0.0, max_concentration), method="bounded",
-        options={"xatol": 1e-6},
-    )
-    c = float(res.x)
-    return MallowsModel(center, c, float(logsumexp(log_counts - c * t)), table)
+    def rising(c: float) -> bool:
+        """Whether the profile likelihood still rises at c: E_c[t] > mean_dist."""
+        terms, _ = log_terms(c)
+        return float((terms * t).sum() / terms.sum()) > mean_dist
+
+    lo, hi = 0.0, float(max_concentration)
+    if mean_dist >= table.max_distance / 2:  # E_0[t], exact: the uniform mean distance
+        c = lo
+    elif rising(hi):
+        c = hi
+    else:
+        while hi - lo > 1e-6:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if rising(mid) else (lo, mid)
+        c = 0.5 * (lo + hi)
+    terms, top = log_terms(c)
+    return MallowsModel(center, c, top + float(np.log(terms.sum())), table)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .estimator import GroupedRankings
 from .rankings import ItemUniverse, TiedRanking
 from .recommend import PredictionSplit, make_holdout
 
@@ -124,6 +126,7 @@ def load_ratings(
         raise IngestError(f"cannot read {path}: {exc}") from exc
     cols = tuple(fmt.column(c) for c in ("user", "item", "rating"))
     rows, malformed = _parse_rows(lines, fmt.delimiter, cols)
+    del lines  # the strings outweigh the rows; free them before the sort
     total = len(rows) + malformed
     lo, hi = fmt.scale
     in_scale = (lo <= rows[:, 2]) & (rows[:, 2] <= hi)
@@ -135,9 +138,29 @@ def load_ratings(
     if not in_scale.any():
         raise IngestError(f"no usable ratings in {path}")
     rows = rows[in_scale]
-    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]  # stable: a pair's last line ends its run
-    last = np.r_[np.any(rows[1:, :2] != rows[:-1, :2], axis=1), True]
-    return RatingsTable(rows[last], fmt.scale, malformed, len(rows) - int(last.sum()))
+    order, last = _sorted_rows(rows[:, 0], rows[:, 1])  # a pair's last line ends its run
+    return RatingsTable(rows[order[last]], fmt.scale, malformed, len(rows) - int(last.sum()))
+
+
+def _sorted_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable sort of rows by int64 ``columns``, the primary first: the
+    order, and a mask over the sorted rows of each last row of a run equal
+    in every column. The sort key is one int64, the columns' offsets from
+    their minima in mixed radix, unless their spans overflow it."""
+    spans = [int(c.max()) - int(c.min()) + 1 for c in columns]
+    if math.prod(spans) < 2**63:
+        key = 0
+        for col, span in zip(columns, spans):
+            key = key * span + (col - col.min())
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        return order, np.r_[key[1:] != key[:-1], True]
+    order = np.lexsort(columns[::-1])
+    differs = np.zeros(len(order) - 1, bool)
+    for col in columns:
+        col = col[order]
+        differs |= col[1:] != col[:-1]
+    return order, np.r_[differs, True]
 
 
 def _by_count(ids: np.ndarray, min_count: int = 0) -> list[int]:
@@ -166,35 +189,52 @@ def select_users(
     return _by_count(users[np.isin(rated, items)], min_count or 0)[:top_m]
 
 
-def build_rankings(
+def group_ratings(
     table: RatingsTable,
     items: Sequence[int],
     users: Optional[Sequence[int]] = None,
-) -> tuple[ItemUniverse, list[tuple[int, TiedRanking]]]:
-    """Per-user tied rankings over the selected item universe.
+) -> GroupedRankings:
+    """Per-user tied rankings over the selected item universe, as one
+    grouped record.
 
     One group per occupied rating level, most stars first; items outside
     the selection are dropped; users with no surviving rating are skipped.
-    Output is ordered by ascending user id.
+    Users come in ascending id order.
     """
     universe = ItemUniverse(len(items), tuple(str(i) for i in items))
     user, item, level = table.ratings.T
     keep = np.isin(item, items) & (users is None or np.isin(user, users))
     if not keep.any():
-        return universe, []
+        none, zero = np.zeros(0, np.int64), np.zeros(1, np.int64)
+        return GroupedRankings(universe, none, none, zero, zero, none)
     user, item, level = user[keep], item[keep], level[keep]
     index = np.argsort(items)[np.searchsorted(np.sort(items), item)]
-    order = np.lexsort((index, -level, user))
-    user, index, level = user[order], index[order].tolist(), level[order]
+    order, _ = _sorted_rows(user, -level, index)
+    user, index, level = user[order], index[order], level[order]
     new_user = np.r_[True, user[1:] != user[:-1]]
     new_group = new_user | np.r_[True, level[1:] != level[:-1]]
-    bounds = np.flatnonzero(np.r_[new_group, True]).tolist()
+    return GroupedRankings(
+        universe, user[new_user], index,
+        np.flatnonzero(np.r_[new_user, True]), np.flatnonzero(np.r_[new_group, True]),
+        level[new_group],
+    )
+
+
+def build_rankings(
+    table: RatingsTable,
+    items: Sequence[int],
+    users: Optional[Sequence[int]] = None,
+) -> tuple[ItemUniverse, list[tuple[int, TiedRanking]]]:
+    """``group_ratings`` as (user id, ranking) pairs, by ascending user id."""
+    grouped = group_ratings(table, items, users)
+    universe, index = grouped.universe, grouped.items.tolist()
+    bounds = grouped.group_starts.tolist()
     groups = [tuple(index[a:b]) for a, b in zip(bounds, bounds[1:])]
-    labels = level[new_group].tolist()
-    firsts = [*np.flatnonzero(new_user[new_group]).tolist(), len(groups)]
+    labels = grouped.levels.tolist()
+    firsts = np.searchsorted(grouped.group_starts, grouped.user_starts).tolist()
     return universe, [
         (uid, TiedRanking(universe, tuple(groups[a:b]), tuple(labels[a:b])))
-        for uid, a, b in zip(user[new_user].tolist(), firsts, firsts[1:])
+        for uid, a, b in zip(grouped.users.tolist(), firsts, firsts[1:])
     ]
 
 

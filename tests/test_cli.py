@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from rankdens import estimator, oracle
+from rankdens import cli, estimator, ingest, oracle
 from rankdens.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _loglik_once, main
 from rankdens.combinatorics import mahonian_distribution, triangular_normalization
 from rankdens.rankings import ItemUniverse, Permutation
@@ -149,6 +149,51 @@ def test_pairs_complement_and_ranking(ratings_file, tmp_path):
     assert [int(r[0]) for r in rank_rows] == list(range(1, 9))
     scores = [float(r[2]) for r in rank_rows]
     assert scores == sorted(scores, reverse=True)
+
+
+def test_pairs_on_one_item_at_the_default_bandwidth(ratings_file, tmp_path, capsys):
+    out = tmp_path / "one.csv"
+    assert main(["pairs", "--data", str(ratings_file), "--top-items", "1",
+                 "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    _, rows = _read_csv(out)
+    assert len(rows) == 1 and rows[0][0] == rows[0][1] and float(rows[0][2]) == 0.5
+    _, rank_rows = _read_csv(tmp_path / "one.ranking.csv")
+    assert [r[0] for r in rank_rows] == ["1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["pairs"],
+    ["rules", "--mode", "mi", "--subset-size", "6"],
+    ["rules", "--mode", "lift-top2", "--subset-size", "6"],
+    ["graph", "--subset-size", "8", "--threshold", "1.0"],
+], ids=["pairs", "rules-mi", "rules-lift-top2", "graph"])
+def test_fbar_commands_write_the_bytes_of_a_ranking_fit(ratings_file, tmp_path, monkeypatch,
+                                                        argv):
+    grouped_out, rankings_out = tmp_path / "grouped" / "out.csv", tmp_path / "rankings" / "out.csv"
+    assert main([*argv, *_common(ratings_file, grouped_out)]) == EXIT_OK
+    selections, fitted = [], []
+    selection = cli._selection
+
+    def remember(*args):
+        selections.append(selection(*args))
+        return selections[-1]
+
+    def fit_rankings(grouped, n, bandwidth):
+        """cli._fit over build_rankings of the command's selection."""
+        fitted.append(grouped)
+        _, rankings = ingest.build_rankings(*selections[-1])
+        h = cli._bandwidth(bandwidth, n, "modified")
+        return h, estimator.fit([r for _, r in rankings], h=h)
+
+    monkeypatch.setattr(cli, "_selection", remember)
+    monkeypatch.setattr(cli, "_fit", fit_rankings)
+    assert main([*argv, *_common(ratings_file, rankings_out)]) == EXIT_OK
+    assert len(fitted) == 1 and isinstance(fitted[0], estimator.GroupedRankings)
+    written = sorted(p.name for p in grouped_out.parent.iterdir())
+    assert written == sorted(p.name for p in rankings_out.parent.iterdir())
+    for name in written:
+        assert (grouped_out.parent / name).read_bytes() == (rankings_out.parent / name).read_bytes()
 
 
 def test_pairs_deterministic(ratings_file, tmp_path):

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from rankdens import estimator, oracle
-from rankdens.censored import expected_kendall, pair_pref_prob
+from rankdens import estimator, ingest, oracle
+from rankdens.censored import expected_kendall, pair_pref_prob, tie_terms
 from rankdens.estimator import EstimatorError
 from rankdens.rankings import (
     ItemUniverse,
@@ -173,6 +173,15 @@ def test_fit_validation():
 
 def test_default_bandwidth():
     assert estimator.default_bandwidth(10) == 45.0
+    assert estimator.default_bandwidth(2) == 1.0
+    assert estimator.default_bandwidth(1) > 0  # n(n-1)/2 is 0 there
+
+
+def test_fit_at_the_default_bandwidth_on_one_item():
+    u = ItemUniverse(1)
+    model = estimator.fit([parse_ranking("1", u)] * 8)
+    assert model.h == estimator.default_bandwidth(1)
+    assert model.event_prob(parse_ranking("1", u)).value == 1.0
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -339,7 +348,8 @@ def test_select_bandwidth_returns_grid_member():
 
 
 def test_select_bandwidth_on_one_item_takes_the_first_valid_candidate():
-    # fit's default h is 0 at n = 1; every event has probability 1 at any h > 0
+    # h = 0 cannot normalize the kernel; at n = 1 every h > 0 gives each
+    # event probability 1, so the first valid candidate is never beaten
     u = ItemUniverse(1)
     rankings = [parse_ranking("1", u)] * 8
     assert estimator.select_bandwidth(rankings, [0.0, 2.0, 1.0], [0]) == 2.0
@@ -357,3 +367,107 @@ def test_one_ranking_model_is_the_kernel_at_the_expected_kendall_distance():
             fraction = math.exp(s.log_consistent_count() - math.lgamma(n + 1))
             want = fraction * (1.0 - expected_kendall(s, r) / h) / model.norm.normC
             assert model.event_prob(s).value == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def _per_ranking_fbar(n, training):
+    """fbar summed one TiedRanking at a time: each ranking's k x k block of
+    ranked pairs into the flat total, its centres into gtot, in order."""
+    total = np.zeros(n * n)
+    gtot = np.zeros(n)
+    for r in training:
+        items = np.array([x for group in r.groups for x in group])
+        grp, g = map(np.array, tie_terms(map(len, r.groups)))
+        block = np.sign(grp[:, None] - grp) - (g[:, None] - g)
+        total[(items * n)[:, None] + items] += block
+        gtot[items] += g
+    total = total.reshape(n, n) + (gtot[:, None] - gtot[None, :])
+    return total / len(training)
+
+
+def _as_ratings(rankings, ids):
+    """A shuffled ratings table of the rankings: ranking u is user 3u - 40,
+    item x is ids[x], and group j of G is rated G - j stars."""
+    rows = [(3 * u - 40, ids[x], len(r.groups) - j)
+            for u, r in enumerate(rankings) for j, group in enumerate(r.groups) for x in group]
+    rows = np.array(rows, np.int64).reshape(-1, 3)
+    return ingest.RatingsTable(rows[np.random.default_rng(0).permutation(len(rows))], (1, 30))
+
+
+def _fbar_both_ways(rankings):
+    """fit's fbar from the rankings and from their grouped ratings record."""
+    u = rankings[0].universe
+    ids = [1000 - 7 * x for x in range(u.n)]
+    grouped = ingest.group_ratings(_as_ratings(rankings, ids), ids)
+    by_record = estimator.fit(grouped)
+    assert by_record.m == len(rankings)
+    return estimator.fit(rankings).fbar, by_record.fbar
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 30])
+def test_fbar_is_bit_identical_to_the_per_ranking_sum(n):
+    rng = np.random.default_rng(1200 + n)
+    u = ItemUniverse(n)
+    extremes = [
+        TiedRanking(u, ((int(rng.integers(n)),),)),  # one item
+        TiedRanking(u, (tuple(range(n)),)),  # every item in one tied group
+        chain_ranking(u, rng.permutation(n).tolist()),  # a strict order of all n
+    ]
+    for _ in range(3):
+        train = _random_training(rng, u, int(rng.integers(1, 60))) + extremes
+        train = [train[i] for i in rng.permutation(len(train))]
+        want = _per_ranking_fbar(n, train)
+        for got in _fbar_both_ways(train):
+            assert np.array_equal(got, want)
+
+
+def test_fbar_is_bit_identical_to_the_per_ranking_sum_on_the_corpus(ratings_file):
+    table = ingest.load_ratings(ratings_file, ingest.FORMATS["ml100k"])
+    items = ingest.select_items(table, 53)
+    users = ingest.select_users(table, items, top_m=2000)
+    _, rankings = ingest.build_rankings(table, items, users)
+    train = [r for _, r in rankings]
+    want = _per_ranking_fbar(53, train)
+    assert np.array_equal(estimator.fit(train).fbar, want)
+    assert np.array_equal(estimator.fit(ingest.group_ratings(table, items, users)).fbar, want)
+
+
+def test_fit_rejects_an_empty_record():
+    table = ingest.RatingsTable(np.array([[1, 10, 3]]), (1, 5))
+    with pytest.raises(EstimatorError, match="empty training set"):
+        estimator.fit(ingest.group_ratings(table, [10], users=[2]))
+
+
+@pytest.mark.parametrize("n, concentration, m", [(3, 0.4, 40), (4, 1.5, 200), (5, 0.1, 25),
+                                                 (4, 4.0, 300), (6, 0.8, 60)])
+def test_mallows_concentration_maximizes_the_profile_likelihood(n, concentration, m):
+    rng = np.random.default_rng(77 + n)
+    center = Permutation(tuple(rng.permutation(n).tolist()))
+    perms = [oracle.sample_mallows(center, concentration, rng) for _ in range(m)]
+    model = estimator.mallows_fit(perms)
+    pt = oracle.perm_table(n)
+    mean_dist = np.mean(pt.dist[pt.index[model.center.order], [pt.index[p.order] for p in perms]])
+    log_counts = np.log(model.table.unnormalized())
+    t = np.arange(len(log_counts))
+
+    def profile(c):  # the mean log-likelihood at each c of a grid
+        logs = log_counts - np.multiply.outer(c, t)
+        top = logs.max(axis=1)
+        return -c * mean_dist - (top + np.log(np.exp(logs - top[:, None]).sum(axis=1)))
+
+    coarse = np.linspace(0.0, 50.0, 50001)
+    best = coarse[np.argmax(profile(coarse))]
+    fine = np.linspace(max(0.0, best - 2e-3), best + 2e-3, 4001)  # steps of 1e-6
+    best = fine[np.argmax(profile(fine))]
+    assert abs(model.concentration - best) <= 2e-6
+    assert profile(np.array([model.concentration]))[0] >= profile(fine).max() - 1e-12
+
+
+def test_mallows_concentration_at_the_ends_of_its_range():
+    n = 4
+    center = Permutation((1, 3, 0, 2))
+    assert estimator.mallows_fit([center] * 5).concentration == 50.0  # one repeated order
+    assert estimator.mallows_fit([center] * 5, max_concentration=7.5).concentration == 7.5
+    # every order once, or an order and its reverse: no pull toward any center
+    assert estimator.mallows_fit(oracle.perm_table(n).perms).concentration == 0.0
+    reverse = Permutation(center.order[::-1])
+    assert estimator.mallows_fit([center, reverse] * 4).concentration == 0.0

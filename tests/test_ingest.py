@@ -10,6 +10,7 @@ from rankdens.ingest import (
     FormatDescriptor,
     IngestError,
     build_rankings,
+    group_ratings,
     load_ratings,
     parse_format,
     select_items,
@@ -99,6 +100,49 @@ def test_build_rankings_levels(tmp_path):
     assert r5.level_labels == (4, 2)
     r6 = rankings[1][1]
     assert r6.groups == ((2,),) and r6.level_labels == (3,)
+
+
+def test_group_ratings_record(tmp_path):
+    text = "5\t10\t4\t0\n5\t11\t4\t0\n5\t12\t2\t0\n6\t12\t3\t0\n7\t99\t5\t0\n"
+    table = load_ratings(_write(tmp_path, text), FORMATS["ml100k"])
+    grouped = group_ratings(table, [12, 10, 11])
+    assert grouped.universe.labels == ("12", "10", "11")
+    assert grouped.users.tolist() == [5, 6]
+    assert grouped.items.tolist() == [1, 2, 0, 0]  # user 5: {10, 11} at 4 stars, then 12
+    assert grouped.user_starts.tolist() == [0, 3, 4]
+    assert grouped.group_starts.tolist() == [0, 2, 3, 4]
+    assert grouped.levels.tolist() == [4, 2, 3]
+    empty = group_ratings(table, [10], users=[6, 7])
+    assert (len(empty.users), empty.user_starts.tolist(), empty.group_starts.tolist()) == (
+        0, [0], [0])
+
+
+def _lexsort_dedupe(rows):
+    """(ratings, duplicates) of file-order rows by a stable two-key lexsort,
+    keeping each (user, item) pair's last row."""
+    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    last = np.r_[np.any(rows[1:, :2] != rows[:-1, :2], axis=1), True]
+    return rows[last].tolist(), len(rows) - int(last.sum())
+
+
+@pytest.mark.parametrize("users, items", [
+    ([1, 2, 3, 9], [10, 11, 12, 13, 40]),
+    ([-7, -3, 0, 5], [-20, -2, 0, 3]),
+    ([0, 2**31], [0, 2**31 - 2]),  # the largest spans whose combined key fits
+    ([0, 2**32], [0, 2**31]),  # each span fits, their product does not
+    ([0, 2**62], [-2**62, 2**62]),  # the item span alone overflows
+    ([-2**63, 2**63 - 1], [5, 6]),
+], ids=["positive", "negative", "key-fits", "key-overflows", "span-overflows", "int64-ends"])
+def test_dedupe_matches_a_lexsort_reference(tmp_path, users, items):
+    rng = np.random.default_rng(len(users) * 31 + len(items))
+    pairs = [(u, i) for u in users for i in items]
+    drawn = [pairs[k] for k in rng.integers(len(pairs), size=60)]  # repeats: duplicates
+    rows = np.array([(u, i, int(rng.integers(1, 6))) for u, i in drawn], np.int64)
+    text = "".join(f"{u}\t{i}\t{lv}\t0\n" for u, i, lv in rows.tolist())
+    table = load_ratings(_write(tmp_path, text), FORMATS["ml100k"])
+    ratings, duplicates = _lexsort_dedupe(rows)
+    assert table.duplicates == duplicates > 0
+    assert table.ratings.tolist() == ratings
 
 
 def test_split_users_deterministic(ratings_file):
