@@ -100,25 +100,43 @@ def _mean_pair_factors(grouped: GroupedRankings) -> np.ndarray:
     only x is ranked, -g[y] when only y is, and 0 when neither is. The
     one-ranked cases sum to the rank-one term gtot[x] - gtot[y] once each
     ranking's k x k block of ranked pairs subtracts its own share, so a
-    ranking costs O(k^2). The blocks are added one ranking at a time, in
+    ranking costs O(k^2). Within a ranking that block entry,
+    sign(q[x] - q[y]) - (g[x] - g[y]) for groups q, depends only on the two
+    groups, so each block is its ranking's G x G group table repeated out
+    to k x k; the tables are made a batch of rankings at a time, at most
+    n^2 entries per batch. The blocks are added one ranking at a time, in
     order, and gtot by one ``bincount``, which also adds in order: any
     other grouping of the float sums would change fbar's last bits.
     """
     n = grouped.universe.n
     items, starts, bounds = grouped.items, grouped.user_starts, grouped.group_starts
-    sizes = np.diff(bounds)
+    m, sizes = len(starts) - 1, np.diff(bounds)
     owner = np.searchsorted(starts, bounds[:-1], side="right") - 1  # each group's ranking
     k, below = np.diff(starts)[owner], bounds[:-1] - starts[owner]
     # tie_terms' float expression, one group at a time
-    g = np.repeat(2.0 * (below + 1 + (sizes - 1) / 2.0) / (k + 1) - 1.0, sizes)
-    grp = np.repeat(np.arange(len(sizes)), sizes)
+    centre = 2.0 * (below + 1 + (sizes - 1) / 2.0) / (k + 1) - 1.0
+    firsts = np.searchsorted(bounds, starts)  # each ranking's first group
+    local = np.arange(len(sizes)) - firsts[owner]  # each group's index in its ranking
+    width = int(np.diff(firsts).max(initial=1))
+    sign = np.sign(np.arange(width)[:, None] - np.arange(width))
+    step = max(1, n * n // width**2)  # rankings per batch of tables
     total = np.zeros(n * n)  # flat, so a block is one fancy-indexed add
-    for a, b in zip(starts[:-1].tolist(), starts[1:].tolist()):
-        x, gx, q = items[a:b], g[a:b], grp[a:b]
-        total[(x * n)[:, None] + x] += np.sign(q[:, None] - q) - (gx[:, None] - gx)
-    gtot = np.bincount(items, weights=g, minlength=n)
+    row = items * n  # each item's row offset in the flat total
+    for r0 in range(0, m, step):
+        r1 = min(r0 + step, m)
+        batch = slice(firsts[r0], firsts[r1])
+        c = np.zeros((r1 - r0, width))
+        c[owner[batch] - r0, local[batch]] = centre[batch]
+        tables = sign - (c[:, :, None] - c[:, None, :])
+        spans = zip(tables, starts[r0:r1].tolist(), starts[r0 + 1:r1 + 1].tolist(),
+                    firsts[r0:r1].tolist(), firsts[r0 + 1:r1 + 1].tolist())
+        for table, a, b, ga, gb in spans:
+            s = sizes[ga:gb]
+            block = table[:gb - ga, :gb - ga].repeat(s, 0).repeat(s, 1)
+            total[row[a:b, None] + items[a:b]] += block
+    gtot = np.bincount(items, weights=np.repeat(centre, sizes), minlength=n)
     total = total.reshape(n, n) + (gtot[:, None] - gtot[None, :])
-    return total / (len(starts) - 1)
+    return total / m
 
 
 def _gathered_rows(flat: np.ndarray, n: int, cols: Sequence[np.ndarray]):

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import codecs
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -87,31 +87,129 @@ def _parse_line(line: str, delimiter: str, cols) -> Optional[tuple[int, int, int
     return user, item, level
 
 
-_CHUNK = 256  # lines per loadtxt call once a whole-file call has failed
+_BLOCK = 1 << 17  # bytes parsed at a time; a block runs on to the end of its last line
+_DIGITS = 18  # a field of at most 18 digits is below 10**18 < 2**63
+_NOT_DELIMITER = b"0123456789\n\r"
+_LEAD = b"\n"  # an empty line 0 before the block: each line follows a \n
 
 
-def _parse_rows(lines: list[str], delim: str, cols) -> tuple[np.ndarray, int]:
-    """(user, item, level) rows of the non-blank lines that parse, in file
-    order, and how many do not: one ``loadtxt`` call when it reads every
-    line, else the same over chunks of ``_CHUNK`` lines, with ``_parse_line``
-    over each chunk that ``loadtxt`` rejects."""
-    # loadtxt does not strip a line: with a whitespace delimiter and an
-    # unused first column, a leading delimiter would shift the fields
-    if len(delim) == 1 and (0 in cols or not delim.isspace()):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # older numpy reads 4.5 as 4 with a warning
-                return np.loadtxt(lines, np.int64, delimiter=delim, usecols=cols, ndmin=2,
-                                  comments=None), 0
-        except (ValueError, OverflowError, Warning):
-            pass
-    if len(lines) > _CHUNK:
-        parts = [_parse_rows(lines[a:a + _CHUNK], delim, cols)
-                 for a in range(0, len(lines), _CHUNK)]
-        return np.concatenate([rows for rows, _ in parts]), sum(bad for _, bad in parts)
-    text = [line for line in map(str.strip, lines) if line]
-    good = [row for line in text if (row := _parse_line(line, delim, cols))]
-    return np.array(good, np.int64).reshape(-1, 3), len(text) - len(good)
+def _line_end(data: bytes, start: int, has_cr: bool) -> int:
+    """The offset just past the first line break (\n, \r\n or a lone \r)
+    at or after ``start``, or len(data) when there is none."""
+    nl = data.find(b"\n", start)
+    if has_cr:
+        cr = data.find(b"\r", start, len(data) if nl < 0 else nl)
+        if cr >= 0 and cr != nl - 1:
+            return cr + 1
+    return len(data) if nl < 0 else nl + 1
+
+
+def _plain_rows(text: bytes, code: int, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read the plain lines of ``text``, whole lines each ending in a \n,
+    whose delimiter is the byte ``code``. A plain line holds only digits
+    and delimiters, has enough fields, no empty field and no field of
+    ``cols`` over ``_DIGITS`` digits, so ``_parse_line`` reads it as
+    digit arithmetic does. Returns (lines, 3) int64 rows, filled on plain
+    lines only, the plain-line mask and each line's end offset."""
+    b = np.frombuffer(_LEAD + text, np.uint8)
+    newline = b == 10
+    stop = newline | (b == code)
+    digit = b - np.uint8(48)
+    bad = (digit > 9) ^ stop  # neither digit nor delimiter nor \n
+    bad[1:] |= stop[1:] & stop[:-1]  # the end of an empty field
+    digit *= ~stop  # so a number may read the stop before it as a leading zero
+    ends = np.flatnonzero(stop)  # each field's end, after line 0's
+    last = np.flatnonzero(newline[ends])  # each line's last field
+    plain = np.diff(last) > max(cols)
+    if bad.any():
+        plain[np.searchsorted(ends[last], np.flatnonzero(bad)) - 1] = False
+    rows = np.zeros((len(plain), 3), np.int64)
+    lines = np.flatnonzero(plain)
+    for j, col in enumerate(cols):
+        field = last[lines] + col  # field col of a line runs from ends[field] to ends[field + 1]
+        before, end = ends[field], ends[field + 1]
+        fits = end - before <= _DIGITS + 1
+        if not fits.all():
+            plain[lines[~fits]] = False
+            lines, before, end = lines[fits], before[fits], end[fits]
+        value = np.zeros(len(lines), np.int64)
+        for back in range(int((end - before).max(initial=1)) - 1, 0, -1):  # Horner
+            value = value * 10 + digit[np.maximum(end - back, before)]
+        rows[lines, j] = value
+    return rows, plain, ends[last[1:]] - len(_LEAD)
+
+
+def _delimiter_byte(block: bytes, sep: bytes) -> Optional[int]:
+    """The byte that stands for the delimiter ``sep`` in ``block``: sep
+    itself when it is one byte, else a byte that the block lacks. None when
+    the byte classes cannot tell sep from digits or line breaks, or when
+    the block holds every byte."""
+    if not sep or any(c in _NOT_DELIMITER for c in sep):
+        return None
+    if len(sep) == 1:
+        return sep[0]
+    return next((c for c in range(256)
+                 if c not in _NOT_DELIMITER and bytes((c,)) not in block), None)
+
+
+def _parse_block(block: bytes, delimiter: str, cols) -> tuple[np.ndarray, int]:
+    """(user, item, level) rows of the lines of ``block``, each ending in a
+    \n, that parse, in line order, and how many non-blank lines do not.
+    Plain lines are read by ``_plain_rows``; every other line is decoded on
+    its own and read by ``_parse_line``. A delimiter of several bytes is
+    first replaced by its ``_delimiter_byte``; the lines that are not plain
+    are then decoded from the original bytes."""
+    sep, text = delimiter.encode(), block
+    code = _delimiter_byte(block, sep)
+    if code is None:  # every line goes line by line
+        ends = np.flatnonzero(np.frombuffer(block, np.uint8) == 10)
+        rows, ok = np.zeros((len(ends), 3), np.int64), np.zeros(len(ends), bool)
+    else:
+        if len(sep) > 1:
+            text = block.replace(sep, bytes((code,)))
+        rows, ok, ends = _plain_rows(text, code, cols)
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    redo = np.flatnonzero(~ok & (ends > starts)).tolist()  # a line is empty in both or neither
+    if redo and text is not block:
+        ends = np.flatnonzero(np.frombuffer(block, np.uint8) == 10)
+        starts[1:] = ends[:-1] + 1
+    malformed = 0
+    for i in redo:
+        line = block[starts[i]:ends[i]].decode("utf-8", "replace").strip()
+        if line:
+            row = _parse_line(line, delimiter, cols)
+            if row:
+                rows[i], ok[i] = row, True
+            else:
+                malformed += 1
+    return (rows if ok.all() else rows[ok]), malformed
+
+
+def _parse_bytes(data: bytes, fmt: FormatDescriptor) -> tuple[np.ndarray, int]:
+    """(user, item, level) rows of the non-blank lines of a ratings file's
+    bytes that parse, in file order, and how many do not. Line breaks are
+    read as text mode reads them; a leading UTF-8 byte-order mark is
+    skipped; the file goes through ``_parse_block`` ``_BLOCK`` bytes at a
+    time, cut at line breaks, so temporaries stay the size of a block."""
+    cols = tuple(fmt.column(c) for c in ("user", "item", "rating"))
+    has_cr = b"\r" in data
+    pos = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    if fmt.header:
+        pos = _line_end(data, pos, has_cr)
+    parts, malformed = [np.zeros((0, 3), np.int64)], 0
+    while pos < len(data):
+        end = _line_end(data, pos + _BLOCK - 1, has_cr)
+        block = data[pos:end]
+        if has_cr:
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if not block.endswith(b"\n"):
+            block += b"\n"
+        rows, bad = _parse_block(block, fmt.delimiter, cols)
+        parts.append(rows)
+        malformed += bad
+        pos = end
+    return np.concatenate(parts), malformed
 
 
 def load_ratings(
@@ -120,13 +218,12 @@ def load_ratings(
     """Parse a ratings file; malformed lines are counted and tolerated up
     to the cap."""
     try:
-        with open(path, encoding="utf-8", errors="replace") as fh:
-            lines = fh.read().split("\n")[int(fmt.header):]
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
-    cols = tuple(fmt.column(c) for c in ("user", "item", "rating"))
-    rows, malformed = _parse_rows(lines, fmt.delimiter, cols)
-    del lines  # the strings outweigh the rows; free them before the sort
+    rows, malformed = _parse_bytes(data, fmt)
+    del data  # free the file's bytes before the sort
     total = len(rows) + malformed
     lo, hi = fmt.scale
     in_scale = (lo <= rows[:, 2]) & (rows[:, 2] <= hi)

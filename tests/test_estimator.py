@@ -403,21 +403,46 @@ def _fbar_both_ways(rankings):
     return estimator.fit(rankings).fbar, by_record.fbar
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 30])
+def _few_groups(rng, universe, m, levels=3):
+    """m random rankings of at most ``levels`` tied groups each, as ratings
+    give: with few groups and no ranking of every item in its own group,
+    fit makes the group tables of many rankings at once."""
+    rankings = []
+    for _ in range(m):
+        items = rng.permutation(universe.n)[:int(rng.integers(1, universe.n + 1))]
+        level = rng.integers(levels, size=len(items))
+        rankings.append(TiedRanking(universe, tuple(
+            tuple(sorted(items[level == lv].tolist())) for lv in range(levels)
+            if (level == lv).any())))
+    return rankings
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 30, 150])
 def test_fbar_is_bit_identical_to_the_per_ranking_sum(n):
     rng = np.random.default_rng(1200 + n)
     u = ItemUniverse(n)
+    few = _few_groups(rng, u, 60)
+    for got in _fbar_both_ways(few):
+        assert np.array_equal(got, _per_ranking_fbar(n, few))
     extremes = [
         TiedRanking(u, ((int(rng.integers(n)),),)),  # one item
         TiedRanking(u, (tuple(range(n)),)),  # every item in one tied group
         chain_ranking(u, rng.permutation(n).tolist()),  # a strict order of all n
     ]
+    if n == 150:  # groups that are not rating levels: G = k up to n, and 1 or k groups
+        extremes += [chain_ranking(u, rng.permutation(n).tolist()) for _ in range(4)]
+        for k in (2, 17, 90):
+            items = rng.permutation(n)[:k].tolist()
+            extremes += [TiedRanking(u, (tuple(sorted(items)),)), chain_ranking(u, items)]
     for _ in range(3):
         train = _random_training(rng, u, int(rng.integers(1, 60))) + extremes
         train = [train[i] for i in rng.permutation(len(train))]
         want = _per_ranking_fbar(n, train)
         for got in _fbar_both_ways(train):
             assert np.array_equal(got, want)
+        record = estimator._grouped(train)
+        assert record.levels is None
+        assert np.array_equal(estimator._mean_pair_factors(record), want)
 
 
 def test_fbar_is_bit_identical_to_the_per_ranking_sum_on_the_corpus(ratings_file):

@@ -1,4 +1,3 @@
-import warnings
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -193,21 +192,25 @@ def test_load_ratings_ml1m_and_csv_header(tmp_path):
     assert (table.malformed, table.duplicates) == (1, 1)
 
 
-def test_loadtxt_that_warns_falls_back_to_the_per_line_parser(tmp_path, monkeypatch):
-    real = np.loadtxt
-
-    def old_numpy_loadtxt(lines, *args, **kwargs):  # numpy 1.23-1.x read 4.5 as 4
-        if any(".5" in line for line in lines):
-            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
-                          DeprecationWarning)
-            lines = [line.replace(".5", "") for line in lines]
-        return real(lines, *args, **kwargs)
-
-    monkeypatch.setattr(np, "loadtxt", old_numpy_loadtxt)
-    path = _write(tmp_path, "1\t10\t4.5\t0\n1\t11\t3\t0\n")
+def test_fractional_level_is_malformed_and_a_whole_float_level_reads_as_an_int(tmp_path):
+    path = _write(tmp_path, "1\t10\t4.5\t0\n1\t11\t4.0\t0\n1\t12\t3\t0\n")
     table = load_ratings(path, FORMATS["ml100k"], error_rate_cap=1.0)
-    assert table.ratings.tolist() == [[1, 11, 3]]
+    assert table.ratings.tolist() == [[1, 11, 4], [1, 12, 3]]
     assert table.malformed == 1
+
+
+def test_utf8_byte_order_mark_is_skipped(tmp_path):
+    rng = np.random.default_rng(7)
+    text = "".join(f"{u}\t{i}\t{rng.integers(1, 6)}\t{u}\n"
+                   for u in range(1, 81) for i in rng.choice(np.arange(1, 11), 6, replace=False))
+    plain = tmp_path / "plain.data"
+    plain.write_bytes(text.encode())
+    marked = tmp_path / "bom.data"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    want, got = load_ratings(plain, FORMATS["ml100k"]), load_ratings(marked, FORMATS["ml100k"])
+    assert len(want.ratings) == 480
+    assert got.ratings.tolist() == want.ratings.tolist()
+    assert (got.malformed, got.duplicates) == (0, 0)
 
 
 # The per-line semantics the columnar loader must keep: every line is
@@ -262,7 +265,8 @@ def _ranked(counts):
 
 def _dirty_file(path, rng, fmt, kinds):
     """Lines of the given kinds over a small (user, item) pool, so that
-    duplicates span chunks that loadtxt reads and chunks read line by line."""
+    duplicates span blocks, and lines read by digit arithmetic and lines
+    read one at a time."""
     d = fmt.delimiter
     lines = ["user" + d + "item" + d + "rating"] if fmt.header else []
     for _ in range(int(rng.integers(20, 120))):
@@ -311,10 +315,11 @@ def _dirty_file(path, rng, fmt, kinds):
 ], ids=["ml100k", "ml1m", "csv-header", "csv-permuted", "tab-unused-first"])
 def test_columnar_ingest_matches_per_line_reference(tmp_path, monkeypatch, fmt):
     rng = np.random.default_rng(20101)
-    readable = [0] * 20 + [2, 3, 5, 8, 9, 10]  # one loadtxt call may take all of these
-    mixes = [readable, readable + [11], [0, 0, 0, *range(12)]]
+    plain = [0] * 20 + [5, 10]  # digits and delimiters only, or blank
+    mixes = [plain + [2, 3, 8, 9], plain + [2, 3, 8, 9, 11], [0, 0, 0, *range(12)]]
     for trial in range(18):
-        monkeypatch.setattr(ingest, "_CHUNK", (256, 7)[trial % 2])  # 7: many chunks per file
+        # 12 bytes: most blocks hold a line or two, so duplicates span blocks
+        monkeypatch.setattr(ingest, "_BLOCK", (ingest._BLOCK, 12)[trial % 2])
         path = _dirty_file(tmp_path / f"r{trial}.txt", rng, fmt, mixes[trial % 3])
         ratings, malformed, duplicates = _reference_load(path, fmt)
         table = load_ratings(path, fmt, error_rate_cap=1.0)
@@ -330,3 +335,54 @@ def test_columnar_ingest_matches_per_line_reference(tmp_path, monkeypatch, fmt):
         _, rankings = build_rankings(table, items, users)
         assert [(u, r.groups, r.level_labels) for u, r in rankings] == _reference_rankings(
             ratings, items, set(users))
+
+
+# Files at the edges of the byte parser: long and signed fields, bytes that
+# are not UTF-8, line ends, blank lines, leading delimiters, and a "::" file
+# that already holds the byte standing in for its delimiter.
+_ML100K, _ML1M = FORMATS["ml100k"], FORMATS["ml1m"]
+_HEADER = parse_format("csv:,:user,item,rating:1-5:header")
+_SPACED = parse_format("csv: :user,item,rating:1-5")
+_EDGES = {
+    "digits-18-19-20": (_ML100K, b"123456789012345678\t10\t5\t0\n"
+                        b"1234567890123456789\t10\t4\t0\n"
+                        b"12345678901234567890\t10\t3\t0\n"
+                        b"7\t000000000000000011\t2\t0\n"
+                        b"7\t12\t0000000000000000003\t0\n"
+                        b"7\t13\t3\t123456789012345678901234567890\n"),
+    "int64-ends": (_ML100K, b"9223372036854775807\t-9223372036854775807\t5\t0\n"
+                   b"-9223372036854775807\t9223372036854775807\t4\t0\n"
+                   b"9223372036854775808\t1\t4\t0\n1\t2\t3\t0\n"),
+    "invalid-utf8": (_ML100K, b"1\t10\t5\t\xff\xfe\n\xff1\t11\t4\t0\n1\t12\xc3\t3\t0\n"
+                     b"2\t10\t\xe2\x82\n2\t11\t2\t0\xe2\x82\n2\t12\t1\t0\n"),
+    "lone-cr": (_ML100K, b"1\t10\t5\t0\r2\t10\t4\t0\r\n3\t11\t2\t0\r\r\n1\t10\t1\t0\r"),
+    "whitespace-lines": (_ML100K, b"   \n\t\t\n \r\n1\t10\t5\t0\n\x0b\x0c\n\xc2\xa0\n2\t10\t3\t0\n"),
+    "leading-tab": (FormatDescriptor("\t", ("user", "item", "rating", "timestamp"), False, (1, 5)),
+                    b"\t1\t10\t5\t0\n1\t11\t4\t0\t\n\t\t2\t10\t3\n2\t\t11\t3\n"),
+    "leading-space": (_SPACED, b" 1 10 5\n1 11 4 \n  2 10 3\n2  11 3\n3 10 2 extra\n"),
+    "no-final-newline": (_ML100K, b"1\t10\t5\t0\n2\t11\t3\t0"),
+    "empty": (_ML100K, b""),
+    "header-only": (_HEADER, b"user,item,rating\n"),
+    "header-no-newline": (_HEADER, b"user,item,rating"),
+    "ml1m-substitute-present": (_ML1M, bytes(range(9)) + b"\n1::10::5::" + bytes(range(9))
+                                + b"\n1::11::4\x00::0\n2:::10::3::0\n2::10::3::0::\n"
+                                + b"3::10::2::0\n4\x0010::5::0\n"),
+    "ml1m-every-byte": (_ML1M, bytes(range(256)) + b"\n1::10::5::0\n2::10::4::0\n"),
+}
+
+
+@pytest.mark.parametrize("block", [ingest._BLOCK, 1])
+@pytest.mark.parametrize("case", list(_EDGES))
+def test_byte_parser_edge_cases_match_per_line_reference(tmp_path, monkeypatch, case, block):
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    fmt, data = _EDGES[case]
+    path = tmp_path / "edge.data"
+    path.write_bytes(data)
+    ratings, malformed, duplicates = _reference_load(path, fmt)
+    if not ratings:
+        with pytest.raises(IngestError):
+            load_ratings(path, fmt, error_rate_cap=1.0)
+        return
+    table = load_ratings(path, fmt, error_rate_cap=1.0)
+    assert table.ratings.tolist() == [[u, i, lv] for (u, i), lv in sorted(ratings.items())]
+    assert (table.malformed, table.duplicates) == (malformed, duplicates)
