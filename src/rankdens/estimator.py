@@ -103,10 +103,9 @@ def _mean_pair_factors(grouped: GroupedRankings) -> np.ndarray:
     ranking costs O(k^2). Within a ranking that block entry,
     sign(q[x] - q[y]) - (g[x] - g[y]) for groups q, depends only on the two
     groups, so each block is its ranking's G x G group table repeated out
-    to k x k; the tables are made a batch of rankings at a time, at most
-    n^2 entries per batch. The blocks are added one ranking at a time, in
-    order, and gtot by one ``bincount``, which also adds in order: any
-    other grouping of the float sums would change fbar's last bits.
+    to k x k. The blocks are added one ranking at a time, in order, and
+    gtot by one ``bincount``, which also adds in order: any other grouping
+    of the float sums would change fbar's last bits.
     """
     n = grouped.universe.n
     items, starts, bounds = grouped.items, grouped.user_starts, grouped.group_starts
@@ -116,24 +115,15 @@ def _mean_pair_factors(grouped: GroupedRankings) -> np.ndarray:
     # tie_terms' float expression, one group at a time
     centre = 2.0 * (below + 1 + (sizes - 1) / 2.0) / (k + 1) - 1.0
     firsts = np.searchsorted(bounds, starts)  # each ranking's first group
-    local = np.arange(len(sizes)) - firsts[owner]  # each group's index in its ranking
-    width = int(np.diff(firsts).max(initial=1))
+    width = int(np.diff(firsts).max(initial=1))  # the most groups in one ranking
     sign = np.sign(np.arange(width)[:, None] - np.arange(width))
-    step = max(1, n * n // width**2)  # rankings per batch of tables
     total = np.zeros(n * n)  # flat, so a block is one fancy-indexed add
     row = items * n  # each item's row offset in the flat total
-    for r0 in range(0, m, step):
-        r1 = min(r0 + step, m)
-        batch = slice(firsts[r0], firsts[r1])
-        c = np.zeros((r1 - r0, width))
-        c[owner[batch] - r0, local[batch]] = centre[batch]
-        tables = sign - (c[:, :, None] - c[:, None, :])
-        spans = zip(tables, starts[r0:r1].tolist(), starts[r0 + 1:r1 + 1].tolist(),
-                    firsts[r0:r1].tolist(), firsts[r0 + 1:r1 + 1].tolist())
-        for table, a, b, ga, gb in spans:
-            s = sizes[ga:gb]
-            block = table[:gb - ga, :gb - ga].repeat(s, 0).repeat(s, 1)
-            total[row[a:b, None] + items[a:b]] += block
+    starts, firsts = starts.tolist(), firsts.tolist()
+    for a, b, ga, gb in zip(starts, starts[1:], firsts, firsts[1:]):
+        s, c = sizes[ga:gb], centre[ga:gb]
+        table = sign[:gb - ga, :gb - ga] - (c[:, None] - c)
+        total[row[a:b, None] + items[a:b]] += table.repeat(s, 0).repeat(s, 1)
     gtot = np.bincount(items, weights=np.repeat(centre, sizes), minlength=n)
     total = total.reshape(n, n) + (gtot[:, None] - gtot[None, :])
     return total / m

@@ -139,43 +139,23 @@ def _plain_rows(text: bytes, code: int, cols) -> tuple[np.ndarray, np.ndarray, n
     return rows, plain, ends[last[1:]] - len(_LEAD)
 
 
-def _delimiter_byte(block: bytes, sep: bytes) -> Optional[int]:
-    """The byte that stands for the delimiter ``sep`` in ``block``: sep
-    itself when it is one byte, else a byte that the block lacks. None when
-    the byte classes cannot tell sep from digits or line breaks, or when
-    the block holds every byte."""
-    if not sep or any(c in _NOT_DELIMITER for c in sep):
-        return None
-    if len(sep) == 1:
-        return sep[0]
-    return next((c for c in range(256)
-                 if c not in _NOT_DELIMITER and bytes((c,)) not in block), None)
-
-
 def _parse_block(block: bytes, delimiter: str, cols) -> tuple[np.ndarray, int]:
     """(user, item, level) rows of the lines of ``block``, each ending in a
     \n, that parse, in line order, and how many non-blank lines do not.
     Plain lines are read by ``_plain_rows``; every other line is decoded on
-    its own and read by ``_parse_line``. A delimiter of several bytes is
-    first replaced by its ``_delimiter_byte``; the lines that are not plain
-    are then decoded from the original bytes."""
-    sep, text = delimiter.encode(), block
-    code = _delimiter_byte(block, sep)
-    if code is None:  # every line goes line by line
+    its own and read by ``_parse_line``. So is every line when the
+    delimiter is not one byte that the byte classes tell from digits and
+    line breaks, as ``ml1m``'s ``::`` is not."""
+    sep = delimiter.encode()
+    if len(sep) != 1 or sep in _NOT_DELIMITER:  # every line goes line by line
         ends = np.flatnonzero(np.frombuffer(block, np.uint8) == 10)
         rows, ok = np.zeros((len(ends), 3), np.int64), np.zeros(len(ends), bool)
     else:
-        if len(sep) > 1:
-            text = block.replace(sep, bytes((code,)))
-        rows, ok, ends = _plain_rows(text, code, cols)
+        rows, ok, ends = _plain_rows(block, sep[0], cols)
     starts = np.zeros_like(ends)
     starts[1:] = ends[:-1] + 1
-    redo = np.flatnonzero(~ok & (ends > starts)).tolist()  # a line is empty in both or neither
-    if redo and text is not block:
-        ends = np.flatnonzero(np.frombuffer(block, np.uint8) == 10)
-        starts[1:] = ends[:-1] + 1
     malformed = 0
-    for i in redo:
+    for i in np.flatnonzero(~ok & (ends > starts)).tolist():
         line = block[starts[i]:ends[i]].decode("utf-8", "replace").strip()
         if line:
             row = _parse_line(line, delimiter, cols)

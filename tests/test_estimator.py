@@ -404,9 +404,7 @@ def _fbar_both_ways(rankings):
 
 
 def _few_groups(rng, universe, m, levels=3):
-    """m random rankings of at most ``levels`` tied groups each, as ratings
-    give: with few groups and no ranking of every item in its own group,
-    fit makes the group tables of many rankings at once."""
+    """m random rankings of at most ``levels`` tied groups each, as ratings give."""
     rankings = []
     for _ in range(m):
         items = rng.permutation(universe.n)[:int(rng.integers(1, universe.n + 1))]

@@ -338,9 +338,8 @@ def test_columnar_ingest_matches_per_line_reference(tmp_path, monkeypatch, fmt):
 
 
 # Files at the edges of the byte parser: long and signed fields, bytes that
-# are not UTF-8, line ends, blank lines, leading delimiters, and a "::" file
-# that already holds the byte standing in for its delimiter.
-_ML100K, _ML1M = FORMATS["ml100k"], FORMATS["ml1m"]
+# are not UTF-8, line ends, blank lines and leading delimiters.
+_ML100K = FORMATS["ml100k"]
 _HEADER = parse_format("csv:,:user,item,rating:1-5:header")
 _SPACED = parse_format("csv: :user,item,rating:1-5")
 _EDGES = {
@@ -364,10 +363,6 @@ _EDGES = {
     "empty": (_ML100K, b""),
     "header-only": (_HEADER, b"user,item,rating\n"),
     "header-no-newline": (_HEADER, b"user,item,rating"),
-    "ml1m-substitute-present": (_ML1M, bytes(range(9)) + b"\n1::10::5::" + bytes(range(9))
-                                + b"\n1::11::4\x00::0\n2:::10::3::0\n2::10::3::0::\n"
-                                + b"3::10::2::0\n4\x0010::5::0\n"),
-    "ml1m-every-byte": (_ML1M, bytes(range(256)) + b"\n1::10::5::0\n2::10::4::0\n"),
 }
 
 
