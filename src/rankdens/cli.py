@@ -119,18 +119,23 @@ def cli():
 @click.option("--out", required=True, type=click.Path())
 def normtable(sizes, bandwidths, out):
     """Emit the tau-distance mass table and C(h) normalizations as CSV."""
-    lines = []
     try:
-        for n in sizes:
-            table = mahonian_distribution(n)
-            lines += [f"{n},g,{t},{mass!r}\n" for t, mass in enumerate(table.mass.tolist())]
-            for h in bandwidths:
-                norm = triangular_normalization(n, h, "exact-support", table)
-                lines.append(f"{n},normC,{h},{norm.normC!r}\n")
+        tables = [mahonian_distribution(n) for n in sizes]
+        norms = [[triangular_normalization(table.n, h, "exact-support", table) for h in bandwidths]
+                 for table in tables]
     except CombinatoricsError as exc:
         raise click.UsageError(str(exc)) from None
+
+    def lines():  # the table is a palindrome: each value of the lower half is written twice
+        for table, row in zip(tables, norms):
+            n, top = table.n, table.max_distance
+            half = [repr(mass) for mass in table.mass[: top // 2 + 1].tolist()]
+            yield from (f"{n},g,{t},{value}\n" for t, value in enumerate(half))
+            yield from (f"{n},g,{t},{half[top - t]}\n" for t in range(top // 2 + 1, top + 1))
+            yield from (f"{n},normC,{norm.h},{norm.normC!r}\n" for norm in row)
+
     config = {"cmd": "normtable", "n": list(sizes), "h": list(bandwidths)}
-    _write_csv(Path(out), config, ("n", "kind", "index", "value"), lines)
+    _write_csv(Path(out), config, ("n", "kind", "index", "value"), lines())
 
 
 @cli.command()

@@ -71,21 +71,27 @@ def mahonian_distribution(n: int) -> MahonianTable:
 
     Incremental recursion with a sliding-window prefix sum: extending from
     j-1 to j items convolves with a length-j uniform window, O(1) per
-    coefficient, O(n^3) total. With cs the cumulative sum of the L old
-    coefficients, the window sum at t is cs[min(t, L-1)] - cs[t-j] (t >= j):
-    cs padded with its last value, less cs shifted right by j; no gathers.
+    coefficient, O(n^3) total. Every table is a palindrome, so only the
+    lower half t <= top//2 is kept: the old half, run past its middle by its
+    own mirror, gives the prefix sums cs, and the new half is
+    cs[t] - cs[t-j] (t >= j). Each entry is then a difference of lower-tail
+    sums, with no cancellation near 1, and the table is mirrored once at
+    the end, so it is exactly palindromic.
     """
     if n < 1:
         raise CombinatoricsError("n must be >= 1")
-    g = np.ones(1)
+    g, top = np.ones(1), 0
     for j in range(2, n + 1):
-        cs = np.cumsum(g)
-        g = np.empty(len(cs) + j - 1)
-        g[: len(cs)] = cs
-        g[len(cs):] = cs[-1]
-        g[j:] -= cs[:-1]
+        size = (top + j - 1) // 2 + 1
+        cs = np.empty(size)
+        cs[: len(g)] = g
+        cs[len(g):] = g[top - size + 1 : (top + 1) // 2][::-1]  # g[top - t] for t > top//2
+        np.cumsum(cs, out=cs)
+        g = cs.copy()
+        g[j:] -= cs[:-j]
         g /= j
-    return MahonianTable(n, g)
+        top += j - 1
+    return MahonianTable(n, np.concatenate((g, g[: (top + 1) // 2][::-1])))
 
 
 @dataclass(frozen=True)

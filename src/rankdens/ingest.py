@@ -139,13 +139,13 @@ def _plain_rows(text: bytes, code: int, cols) -> tuple[np.ndarray, np.ndarray, n
     return rows, plain, ends[last[1:]] - len(_LEAD)
 
 
-def _parse_block(block: bytes, delimiter: str, cols) -> tuple[np.ndarray, int]:
+def _parse_block(block: bytes, delimiter: str, cols, scale) -> tuple[np.ndarray, int]:
     """(user, item, level) rows of the lines of ``block``, each ending in a
-    \n, that parse, in line order, and how many non-blank lines do not.
-    Plain lines are read by ``_plain_rows``; every other line is decoded on
-    its own and read by ``_parse_line``. So is every line when the
-    delimiter is not one byte that the byte classes tell from digits and
-    line breaks, as ``ml1m``'s ``::`` is not."""
+    \n, that parse to a level on ``scale``, in line order, and how many
+    non-blank lines do not. Plain lines are read by ``_plain_rows``; every
+    other line is decoded on its own and read by ``_parse_line``. So is
+    every line when the delimiter is not one byte that the byte classes
+    tell from digits and line breaks, as ``ml1m``'s ``::`` is not."""
     sep = delimiter.encode()
     if len(sep) != 1 or sep in _NOT_DELIMITER:  # every line goes line by line
         ends = np.flatnonzero(np.frombuffer(block, np.uint8) == 10)
@@ -163,15 +163,20 @@ def _parse_block(block: bytes, delimiter: str, cols) -> tuple[np.ndarray, int]:
                 rows[i], ok[i] = row, True
             else:
                 malformed += 1
+    lo, hi = scale
+    on_scale = (lo <= rows[:, 2]) & (rows[:, 2] <= hi)
+    malformed += int(np.count_nonzero(ok & ~on_scale))
+    ok &= on_scale
     return (rows if ok.all() else rows[ok]), malformed
 
 
 def _parse_bytes(data: bytes, fmt: FormatDescriptor) -> tuple[np.ndarray, int]:
     """(user, item, level) rows of the non-blank lines of a ratings file's
-    bytes that parse, in file order, and how many do not. Line breaks are
-    read as text mode reads them; a leading UTF-8 byte-order mark is
-    skipped; the file goes through ``_parse_block`` ``_BLOCK`` bytes at a
-    time, cut at line breaks, so temporaries stay the size of a block."""
+    bytes that parse to a level on the format's scale, in file order, and
+    how many do not. Line breaks are read as text mode reads them; a
+    leading UTF-8 byte-order mark is skipped; the file goes through
+    ``_parse_block`` ``_BLOCK`` bytes at a time, cut at line breaks, so
+    temporaries stay the size of a block."""
     cols = tuple(fmt.column(c) for c in ("user", "item", "rating"))
     has_cr = b"\r" in data
     pos = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
@@ -185,7 +190,7 @@ def _parse_bytes(data: bytes, fmt: FormatDescriptor) -> tuple[np.ndarray, int]:
             block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         if not block.endswith(b"\n"):
             block += b"\n"
-        rows, bad = _parse_block(block, fmt.delimiter, cols)
+        rows, bad = _parse_block(block, fmt.delimiter, cols, fmt.scale)
         parts.append(rows)
         malformed += bad
         pos = end
@@ -195,8 +200,8 @@ def _parse_bytes(data: bytes, fmt: FormatDescriptor) -> tuple[np.ndarray, int]:
 def load_ratings(
     path, fmt: FormatDescriptor, error_rate_cap: float = 0.05
 ) -> RatingsTable:
-    """Parse a ratings file; malformed lines are counted and tolerated up
-    to the cap."""
+    """Parse a ratings file; malformed lines, a level off the scale among
+    them, are counted and tolerated up to the cap."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -205,16 +210,12 @@ def load_ratings(
     rows, malformed = _parse_bytes(data, fmt)
     del data  # free the file's bytes before the sort
     total = len(rows) + malformed
-    lo, hi = fmt.scale
-    in_scale = (lo <= rows[:, 2]) & (rows[:, 2] <= hi)
-    malformed += len(rows) - int(in_scale.sum())
     if total and malformed / total > error_rate_cap:
         raise IngestError(
             f"{malformed}/{total} malformed lines exceeds cap {error_rate_cap}"
         )
-    if not in_scale.any():
+    if not len(rows):
         raise IngestError(f"no usable ratings in {path}")
-    rows = rows[in_scale]
     order, last = _sorted_rows(rows[:, 0], rows[:, 1])  # a pair's last line ends its run
     return RatingsTable(rows[order[last]], fmt.scale, malformed, len(rows) - int(last.sum()))
 

@@ -57,6 +57,21 @@ def test_normtable_bytes_match_the_row_tuple_writer(tmp_path):
     assert out.read_text() == want
 
 
+def test_normtable_upper_half_is_exact(tmp_path):
+    out = tmp_path / "norm.csv"
+    assert main(["normtable", "--n", "5", "--bandwidth", "2", "--out", str(out)]) == EXIT_OK
+    assert "5,g,7,0.125\n" in out.read_text()  # 15/120
+
+
+def test_normtable_non_positive_normalization_writes_no_file(tmp_path, capsys):
+    # count/250! underflows to 0 at every distance below 7.5, and so does C(h)/n!
+    out = tmp_path / "norm.csv"
+    assert main(["normtable", "--n", "250", "--bandwidth", "7.5", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: non-positive normalization") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_usage_and_data_exit_codes(tmp_path):
     assert main(["pairs"]) == EXIT_USAGE
     missing = tmp_path / "nope.data"

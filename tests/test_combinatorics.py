@@ -53,35 +53,59 @@ def test_mahonian_matches_permutation_histogram():
         assert mahonian_distribution(n).unnormalized().tolist() == counts.tolist()
 
 
+def _exact_counts(n):
+    """Coefficients of prod_{j=1}^{n-1} (1 + z + ... + z^j) in Python ints:
+    each step sums a length-j window of the old coefficients."""
+    counts = [1]
+    for j in range(2, n + 1):
+        prefix = list(itertools.accumulate(counts, initial=0))
+        counts = [prefix[min(t + 1, len(counts))] - prefix[max(t + 1 - j, 0)]
+                  for t in range(len(counts) + j - 1)]
+    return counts
+
+
 @pytest.mark.parametrize("n", [2, 5, 20, 100])
 def test_mahonian_invariants(n):
     table = mahonian_distribution(n)
     mass = table.mass
     assert len(mass) == table.max_distance + 1
     assert abs(mass.sum() - 1.0) < 1e-12
-    # symmetry measured against the distribution's scale: tail coefficients
-    # are ~1e-19 where elementwise relative error is meaningless
-    assert np.max(np.abs(mass - mass[::-1])) < 1e-9 * mass.max()
+    assert np.array_equal(mass, mass[::-1])
     mean = float(np.arange(len(mass)) @ mass)
     assert abs(mean - n * (n - 1) / 4) / (n * (n - 1) / 4) < 1e-9
 
 
 def _gather_mahonian(n):
-    """The recursion as first written: each window sum gathered through
-    clipped index arrays into a zero-padded cumulative sum."""
-    g = np.ones(1)
+    """The half-table recursion written with gathers: the old half read past
+    its middle through the mirrored index min(t, top - t), each window sum
+    gathered through clipped indexes into a zero-padded cumulative sum."""
+    g, top = np.ones(1), 0
     for j in range(2, n + 1):
-        length = len(g) + j - 1
-        cs = np.concatenate(([0.0], np.cumsum(g)))
-        hi = np.minimum(np.arange(1, length + 1), len(g))
-        lo = np.maximum(np.arange(1, length + 1) - j, 0)
-        g = (cs[hi] - cs[lo]) / j
-    return g
+        t = np.arange((top + j - 1) // 2 + 1)
+        cs = np.concatenate(([0.0], np.cumsum(g[np.minimum(t, top - t)])))
+        g = (cs[t + 1] - cs[np.maximum(t + 1 - j, 0)]) / j
+        top += j - 1
+    t = np.arange(top + 1)
+    return g[np.minimum(t, top - t)]
 
 
 @pytest.mark.parametrize("n", [*range(1, 61), 250])
 def test_mahonian_is_bit_identical_to_the_gather_recursion(n):
     assert np.array_equal(mahonian_distribution(n).mass, _gather_mahonian(n))
+
+
+@pytest.mark.parametrize("n", [*range(1, 61), 150])
+def test_mahonian_matches_exact_counts(n):
+    mass = mahonian_distribution(n).mass
+    factorial = math.factorial(n)
+    want = np.array([count / factorial for count in _exact_counts(n)])  # correctly rounded
+    assert np.all(np.abs(mass - want) <= 1e-14 * want)
+    assert np.array_equal(mass, mass[::-1])
+
+
+def test_unnormalized_is_exact_up_to_n18():
+    for n in range(1, 19):
+        assert mahonian_distribution(n).unnormalized().tolist() == _exact_counts(n)
 
 
 def test_unnormalized_guard():
