@@ -59,28 +59,35 @@ def expected_distance(n: int, sizes: Sequence[int], rows, rowsums):
     return n * (n - 1) / 4.0 - 0.5 * inner
 
 
-def insertion_distances(F, e: TiedRanking, items, insertions):
-    """``expected_distance`` to the n x n pair-factor matrix F of the event e
-    with one more item z inserted: (B, L) for the B ``items`` z and L
-    insertions, each (the group sizes after it, z's group index).
+def insertion_distances(F, ranked, grp, items, owner, gz, joins):
+    """``expected_distance`` to the n x n pair-factor matrix F of R events e
+    with one more item z inserted, (B, L): each event ranks k items, listed
+    in group order in ``ranked`` (R, k) with their group indices ``grp``;
+    z = items[b] goes into event owner[b] in L ways, the l-th joining group
+    gz[r, l] if joins[r, l] and opening a singleton group just before it if not.
     By linearity, with g' the centres after the insertion, R F's row sums,
     f_G = sum_{a in G} F[z, a] and T_G = sum_{a in G} (R_a - sum_{b in e} F[a, b]):
     inner(e+z) = inner_ordered(e) + sum_{G before z} f_G - sum_{G after z} f_G
-    + sum_G g'_G (T_G + f_G) + g'_z (R_z - sum_G f_G); O(k^2 + B k L).
+    + sum_G g'_G (T_G + f_G) + g'_z (R_z - sum_G f_G); O(R k^2 + B k L). Each
+    sum over k items runs as for one event alone, so no value depends on the
+    other events in the call.
     """
-    ranked = [x for group in e.groups for x in group]
-    rows, zrows = F[np.ix_(ranked, ranked)], F[np.ix_(items, ranked)]
-    grp = np.array(tie_terms(map(len, e.groups))[0])
-    ordered = -rows[grp[:, None] < grp].sum()
-    outside = F[ranked].sum(axis=1) - rows.sum(axis=1)
-    terms = []
-    for sizes, gz in insertions:
-        new_grp, centre = map(np.array, tie_terms(sizes))
-        at = sum(sizes[:gz])  # a place in z's group; e's items fill the others
-        new_grp, centre, cz = np.delete(new_grp, at), np.delete(centre, at), centre[at]
-        terms.append((np.sign(gz - new_grp) + centre - cz, ordered + centre @ outside, cz))
-    coef, const, zcoef = map(np.array, zip(*terms))
-    inner = const + np.outer(F[items].sum(axis=1), zcoef) + (zrows[:, None] * coef).sum(axis=2)
+    k = ranked.shape[1]
+    pairs = grp[:, :, None] - grp[:, None, :]
+    rows, zrows = F[ranked[:, :, None], ranked[:, None, :]], F[items[:, None], ranked[owner]]
+    ordered = [-block[ahead].sum() for block, ahead in zip(rows, pairs < 0)]
+    outside = F[ranked].sum(axis=2) - rows.sum(axis=2)
+    # tie_terms' centres after the insertion, z's own place dropped
+    below, size = (pairs > 0).sum(2)[:, None], (pairs == 0).sum(2)[:, None]
+    g, p, j = grp[:, None, :], gz[:, :, None], joins[:, :, None]
+    after, joined = (g > p) | (g == p) & ~j, (g == p) & j  # z's group is before, or is, the item's
+    centre = 2.0 * (below + after + 1 + (size + joined - 1) / 2.0) / (k + 2) - 1.0
+    cz = 2.0 * ((g < p).sum(2) + 1 + joined.sum(2) / 2.0) / (k + 2) - 1.0
+    coef = np.sign(p - (g + after)) + centre - cz[:, :, None]
+    # one 1-D dot per (event, insertion): a stacked product changes the last bits
+    const = np.array([[o + c @ out for c in cs] for o, cs, out in zip(ordered, centre, outside)])
+    zsums = (zrows[:, None] * coef[owner]).sum(axis=2)
+    inner = const[owner] + F[items].sum(axis=1)[:, None] * cz[owner] + zsums
     return len(F) * (len(F) - 1) / 4.0 - 0.5 * inner
 
 

@@ -17,7 +17,7 @@ from .combinatorics import CombinatoricsError, mahonian_distribution, triangular
 from .rankings import (
     ItemUniverse, Permutation, RankingError, format_ranking, parse_ranking, project_ranking,
 )
-from .recommend import builtin_loss, loss_from_csv, posterior_predictor, evaluate_prediction
+from .recommend import builtin_loss, loss_from_csv, posterior_loss
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -282,9 +282,7 @@ def predict(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
         raise DataError("no test users with enough ranked items")
     h, model = _fit(train, universe.n, bandwidth)
     counts = Counter()
-    mean_loss = evaluate_prediction(
-        posterior_predictor(model, loss_matrix, counts), holdout, loss_matrix
-    )
+    mean_loss = posterior_loss(model, holdout, loss_matrix, counts)
     config = {"cmd": "predict", "data": str(data), "sha256": _sha256(data),
               "loss": loss, "h": h, "kernel": "modified", "seed": seed,
               "test_fraction": test_fraction, "holdout_fraction": holdout_fraction,

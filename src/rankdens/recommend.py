@@ -12,7 +12,7 @@ import numpy as np
 
 from .censored import insertion_distances
 from .estimator import KernelModel
-from .rankings import RankingError, TiedRanking
+from .rankings import TiedRanking
 
 
 class RecommendError(ValueError):
@@ -32,8 +32,8 @@ class LossMatrix:
         e = np.asarray(self.entries, dtype=float)
         if e.shape != (len(self.levels), len(self.levels)):
             raise RecommendError("loss matrix must be square over the levels")
-        if (e < 0).any():
-            raise RecommendError("loss entries must be non-negative")
+        if not (np.isfinite(e) & (e >= 0)).all():  # a NaN risk would never be the minimum
+            raise RecommendError("loss entries must be finite and non-negative")
         object.__setattr__(self, "entries", e)
 
     @property
@@ -110,52 +110,74 @@ def builtin_loss(name: str, levels: Sequence[int]) -> LossMatrix:
     raise RecommendError(f"unknown loss {name!r}")
 
 
-def level_posterior(
-    model: KernelModel,
-    user_ranking: TiedRanking,
-    item: int | Sequence[int],
-    levels: Sequence[int],
-    counts: Optional[Counter] = None,
-) -> np.ndarray:
+def level_posteriors(model: KernelModel, users: Sequence[tuple[TiedRanking, Sequence[int]]],
+                     levels: Sequence[int], counts: Optional[Counter] = None) -> np.ndarray:
     """Posterior over the levels at which each held-out item would be rated,
-    (B, L) for B items or (L,) for one. A level's weight is the estimated
-    probability of the user's ranking with the item inserted at that level
-    (the observed ranking's cancels), from one ``censored.insertion_distances``
-    pass. Negative weights are clamped at zero and counted in
-    ``counts["clamped"]``; an item with none positive gets the uniform posterior."""
-    if user_ranking.level_labels is None:
+    one (N, L) row per item of the (user ranking, items) pairs, in order. A
+    level's weight is the estimated probability of the user's ranking with
+    the item inserted at that level by ``insert_item``'s level rule (the
+    observed ranking's cancels), from one ``censored.insertion_distances``
+    call per ranked count k. Negative weights are clamped at zero and counted
+    in ``counts["clamped"]``; an item with none positive gets the uniform posterior."""
+    if any(ranking.level_labels is None for ranking, _ in users):
         raise RecommendError("user ranking carries no level labels")
-    batch = np.atleast_1d(item).tolist()
-    if any(user_ranking.group_index(z) is not None for z in batch):
+    if any(ranking.group_index(z) is not None for ranking, items in users for z in items):
         raise RecommendError("item is already ranked by the user")
-    # insert_item's level rule: each level's group sizes and z's group
-    augmented = [user_ranking.insert_item(batch[0], level=lv) for lv in levels]
-    insertions = [(list(map(len, r.groups)), r.group_index(batch[0])) for r in augmented]
-    e_mean = insertion_distances(model.fbar, user_ranking, batch, insertions)
-    weights = np.column_stack([model._kernel_value(sizes, e)
-                               for (sizes, _), e in zip(insertions, e_mean.T)])
+    levels, logfact = np.asarray(levels), np.asarray(model.logfact)
+    ks = np.array([ranking.k for ranking, _ in users], dtype=np.int64)
+    owners = np.repeat(np.arange(len(users)), [len(items) for _, items in users])
+    held = np.array([z for _, items in users for z in items], dtype=np.int64)
+    weights = np.empty((len(held), len(levels)))
+    for k in np.unique(ks).tolist():  # one k at a time: every sum over k items keeps its order
+        us, rows = np.flatnonzero(ks == k), np.flatnonzero(ks[owners] == k)
+        rs = [users[u][0] for u in us]
+        ranked = np.array([[x for g in r.groups for x in g] for r in rs])
+        grp = np.array([[gi for gi, g in enumerate(r.groups) for _ in g] for r in rs])
+        lab = np.array([[lv for lv, g in zip(r.level_labels, r.groups) for _ in g] for r in rs])
+        # insert_item's level rule: join the group with that label, or open
+        # a singleton group after the groups labelled above it
+        gz = ((grp + 1)[:, None, :] * (lab[:, None, :] > levels[:, None])).max(axis=2)
+        joins = (lab[:, None, :] == levels[:, None]).any(axis=2)
+        owner = np.searchsorted(us, owners[rows])
+        e_mean = insertion_distances(model.fbar, ranked, grp, held[rows], owner, gz, joins)
+        # _kernel_value's set fraction, its log summed over the augmented groups in order:
+        # a new group at slot gz moves the later ones on by one (the last slot is empty)
+        slot, p, j = np.arange(grp.max() + 2), gz[:, :, None], joins[:, :, None]
+        sizes = (grp[:, :, None] == slot).sum(axis=1)
+        moved = np.where(j | (slot < p), sizes[:, None], np.roll(sizes, 1, axis=1)[:, None])
+        log_fraction = np.full(gz.shape, -logfact[k + 1])
+        for size in np.moveaxis(np.where(slot == p, j * moved + 1, moved), 2, 0):
+            log_fraction += logfact[size]
+        fraction = np.array([math.exp(x) for x in log_fraction.ravel().tolist()]).reshape(gz.shape)
+        weights[rows] = fraction[owner] * (1.0 - e_mean / model.h) / model.norm.normC
     if counts is not None:
         counts["clamped"] += int((weights < 0).sum())
     weights = np.maximum(weights, 0.0)
     total = weights.sum(axis=1, keepdims=True)
     post = np.full(weights.shape, 1.0 / len(levels))
     np.divide(weights, total, out=post, where=total > 0)
+    return post
+
+
+def level_posterior(model: KernelModel, user_ranking: TiedRanking, item: int | Sequence[int],
+                    levels: Sequence[int], counts: Optional[Counter] = None) -> np.ndarray:
+    """``level_posteriors`` of one user's items: (B, L) for B items, (L,) for one."""
+    post = level_posteriors(model, [(user_ranking, np.atleast_1d(item).tolist())], levels, counts)
     return post[0] if np.ndim(item) == 0 else post
 
 
+def _best_levels(posteriors: np.ndarray, loss: LossMatrix) -> np.ndarray:
+    """Each row's level index of least expected loss, ties to the more preferred."""
+    risks = (posteriors[:, None, :] * loss.entries).sum(axis=2)
+    return loss.size - 1 - np.argmin(risks[:, ::-1], axis=1)
+
+
 def predict_level(posterior: np.ndarray, loss: LossMatrix) -> int:
-    """Level minimizing expected loss; ties go to the more preferred level."""
+    """Level minimizing expected loss: ``_best_levels`` of one row."""
     posterior = np.asarray(posterior, dtype=float)
     if posterior.shape != (loss.size,):
         raise RecommendError("posterior length must match loss size")
-    risks = loss.entries @ posterior
-    best = None
-    best_risk = math.inf
-    for a in range(loss.size - 1, -1, -1):  # descending: prefer better level on tie
-        if risks[a] < best_risk:
-            best_risk = risks[a]
-            best = a
-    return loss.levels[best]
+    return loss.levels[_best_levels(posterior[None], loss)[0]]
 
 
 @dataclass(frozen=True)
@@ -211,28 +233,26 @@ def make_holdout(
     return PredictionSplit(tuple(users), seed)
 
 
-def evaluate_prediction(
-    predictor: Callable[[HoldoutUser], Sequence[int]],
-    split: PredictionSplit,
-    loss: LossMatrix,
-) -> float:
-    """Mean loss over all held-out (user, item) pairs of a per-user predictor."""
-    losses = []
-    for user in sorted(split.users, key=lambda u: str(u.user_id)):
-        for (_, truth), level in zip(user.held_out, predictor(user), strict=True):
-            losses.append(loss.loss(level, truth))
-    if not losses:
+def _mean_loss(users: Sequence[HoldoutUser], loss: LossMatrix, predicted) -> float:
+    """Mean loss of level indices predicted for the users' held-out pairs, in order."""
+    truths = [loss.levels.index(truth) for user in users for _, truth in user.held_out]
+    if not truths:
         raise RecommendError("empty prediction split")
-    return math.fsum(losses) / len(losses)
+    return math.fsum(loss.entries[predicted, truths].tolist()) / len(truths)
 
 
-def posterior_predictor(
-    model: KernelModel, loss: LossMatrix, counts: Optional[Counter] = None
-) -> Callable[[HoldoutUser], list[int]]:
-    """Loss-minimizing levels of a user's held-out items."""
-    def predict(user: HoldoutUser) -> list[int]:
-        items = [item for item, _ in user.held_out]
-        posts = level_posterior(model, user.observed, items, loss.levels, counts)
-        return [predict_level(post, loss) for post in posts]
+def evaluate_prediction(predictor: Callable[[HoldoutUser], Sequence[int]],
+                        split: PredictionSplit, loss: LossMatrix) -> float:
+    """Mean loss over all held-out (user, item) pairs of a per-user predictor."""
+    return _mean_loss(split.users, loss, [
+        loss.levels.index(level) for user in split.users
+        for _, level in zip(user.held_out, predictor(user), strict=True)
+    ])
 
-    return predict
+
+def posterior_loss(model: KernelModel, split: PredictionSplit, loss: LossMatrix,
+                   counts: Optional[Counter] = None) -> float:
+    """Mean loss of the split's loss-minimizing levels, from one ``level_posteriors`` call."""
+    users = [(user.observed, [item for item, _ in user.held_out]) for user in split.users]
+    return _mean_loss(split.users, loss, _best_levels(
+        level_posteriors(model, users, loss.levels, counts), loss))

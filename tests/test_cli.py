@@ -111,6 +111,8 @@ def test_usage_and_data_exit_codes(tmp_path):
     ["predict", "--top-items", "8", "--holdout-fraction", "1.5"],
     ["predict", "--top-items", "8", "--loss", "{tmp}/missing.csv"],
     ["predict", "--top-items", "8", "--loss", "{tmp}/loss2x2.csv"],  # the scale has 5 levels
+    ["predict", "--top-items", "8", "--loss", "{tmp}/loss-nan.csv"],
+    ["predict", "--top-items", "8", "--loss", "{tmp}/loss-inf.csv"],
     ["predict", "--top-items", "8", "--seed", "-1"],
     ["loglik", "--top-items", "8", "--n-items", "3", "--seed", "-1"],
     ["synth", "--n", "0"],
@@ -131,7 +133,7 @@ def test_usage_and_data_exit_codes(tmp_path):
         "top-users", "mi-subset", "top-t", "loglik-nan", "loglik-narrow", "threshold",
         "fractional-scale", "loglik-n-items-loaded", "loglik-n-items-1", "m-grid", "reps",
         "test-fraction-0", "test-fraction-1.5", "holdout-fraction", "loss-missing",
-        "loss-shape", "predict-seed-negative", "loglik-seed-negative", "synth-n",
+        "loss-shape", "loss-nan", "loss-inf", "predict-seed-negative", "loglik-seed-negative", "synth-n",
         "synth-centers-label", "synth-centers-partial",
         "synth-centers-tied", "synth-tie-block", "synth-rho-0", "synth-rho-1.5", "synth-rho-nan",
         "synth-concentration-nan", "synth-concentration-negative", "synth-users-0",
@@ -139,6 +141,10 @@ def test_usage_and_data_exit_codes(tmp_path):
 def test_bad_option_is_a_one_line_usage_error(ratings_file, tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     (tmp_path / "loss2x2.csv").write_text("0,1\n1,0\n")
+    l1 = np.abs(np.arange(5)[:, None] - np.arange(5)).astype(float)
+    l1[0, 4] = np.nan  # one NaN entry: that level's risk would never be least
+    np.savetxt(tmp_path / "loss-nan.csv", l1, delimiter=",")
+    np.savetxt(tmp_path / "loss-inf.csv", np.full((5, 5), np.inf), delimiter=",")
     command, *options = (arg.format(tmp=tmp_path) for arg in argv)
     no_data = command in ("normtable", "synth")
     data = [] if no_data else ["--data", str(ratings_file), "--top-users", "150"]
@@ -328,6 +334,20 @@ def test_predict(ratings_file, tmp_path):
     assert header == ["train_users", "test_users", "held_out_items", "mean_loss"]
     assert len(rows) == 1
     assert float(rows[0][3]) >= 0.0
+
+
+@pytest.mark.parametrize("argv, code, row", [
+    ([], EXIT_OK, "1400,600,6395,1.1324472243940578"),
+    (["--loss", "l0"], EXIT_OK, "1400,600,6395,0.781704456606724"),
+    (["--top-items", "8", "--top-users", "300", "--bandwidth", "14.1"], EXIT_OK,
+     "210,90,234,0.9401709401709402"),
+    (["--top-items", "8", "--top-users", "300", "--bandwidth", "14.1", "--strict"], EXIT_NUMERIC,
+     "210,90,234,0.9401709401709402"),
+], ids=["defaults", "l0", "narrow-h", "narrow-h-strict"])
+def test_predict_rows_are_pinned(ratings_file, tmp_path, argv, code, row):
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--data", str(ratings_file), *argv, "--out", str(out)]) == code
+    assert out.read_text().splitlines()[2:] == [row]
 
 
 def test_strict_predict_exit_numeric_on_negative_level_weights(ratings_file, tmp_path, capsys):

@@ -1,21 +1,26 @@
-from collections import Counter
+import math
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
-from rankdens import estimator, oracle
+from rankdens import cli, estimator, ingest, oracle
+from rankdens.censored import tie_terms
 from rankdens.rankings import ItemUniverse, TiedRanking, parse_ranking
 from rankdens.recommend import (
     HoldoutUser,
+    LossMatrix,
+    PredictionSplit,
     RecommendError,
     absolute_loss,
     asymmetric_loss,
     builtin_loss,
     evaluate_prediction,
     level_posterior,
+    level_posteriors,
     loss_from_csv,
     make_holdout,
-    posterior_predictor,
+    posterior_loss,
     predict_level,
     zero_one_loss,
 )
@@ -59,6 +64,16 @@ def test_loss_from_csv(tmp_path):
     loss = loss_from_csv(path, levels=[1, 2])
     assert loss.loss(1, 2) == 2.0
     assert loss.loss(2, 1) == 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_loss_matrix_rejects_non_finite_entries(bad, tmp_path):
+    with pytest.raises(RecommendError, match="finite"):
+        LossMatrix((1, 2), np.array([[0.0, bad], [1.0, 0.0]]))
+    path = tmp_path / "loss.csv"
+    path.write_text(f"0,{bad}\n1,0\n")
+    with pytest.raises(RecommendError, match="finite"):
+        loss_from_csv(path, levels=[1, 2])
 
 
 def test_predict_level_prefers_better_level_on_tie():
@@ -194,14 +209,13 @@ def test_evaluate_prediction_known_losses():
     split_users = (
         HoldoutUser("a", observed, ((1, 4), (2, 2))),
     )
-    from rankdens.recommend import PredictionSplit
     split = PredictionSplit(split_users, seed=0)
     loss = absolute_loss(range(1, 6))
     mean = evaluate_prediction(lambda user: [3, 3], split, loss)
     assert mean == pytest.approx(1.0)  # |3-4| and |3-2|
 
 
-def test_posterior_predictor_end_to_end():
+def test_posterior_loss_end_to_end():
     rng = np.random.default_rng(3)
     u = ItemUniverse(5)
     cfg = oracle.MixtureConfig(
@@ -211,5 +225,105 @@ def test_posterior_predictor_end_to_end():
     model = estimator.fit(train, h=11.0)
     loss = absolute_loss(range(1, 6))
     user = HoldoutUser("u", TiedRanking(u, ((0,), (2,)), (5, 3)), ((1, 4),))
-    (pred,) = posterior_predictor(model, loss)(user)
+    pred = predict_level(level_posterior(model, user.observed, 1, loss.levels), loss)
     assert pred in loss.levels
+    assert posterior_loss(model, PredictionSplit((user,), seed=0), loss) == loss.loss(pred, 4)
+
+
+def _oracle_level_posterior(model, user_ranking, items, levels, counts):
+    """The per-user construction: ``insert_item`` at each level, then each
+    insertion's centres from ``tie_terms`` with z's slot deleted."""
+    F = model.fbar
+    augmented = [user_ranking.insert_item(items[0], level=lv) for lv in levels]
+    insertions = [(list(map(len, r.groups)), r.group_index(items[0])) for r in augmented]
+    ranked = [x for group in user_ranking.groups for x in group]
+    rows, zrows = F[np.ix_(ranked, ranked)], F[np.ix_(items, ranked)]
+    grp = np.array(tie_terms(map(len, user_ranking.groups))[0])
+    ordered = -rows[grp[:, None] < grp].sum()
+    outside = F[ranked].sum(axis=1) - rows.sum(axis=1)
+    terms = []
+    for sizes, gz in insertions:
+        new_grp, centre = map(np.array, tie_terms(sizes))
+        at = sum(sizes[:gz])  # a place in z's group; e's items fill the others
+        new_grp, centre, cz = np.delete(new_grp, at), np.delete(centre, at), centre[at]
+        terms.append((np.sign(gz - new_grp) + centre - cz, ordered + centre @ outside, cz))
+    coef, const, zcoef = map(np.array, zip(*terms))
+    inner = const + np.outer(F[items].sum(axis=1), zcoef) + (zrows[:, None] * coef).sum(axis=2)
+    e_mean = len(F) * (len(F) - 1) / 4.0 - 0.5 * inner
+    weights = np.column_stack([model._kernel_value(sizes, e)
+                               for (sizes, _), e in zip(insertions, e_mean.T)])
+    counts["clamped"] += int((weights < 0).sum())
+    weights = np.maximum(weights, 0.0)
+    total = weights.sum(axis=1, keepdims=True)
+    post = np.full(weights.shape, 1.0 / len(levels))
+    np.divide(weights, total, out=post, where=total > 0)
+    return post
+
+
+def _assert_split_matches_oracle(model, users, levels):
+    counts, want_counts = Counter(), Counter()
+    post = level_posteriors(model, users, levels, counts)
+    want = np.concatenate([_oracle_level_posterior(model, r, items, levels, want_counts)
+                           for r, items in users])
+    assert post.shape == want.shape and np.array_equal(post, want)
+    assert counts == want_counts
+    return counts
+
+
+@pytest.fixture(scope="module")
+def corpus_split(ratings_file):
+    """The predict command's training set, split and model on the corpus."""
+    def build(top_items=53, top_users=2000, bandwidth="auto"):
+        selection = cli._selection(ratings_file, "ml100k", top_items, top_users)
+        universe, rankings = ingest.build_rankings(*selection)
+        train, split = ingest.split_users(rankings, 0, 0.3, 0.5)
+        return train, split, cli._fit(train, universe.n, bandwidth)[1]
+    return build
+
+
+@pytest.mark.parametrize("top_items, top_users, bandwidth, clamped", [
+    (53, 2000, "auto", 0),  # the predict defaults
+    (8, 300, "14.1", 205),  # h just above n(n-1)/4 = 14
+])
+def test_split_posteriors_equal_the_per_user_oracle_on_the_corpus(
+        corpus_split, top_items, top_users, bandwidth, clamped):
+    _, split, model = corpus_split(top_items, top_users, bandwidth)
+    users = [(u.observed, [item for item, _ in u.held_out]) for u in split.users]
+    counts = _assert_split_matches_oracle(model, users, range(1, 6))
+    assert counts["clamped"] == clamped
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 30])
+def test_split_posteriors_equal_the_per_user_oracle_on_labelled_rankings(n):
+    # one call over users of several ranked counts; levels 0..11 join
+    # groups, open groups, and fall above and below every label
+    rng = np.random.default_rng(100 + n)
+    u = ItemUniverse(n)
+    train = [oracle.random_tied_ranking(rng, u) for _ in range(12)]
+    for h in (n * (n - 1) / 4 + 0.25, estimator.default_bandwidth(n)):
+        model = estimator.fit(train, h=h)
+        users = []
+        for _ in range(25):
+            user = _labelled_ranking(rng, u)
+            unranked = [z for z in range(n) if user.group_index(z) is None]
+            users.append((user, rng.permutation(unranked)[:rng.integers(1, 4)].tolist()))
+        _assert_split_matches_oracle(model, users, list(range(12)))
+
+
+def _item_mean_predictor(train):
+    """Each item's mean training level, rounded half up: floor(mean + 1/2)."""
+    seen = defaultdict(list)
+    for r in train:
+        for group, level in zip(r.groups, r.level_labels):
+            for item in group:
+                seen[item].append(level)
+    means = {item: math.floor(sum(v) / len(v) + 0.5) for item, v in seen.items()}
+    return lambda user: [means[item] for item, _ in user.held_out]
+
+
+def test_item_mean_baseline_and_kernel_posterior_on_the_default_split(corpus_split):
+    # the measured gap to the baseline; the kernel is not gated against it
+    train, split, model = corpus_split()
+    loss = absolute_loss(range(1, 6))
+    assert evaluate_prediction(_item_mean_predictor(train), split, loss) == 0.856137607505864
+    assert posterior_loss(model, split, loss) == 1.1324472243940578
