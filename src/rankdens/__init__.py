@@ -31,16 +31,14 @@ from .estimator import (
     load_model,
     mallows_fit,
     save_model,
-    select_bandwidth,
-    strict_orders,
 )
 from .recommend import (
     LossMatrix,
     absolute_loss,
     asymmetric_loss,
-    evaluate_prediction,
+    holdout_split,
     level_posterior,
-    make_holdout,
+    posterior_loss,
     predict_level,
     zero_one_loss,
 )

@@ -14,10 +14,8 @@ import numpy as np
 
 from . import estimator, ingest, oracle, rules
 from .combinatorics import CombinatoricsError, mahonian_distribution, triangular_normalization
-from .rankings import (
-    ItemUniverse, Permutation, RankingError, format_ranking, parse_ranking, project_ranking,
-)
-from .recommend import builtin_loss, loss_from_csv, posterior_loss
+from .rankings import ItemUniverse, Permutation, RankingError, format_ranking, parse_ranking
+from .recommend import builtin_loss, holdout_split, loss_from_csv, posterior_loss
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,10 +39,18 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _open_out(path: Path):
+    """``path`` opened for writing, its directory made; failing that, a usage error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w")
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc}") from None
+
+
 def _write_csv(out_path: Path, config: dict, columns, lines) -> None:
     """The config comment, the header, then ``lines``: rows already joined and newline-ended."""
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w") as fh:
+    with _open_out(out_path) as fh:
         fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
         fh.write(",".join(columns) + "\n")
         fh.writelines(lines)
@@ -184,16 +190,18 @@ def loglik(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
     """Held-out log-likelihood: kernel vs empirical vs Mallows baseline."""
     mode = "exact-support" if kernel == "exact" else "modified"
     widths = {n_sub: _bandwidth(bandwidth, n_sub, mode) for n_sub in small_ns}
-    universe, rankings = ingest.build_rankings(*_selection(data, fmt, top_items, top_users))
+    grouped = ingest.group_ratings(*_selection(data, fmt, top_items, top_users))
+    universe = grouped.universe
     if max(small_ns) > universe.n:
         raise click.UsageError(f"--n-items {max(small_ns)} exceeds the {universe.n} loaded items")
     lines = []
     empty = no_mallows = 0  # cells with no rows at all, and with no mallows row
     rng = np.random.default_rng(seed)
     for n_sub in small_ns:
-        subset = list(range(n_sub))  # the n_sub most rated items
-        sub_universe = ItemUniverse(n_sub, tuple(universe.label_of(i) for i in subset))
-        projected = [project_ranking(r, subset, sub_universe) for _, r in rankings]
+        # each ranking cut to the n_sub most rated items, items 0..n_sub-1
+        sub_universe = ItemUniverse(n_sub, tuple(universe.label_of(i) for i in range(n_sub)))
+        projected = grouped.restrict(range(len(grouped.users)), grouped.items < n_sub,
+                                     sub_universe)
         for m in m_grid:
             results = {"kernel": [], "empirical": [], "mallows": []}
             for rep in range(reps):
@@ -222,29 +230,37 @@ def loglik(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
                    f"training ranking)", err=True)
 
 
+def _strict_orders(grouped) -> np.ndarray:
+    """The (T, n) items, most preferred first, of the rankings that put
+    all n items of their universe in n groups, in record order."""
+    n, starts = grouped.universe.n, grouped.user_starts
+    full = (np.diff(starts) == n) & (np.diff(np.searchsorted(grouped.group_starts, starts)) == n)
+    return grouped.items[starts[:-1][full][:, None] + np.arange(n)]
+
+
 def _loglik_once(projected, m, seed, h, kernel):
     """One run's mean log-likelihood per estimator, or None when too few
-    rankings are left. ``projected`` holds each ranking restricted to the
-    subset (None when it ranks no subset item); after a seeded shuffle the
-    first m kept are the training set and the strict full orders of the
-    subset among the next ones are the test events."""
+    rankings are left. ``projected`` holds each ranking cut to the subset,
+    its universe (empty when it ranks no subset item); after a seeded
+    shuffle of all of them the first m non-empty ones train, and the strict
+    full orders among the next ones are the test events."""
     rng = np.random.default_rng(seed)
-    kept = [r for r in (projected[i] for i in rng.permutation(len(projected))) if r is not None]
+    order = rng.permutation(len(projected.users))
+    kept = order[np.diff(projected.user_starts)[order] > 0]
     if len(kept) < m + 20:
         return None
-    train, test = kept[:m], kept[m : m + max(200, m // 2)]
-    items = range(train[0].n)
-    orders = estimator.strict_orders(test, items)
+    train = projected.restrict(kept[:m])
+    orders = _strict_orders(projected.restrict(kept[m : m + max(200, m // 2)]))
     if not len(orders):
         return None
     events = list(map(tuple, orders.tolist()))
     if kernel == "exact":
-        dist = oracle.brute_full_distribution(train, h, "exact-support")
-        index = oracle.perm_table(len(items)).index
+        dist = oracle.brute_full_distribution(ingest.tied_rankings(train), h, "exact-support")
+        index = oracle.perm_table(projected.universe.n).index
         kernel_probs = dist[[index[e] for e in events]]
     else:
         kernel_probs = estimator.fit(train, h).chain_prob(orders)
-    full = list(map(tuple, estimator.strict_orders(train, items).tolist()))
+    full = list(map(tuple, _strict_orders(train).tolist()))
     counts = Counter(full)  # only the identical strict full order implies an event
     out = {
         "kernel": estimator.heldout_loglikelihood(kernel_probs).mean,
@@ -276,20 +292,20 @@ def predict(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
                        else loss_from_csv(loss, levels))
     except (OSError, ValueError) as exc:  # a missing file, or a matrix not over the levels
         raise click.UsageError(f"--loss {loss}: {exc}") from None
-    universe, rankings = ingest.build_rankings(*_selection(data, fmt, top_items, top_users))
-    train, holdout = ingest.split_users(rankings, seed, test_fraction, holdout_fraction)
-    if not holdout.users:
+    grouped = ingest.group_ratings(*_selection(data, fmt, top_items, top_users))
+    train, holdout = holdout_split(grouped, seed, test_fraction, holdout_fraction)
+    if not len(holdout.items):
         raise DataError("no test users with enough ranked items")
-    h, model = _fit(train, universe.n, bandwidth)
+    h, model = _fit(train, grouped.universe.n, bandwidth)
     counts = Counter()
     mean_loss = posterior_loss(model, holdout, loss_matrix, counts)
     config = {"cmd": "predict", "data": str(data), "sha256": _sha256(data),
               "loss": loss, "h": h, "kernel": "modified", "seed": seed,
               "test_fraction": test_fraction, "holdout_fraction": holdout_fraction,
               "top_items": top_items, "top_users": top_users}
-    held_out = sum(len(u.held_out) for u in holdout.users)
     _write_csv(Path(out), config, ("train_users", "test_users", "held_out_items", "mean_loss"),
-               [f"{len(train)},{len(holdout.users)},{held_out},{mean_loss!r}\n"])
+               [f"{len(train.users)},{len(holdout.observed.users)},{len(holdout.items)},"
+                f"{mean_loss!r}\n"])
     if counts["clamped"] and strict:
         raise NumericError(f"{counts['clamped']} negative level weights")
 
@@ -360,8 +376,7 @@ def graph(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
               "kernel": "modified", "top_items": top_items, "top_users": top_users}
     lines = [f"{universe.label_of(i)},{universe.label_of(j)},{w!r}\n" for i, j, w in edges]
     _write_csv(Path(out), config, ("item_a", "item_b", "weight"), lines)
-    dot_path = Path(out).with_suffix(".dot")
-    with open(dot_path, "w") as fh:
+    with _open_out(Path(out).with_suffix(".dot")) as fh:
         fh.write("graph affinity {\n")
         nodes = sorted({i for e in edges for i in e[:2]})
         for i in nodes:
@@ -415,9 +430,7 @@ def synth(n, m, centers, concentration, rho, tie_block, seed, out):
     header = {"cmd": "synth", "n": n, "users": m, "centers": centers,
               "concentration": concentration, "rho": rho,
               "tie_block": tie_block, "seed": seed}
-    out_path = Path(out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w") as fh:
+    with _open_out(Path(out)) as fh:
         fh.write("# config: " + json.dumps(header, sort_keys=True) + "\n")
         for uid, r in enumerate(rankings):
             fh.write(f"{uid}\t{format_ranking(r)}\n")

@@ -70,25 +70,55 @@ class GroupedRankings:
     groups most preferred first and each group ascending. Ranking u is
     items[user_starts[u]:user_starts[u + 1]] and group j is
     items[group_starts[j]:group_starts[j + 1]], at rating level
-    ``levels[j]`` (None when the rankings carry no levels)."""
+    ``levels[j]`` (None when the rankings carry no levels). Users come in
+    ascending id order from ``group_ratings``; a restricted record may list
+    them in any order."""
 
     universe: ItemUniverse
-    users: np.ndarray  # (m,) ids, ascending
+    users: np.ndarray  # (m,) ids
     items: np.ndarray
     user_starts: np.ndarray  # (m + 1,) offsets into items
     group_starts: np.ndarray  # (G + 1,) offsets into items
     levels: Optional[np.ndarray] = None  # (G,)
 
+    def restrict(self, users, keep: Optional[np.ndarray] = None,
+                 universe: Optional[ItemUniverse] = None) -> GroupedRankings:
+        """The rankings at positions ``users``, in that order, each cut to
+        the items where the mask ``keep`` over ``items`` holds, with emptied
+        groups dropped (a ranking may be left empty), over ``universe``
+        (this record's by default), which must index the kept items alike."""
+        users = np.asarray(users, np.int64)
+        lo, sizes = self.user_starts[users], np.diff(self.user_starts)[users]
+        owner = np.repeat(np.arange(len(users)), sizes)
+        pos = np.arange(len(owner)) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+        kept = slice(None) if keep is None else keep[pos]
+        owner, pos = owner[kept], pos[kept]
+        group = np.searchsorted(self.group_starts, pos, side="right") - 1
+        new_group = np.ones(len(pos), bool)
+        new_group[1:] = (group[1:] != group[:-1]) | (owner[1:] != owner[:-1])
+        return GroupedRankings(
+            universe or self.universe, self.users[users], self.items[pos],
+            np.r_[0, np.cumsum(np.bincount(owner, minlength=len(users)))],
+            np.r_[np.flatnonzero(new_group), len(pos)],
+            None if self.levels is None else self.levels[group[new_group]],
+        )
+
 
 def _grouped(rankings: Sequence[TiedRanking]) -> GroupedRankings:
-    """The record of a sequence of rankings, numbered 0..m-1 in order."""
+    """The record of a sequence of rankings, numbered 0..m-1 in order, with
+    their level labels when every ranking carries them."""
     groups = [g for r in rankings for g in r.groups]
+    levels = None
+    if all(r.level_labels is not None for r in rankings):
+        levels = np.fromiter(itertools.chain.from_iterable(r.level_labels for r in rankings),
+                             np.int64)
     return GroupedRankings(
         rankings[0].universe,
         np.arange(len(rankings)),
         np.fromiter(itertools.chain.from_iterable(groups), np.int64),
         np.cumsum([0, *(r.k for r in rankings)]),
         np.cumsum([0, *map(len, groups)]),
+        levels,
     )
 
 
@@ -410,19 +440,6 @@ class LogLikResult:
     n_floored: int
 
 
-def strict_orders(rankings: Sequence[TiedRanking], items: Sequence[int]) -> np.ndarray:
-    """The (T, k) int array of the rankings that put all k ``items`` in k
-    distinct groups, in input order: row t lists their positions in
-    ``items``, most preferred first. Ties with other items do not count."""
-    k = len(items)
-    rows = []
-    for r in rankings:
-        groups = [r.group_index(x) for x in items]
-        if None not in groups and len(set(groups)) == k:
-            rows.append(sorted(range(k), key=groups.__getitem__))
-    return np.array(rows, dtype=int).reshape(-1, k)
-
-
 def heldout_loglikelihood(
     probs: Sequence[float] | np.ndarray, floor: float = LIKELIHOOD_FLOOR
 ) -> LogLikResult:
@@ -435,42 +452,3 @@ def heldout_loglikelihood(
     floored = probs < floor
     logs = [math.log(p) for p in np.where(floored, floor, probs).tolist()]
     return LogLikResult(math.fsum(logs) / len(logs), len(logs), int(floored.sum()))
-
-
-def select_bandwidth(
-    rankings: Sequence[TiedRanking],
-    candidates: Sequence[float],
-    items: Sequence[int],
-    seed: int = 0,
-    val_fraction: float = 0.25,
-) -> float:
-    """Held-out-likelihood bandwidth selection over a candidate grid: the
-    validation rankings' strict orders of ``items``, scored at each h on
-    one fbar, which does not depend on h."""
-    if not candidates:
-        raise EstimatorError("no bandwidth candidates")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(rankings))
-    n_val = max(1, int(len(rankings) * val_fraction))
-    val = [rankings[i] for i in order[:n_val]]
-    train = [rankings[i] for i in order[n_val:]]
-    if not train:
-        raise EstimatorError("not enough data to split for selection")
-    chains = np.asarray(items)[strict_orders(val, items)]
-    model = None  # fitted at the first h that normalizes, then rescored at each
-    best_h, best_ll = None, -math.inf
-    for h in candidates:
-        try:
-            if model is None:
-                model = fit(train, h=h)
-            else:
-                norm = triangular_normalization(model.universe.n, h)
-                model = KernelModel(model.universe, model.fbar, h, model.m, norm)
-            ll = heldout_loglikelihood(model.chain_prob(chains)).mean
-        except (EstimatorError, ValueError):
-            continue
-        if ll > best_ll:
-            best_h, best_ll = h, ll
-    if best_h is None:
-        raise EstimatorError("no valid bandwidth candidate")
-    return best_h

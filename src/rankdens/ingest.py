@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import codecs
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimator import GroupedRankings
+from .estimator import GroupedRankings, _grouped
 from .rankings import ItemUniverse, TiedRanking
-from .recommend import PredictionSplit, make_holdout
+from .recommend import holdout_split
 
 
 class IngestError(ValueError):
@@ -51,6 +52,9 @@ def parse_format(spec: str) -> FormatDescriptor:
             raise IngestError(f"bad csv format spec {spec!r}")
         delim = parts[1] or ","
         cols = tuple(parts[2].split(","))
+        for name in ("user", "item", "rating"):
+            if name not in cols:
+                raise IngestError(f"format lacks a {name!r} column")
         lo, _, hi = parts[3].partition("-")
         if not (lo.isdecimal() and hi.isdecimal() and int(lo) <= int(hi)):
             raise IngestError(f"rating scale {parts[3]!r} is not <min>-<max> in integers")
@@ -241,11 +245,10 @@ def _sorted_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.r_[differs, True]
 
 
-def _by_count(ids: np.ndarray, min_count: int = 0) -> list[int]:
-    """Distinct ids seen at least min_count times; most frequent first, then by id."""
+def _by_count(ids: np.ndarray) -> list[int]:
+    """Distinct ids, most frequent first, then by id."""
     ids, counts = np.unique(ids, return_counts=True)
-    order = np.lexsort((ids, -counts))
-    return ids[order[counts[order] >= min_count]].tolist()
+    return ids[np.lexsort((ids, -counts))].tolist()
 
 
 def select_items(table: RatingsTable, top_n: int) -> list[int]:
@@ -257,14 +260,11 @@ def select_items(table: RatingsTable, top_n: int) -> list[int]:
 
 
 def select_users(
-    table: RatingsTable,
-    items: Sequence[int],
-    min_count: Optional[int] = None,
-    top_m: Optional[int] = None,
+    table: RatingsTable, items: Sequence[int], top_m: Optional[int] = None
 ) -> list[int]:
     """Users ranked by how many of the selected items they rated."""
     users, rated = table.ratings[:, 0], table.ratings[:, 1]
-    return _by_count(users[np.isin(rated, items)], min_count or 0)[:top_m]
+    return _by_count(users[np.isin(rated, items)])[:top_m]
 
 
 def group_ratings(
@@ -298,6 +298,17 @@ def group_ratings(
     )
 
 
+def tied_rankings(grouped: GroupedRankings) -> list[TiedRanking]:
+    """The record's rankings as ``TiedRanking``s, in record order."""
+    universe, index = grouped.universe, grouped.items.tolist()
+    bounds = grouped.group_starts.tolist()
+    groups = [tuple(index[a:b]) for a, b in zip(bounds, bounds[1:])]
+    labels = None if grouped.levels is None else grouped.levels.tolist()
+    firsts = np.searchsorted(grouped.group_starts, grouped.user_starts).tolist()
+    return [TiedRanking(universe, tuple(groups[a:b]), labels and tuple(labels[a:b]))
+            for a, b in zip(firsts, firsts[1:])]
+
+
 def build_rankings(
     table: RatingsTable,
     items: Sequence[int],
@@ -305,31 +316,21 @@ def build_rankings(
 ) -> tuple[ItemUniverse, list[tuple[int, TiedRanking]]]:
     """``group_ratings`` as (user id, ranking) pairs, by ascending user id."""
     grouped = group_ratings(table, items, users)
-    universe, index = grouped.universe, grouped.items.tolist()
-    bounds = grouped.group_starts.tolist()
-    groups = [tuple(index[a:b]) for a, b in zip(bounds, bounds[1:])]
-    labels = grouped.levels.tolist()
-    firsts = np.searchsorted(grouped.group_starts, grouped.user_starts).tolist()
-    return universe, [
-        (uid, TiedRanking(universe, tuple(groups[a:b]), tuple(labels[a:b])))
-        for uid, a, b in zip(grouped.users.tolist(), firsts, firsts[1:])
-    ]
+    return grouped.universe, list(zip(grouped.users.tolist(), tied_rankings(grouped)))
 
 
-def split_users(
-    rankings: Sequence[tuple[int, TiedRanking]],
-    seed: int,
-    test_fraction: float,
-    holdout_fraction: float = 0.5,
-) -> tuple[list[TiedRanking], PredictionSplit]:
-    """Seeded user partition into training rankings and a holdout split."""
+def split_users(rankings: Sequence[tuple[int, TiedRanking]], seed: int, test_fraction: float,
+                holdout_fraction: float = 0.5) -> tuple[list[TiedRanking], SimpleNamespace]:
+    """``holdout_split`` of (user id, ranking) pairs: the training rankings,
+    and the test users, in ``users``, with their ``user_id`` and ``held_out``
+    (item, true level) pairs."""
     if not 0 < test_fraction < 1:
         raise IngestError("test fraction must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(rankings))
-    n_test = int(round(len(rankings) * test_fraction))
-    test_idx = set(order[:n_test].tolist())
-    train = [rankings[i][1] for i in range(len(rankings)) if i not in test_idx]
-    test_pairs = [rankings[i] for i in sorted(test_idx)]
-    holdout = make_holdout(test_pairs, seed=seed + 1, holdout_fraction=holdout_fraction)
-    return train, holdout
+    grouped = replace(_grouped([r for _, r in rankings]),
+                      users=np.array([uid for uid, _ in rankings]))
+    train, holdout = holdout_split(grouped, seed, test_fraction, holdout_fraction)
+    held = list(map(tuple, np.column_stack([holdout.items, holdout.levels]).tolist()))
+    cuts = np.searchsorted(holdout.owners, np.arange(len(holdout.observed.users) + 1)).tolist()
+    return tied_rankings(train), SimpleNamespace(users=tuple(
+        SimpleNamespace(user_id=uid, held_out=tuple(held[a:b]))
+        for uid, a, b in zip(holdout.observed.users.tolist(), cuts, cuts[1:])))

@@ -1,4 +1,4 @@
-"""Posterior-loss-minimizing level prediction and its evaluation harness."""
+"""Posterior-loss-minimizing level prediction and its seeded holdout evaluation."""
 
 from __future__ import annotations
 
@@ -6,12 +6,12 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .censored import insertion_distances
-from .estimator import KernelModel
+from .estimator import GroupedRankings, KernelModel, _grouped
 from .rankings import TiedRanking
 
 
@@ -110,30 +110,32 @@ def builtin_loss(name: str, levels: Sequence[int]) -> LossMatrix:
     raise RecommendError(f"unknown loss {name!r}")
 
 
-def level_posteriors(model: KernelModel, users: Sequence[tuple[TiedRanking, Sequence[int]]],
+def level_posteriors(model: KernelModel, observed: GroupedRankings, owners, items,
                      levels: Sequence[int], counts: Optional[Counter] = None) -> np.ndarray:
     """Posterior over the levels at which each held-out item would be rated,
-    one (N, L) row per item of the (user ranking, items) pairs, in order. A
-    level's weight is the estimated probability of the user's ranking with
-    the item inserted at that level by ``insert_item``'s level rule (the
-    observed ranking's cancels), from one ``censored.insertion_distances``
-    call per ranked count k. Negative weights are clamped at zero and counted
-    in ``counts["clamped"]``; an item with none positive gets the uniform posterior."""
-    if any(ranking.level_labels is None for ranking, _ in users):
+    one (N, L) row per item ``items[i]`` of ranking ``owners[i]`` of the
+    labelled record ``observed``, in order. A level's weight is the
+    estimated probability of the ranking with the item inserted at that
+    level by ``insert_item``'s level rule (the observed ranking's cancels),
+    from one ``censored.insertion_distances`` call per ranked count k.
+    Negative weights are clamped at zero and counted in
+    ``counts["clamped"]``; an item with none positive gets the uniform posterior."""
+    if observed.levels is None:
         raise RecommendError("user ranking carries no level labels")
-    if any(ranking.group_index(z) is not None for ranking, items in users for z in items):
+    starts, bounds = observed.user_starts, observed.group_starts
+    owners, held = np.asarray(owners, np.int64), np.asarray(items, np.int64)
+    ks, n = np.diff(starts), model.universe.n
+    ranker = np.repeat(np.arange(len(ks)), ks)  # each ranked item's ranking
+    if np.isin(owners * n + held, ranker * n + observed.items).any():
         raise RecommendError("item is already ranked by the user")
     levels, logfact = np.asarray(levels), np.asarray(model.logfact)
-    ks = np.array([ranking.k for ranking, _ in users], dtype=np.int64)
-    owners = np.repeat(np.arange(len(users)), [len(items) for _, items in users])
-    held = np.array([z for _, items in users for z in items], dtype=np.int64)
+    group = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))  # each ranked item's group
+    local = group - np.searchsorted(bounds, starts)[ranker]  # its index in its ranking
     weights = np.empty((len(held), len(levels)))
-    for k in np.unique(ks).tolist():  # one k at a time: every sum over k items keeps its order
+    for k in np.unique(ks[owners]).tolist():  # one k at a time: sums over k items keep their order
         us, rows = np.flatnonzero(ks == k), np.flatnonzero(ks[owners] == k)
-        rs = [users[u][0] for u in us]
-        ranked = np.array([[x for g in r.groups for x in g] for r in rs])
-        grp = np.array([[gi for gi, g in enumerate(r.groups) for _ in g] for r in rs])
-        lab = np.array([[lv for lv, g in zip(r.level_labels, r.groups) for _ in g] for r in rs])
+        at = starts[us][:, None] + np.arange(k)
+        ranked, grp, lab = observed.items[at], local[at], observed.levels[group[at]]
         # insert_item's level rule: join the group with that label, or open
         # a singleton group after the groups labelled above it
         gz = ((grp + 1)[:, None, :] * (lab[:, None, :] > levels[:, None])).max(axis=2)
@@ -162,7 +164,9 @@ def level_posteriors(model: KernelModel, users: Sequence[tuple[TiedRanking, Sequ
 def level_posterior(model: KernelModel, user_ranking: TiedRanking, item: int | Sequence[int],
                     levels: Sequence[int], counts: Optional[Counter] = None) -> np.ndarray:
     """``level_posteriors`` of one user's items: (B, L) for B items, (L,) for one."""
-    post = level_posteriors(model, [(user_ranking, np.atleast_1d(item).tolist())], levels, counts)
+    items = np.atleast_1d(item)
+    post = level_posteriors(model, _grouped([user_ranking]),
+                            np.zeros(len(items), np.int64), items, levels, counts)
     return post[0] if np.ndim(item) == 0 else post
 
 
@@ -180,79 +184,56 @@ def predict_level(posterior: np.ndarray, loss: LossMatrix) -> int:
     return loss.levels[_best_levels(posterior[None], loss)[0]]
 
 
-@dataclass(frozen=True)
-class HoldoutUser:
-    user_id: object
-    observed: TiedRanking
-    held_out: tuple[tuple[int, int], ...]  # (item, true level)
+@dataclass(frozen=True, eq=False)
+class Holdout:
+    """Test users' observed rankings and what they withhold: item
+    ``items[i]`` of ranking ``owners[i]`` of ``observed``, at true level
+    ``levels[i]``, ranking by ranking and each ranking's items ascending."""
+
+    observed: GroupedRankings
+    items: np.ndarray
+    owners: np.ndarray
+    levels: np.ndarray
 
 
-@dataclass(frozen=True)
-class PredictionSplit:
-    users: tuple[HoldoutUser, ...]
-    seed: int
+def holdout_split(grouped: GroupedRankings, seed: int, test_fraction: float,
+                  holdout_fraction: float = 0.5) -> tuple[GroupedRankings, Holdout]:
+    """A labelled record split into training rankings and a holdout: a
+    ``default_rng(seed).permutation`` picks round(m * test_fraction) test
+    users, the rest in record order train. ``default_rng(seed + 1).choice``
+    then withholds min(max(1, round(k * f)), k - 1) of each test user's k
+    items in ascending order, user by user; a test user with k < 2 is dropped."""
+    if not (0 < test_fraction < 1 and 0 < holdout_fraction < 1):
+        raise RecommendError("test and holdout fractions must be in (0, 1)")
+    if grouped.levels is None:
+        raise RecommendError("user ranking carries no level labels")
+    m, bounds = len(grouped.users), grouped.user_starts.tolist()
+    test = np.zeros(m, bool)
+    test[np.random.default_rng(seed).permutation(m)[:int(round(m * test_fraction))]] = True
+    by_item = np.lexsort((grouped.items, np.repeat(np.arange(m), np.diff(bounds))))
+    rng = np.random.default_rng(seed + 1)
+    users, held = [], []  # the test users kept, and their held items' positions in items
+    for u in np.flatnonzero(test).tolist():
+        a, k = bounds[u], bounds[u + 1] - bounds[u]
+        if k >= 2:
+            users.append(u)
+            n_hold = min(max(1, int(round(k * holdout_fraction))), k - 1)
+            held.append(by_item[a + np.sort(rng.choice(k, size=n_hold, replace=False))])
+    owners = np.repeat(np.arange(len(users)), [len(h) for h in held])
+    held = np.concatenate([np.zeros(0, np.int64), *held])
+    keep = np.bincount(held, minlength=len(grouped.items)) == 0
+    group = np.searchsorted(grouped.group_starts, held, side="right") - 1
+    return grouped.restrict(np.flatnonzero(~test)), Holdout(
+        grouped.restrict(users, keep), grouped.items[held], owners, grouped.levels[group])
 
 
-def make_holdout(
-    rankings: Sequence[tuple[object, TiedRanking]],
-    seed: int,
-    holdout_fraction: float = 0.5,
-) -> PredictionSplit:
-    """Withhold a seeded random share of each user's ranked items.
-
-    The true level of a withheld item is taken from the original ranking;
-    users left without an observed item or without level labels are
-    dropped.
-    """
-    if not 0 < holdout_fraction < 1:
-        raise RecommendError("holdout fraction must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    users = []
-    for user_id, r in rankings:
-        if r.level_labels is None or r.k < 2:
-            continue
-        ranked = sorted(r.ranked_items())
-        n_hold = max(1, int(round(len(ranked) * holdout_fraction)))
-        if n_hold >= len(ranked):
-            n_hold = len(ranked) - 1
-        held = sorted(rng.choice(ranked, size=n_hold, replace=False).tolist())
-        held_set = set(held)
-        groups, labels = [], []
-        for gi, g in enumerate(r.groups):
-            kept = tuple(i for i in g if i not in held_set)
-            if kept:
-                groups.append(kept)
-                labels.append(r.level_labels[gi])
-        if not groups:
-            continue
-        observed = TiedRanking(r.universe, tuple(groups), tuple(labels))
-        truths = tuple(
-            (i, r.level_labels[r.group_index(i)]) for i in held
-        )
-        users.append(HoldoutUser(user_id, observed, truths))
-    return PredictionSplit(tuple(users), seed)
-
-
-def _mean_loss(users: Sequence[HoldoutUser], loss: LossMatrix, predicted) -> float:
-    """Mean loss of level indices predicted for the users' held-out pairs, in order."""
-    truths = [loss.levels.index(truth) for user in users for _, truth in user.held_out]
-    if not truths:
-        raise RecommendError("empty prediction split")
-    return math.fsum(loss.entries[predicted, truths].tolist()) / len(truths)
-
-
-def evaluate_prediction(predictor: Callable[[HoldoutUser], Sequence[int]],
-                        split: PredictionSplit, loss: LossMatrix) -> float:
-    """Mean loss over all held-out (user, item) pairs of a per-user predictor."""
-    return _mean_loss(split.users, loss, [
-        loss.levels.index(level) for user in split.users
-        for _, level in zip(user.held_out, predictor(user), strict=True)
-    ])
-
-
-def posterior_loss(model: KernelModel, split: PredictionSplit, loss: LossMatrix,
+def posterior_loss(model: KernelModel, holdout: Holdout, loss: LossMatrix,
                    counts: Optional[Counter] = None) -> float:
-    """Mean loss of the split's loss-minimizing levels, from one ``level_posteriors`` call."""
-    users = [(user.observed, [item for item, _ in user.held_out]) for user in split.users]
-    return _mean_loss(split.users, loss, _best_levels(
-        level_posteriors(model, users, loss.levels, counts), loss))
+    """Mean loss of the holdout's loss-minimizing levels, from one ``level_posteriors`` call."""
+    if not len(holdout.items):
+        raise RecommendError("empty prediction split")
+    index = {level: i for i, level in enumerate(loss.levels)}
+    truths = [index[level] for level in holdout.levels.tolist()]
+    predicted = _best_levels(level_posteriors(
+        model, holdout.observed, holdout.owners, holdout.items, loss.levels, counts), loss)
+    return math.fsum(loss.entries[predicted, truths].tolist()) / len(truths)

@@ -8,7 +8,7 @@ import pytest
 from rankdens import cli, estimator, ingest, oracle
 from rankdens.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _loglik_once, main
 from rankdens.combinatorics import mahonian_distribution, triangular_normalization
-from rankdens.rankings import ItemUniverse, Permutation
+from rankdens.rankings import ItemUniverse, Permutation, TiedRanking
 
 
 def _read_csv(path):
@@ -102,6 +102,7 @@ def test_usage_and_data_exit_codes(tmp_path):
     ["loglik", "--top-items", "8", "--n-items", "3", "--bandwidth", "0.5"],  # n(n-1)/4 = 1.5
     ["graph", "--top-items", "8", "--threshold", "0"],
     ["pairs", "--top-items", "8", "--format", "csv:,:user,item,rating:1.5-5"],
+    ["pairs", "--top-items", "8", "--format", "csv:,:user,item:1-5"],
     ["loglik", "--top-items", "3", "--n-items", "5"],  # more than the loaded items
     ["loglik", "--top-items", "8", "--n-items", "1"],
     ["loglik", "--top-items", "8", "--n-items", "3", "--m-grid", "0"],
@@ -131,7 +132,8 @@ def test_usage_and_data_exit_codes(tmp_path):
 ], ids=["kernel-pairs", "kernel-rules", "kernel-predict", "kernel-graph", "bandwidth", "bandwidth-nan",
         "bandwidth-inf", "normtable-bandwidth", "normtable-nan", "format", "top-items",
         "top-users", "mi-subset", "top-t", "loglik-nan", "loglik-narrow", "threshold",
-        "fractional-scale", "loglik-n-items-loaded", "loglik-n-items-1", "m-grid", "reps",
+        "fractional-scale", "format-no-rating", "loglik-n-items-loaded", "loglik-n-items-1",
+        "m-grid", "reps",
         "test-fraction-0", "test-fraction-1.5", "holdout-fraction", "loss-missing",
         "loss-shape", "loss-nan", "loss-inf", "predict-seed-negative", "loglik-seed-negative", "synth-n",
         "synth-centers-label", "synth-centers-partial",
@@ -153,6 +155,27 @@ def test_bad_option_is_a_one_line_usage_error(ratings_file, tmp_path, capsys, ar
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["normtable", "--n", "3", "--bandwidth", "2"],
+    ["synth", "--n", "3"],
+    ["pairs", "--top-items", "8"],
+    ["graph", "--top-items", "8", "--subset-size", "4", "--threshold", "1e-9"],
+], ids=["normtable", "synth", "pairs", "graph"])
+def test_unwritable_out_is_a_one_line_usage_error(ratings_file, tmp_path, capsys, argv):
+    command, *options = argv
+    no_data = command in ("normtable", "synth")
+    data = [] if no_data else ["--data", str(ratings_file), "--top-users", "150"]
+    (tmp_path / "file").write_text("")
+    outs = [tmp_path, tmp_path / "file" / "x.csv"]  # a directory; a path through a regular file
+    if command == "graph":
+        (tmp_path / "g.dot").mkdir()
+        outs.append(tmp_path / "g.csv")  # the CSV can be written, its .dot cannot
+    for out in outs:
+        assert main([command, *data, *options, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: cannot write ") and err.count("\n") == 1
 
 
 def test_pairs_complement_and_ranking(ratings_file, tmp_path):
@@ -389,6 +412,41 @@ def test_loglik(ratings_file, tmp_path, capsys):
     assert capsys.readouterr().err == ""  # no cell dropped, so nothing to report
 
 
+_LOGLIK_DEFAULT_ROWS = [
+    "3,100,kernel,-1.677994711482287,0.007658540784651037",
+    "3,100,empirical,-7.683002873166427,2.4337634065872673",
+    "3,100,mallows,-1.532696447012313,0.0993945123346388",
+    "3,500,kernel,-1.6645227907324887,0.006501915071054035",
+    "3,500,empirical,-4.441046057672227,0.2712408694247989",
+    "3,500,mallows,-1.0840838201007317,0.07071666543722821",
+    "3,1000,kernel,-1.6759431219381473,0.0026143154264961672",
+    "3,1000,empirical,-4.5298634540409735,0.43197906803420766",
+    "3,1000,mallows,-1.3007920890329383,0.02967666022001824",
+    "4,100,kernel,-3.104546778837208,0.012912837999501596",
+    "4,100,empirical,-16.11809565095832,8.140867667575733",
+    "4,100,mallows,0.0,0.0",
+    "4,500,kernel,-3.0828157408036003,0.009245254298743644",
+    "4,500,empirical,-16.92281460717537,5.047896957790199",
+    "4,500,mallows,-10.56374357793512,6.998071636583288",
+    "4,1000,kernel,-3.0774074590163587,0.006866668840303142",
+    "4,1000,empirical,-12.101096926611767,2.4992381667298864",
+    "4,1000,mallows,-2.6454676841453475,0.24860204771946523",
+]
+
+
+@pytest.mark.parametrize("argv, rows", [
+    ([], _LOGLIK_DEFAULT_ROWS),  # no n = 5 cell: too few rankings rank all 5
+    (["--top-items", "8", "--n-items", "3", "--m-grid", "60", "--reps", "2", "--kernel", "exact"],
+     ["3,60,kernel,-1.713819015219436,0.014337650528431473",
+      "3,60,empirical,-6.413979688479786,0.20898622764692662",
+      "3,60,mallows,-1.7365984057470216,0.1216511595114517"]),
+], ids=["defaults", "exact"])
+def test_loglik_rows_are_pinned(ratings_file, tmp_path, argv, rows):
+    out = tmp_path / "ll.csv"
+    assert main(["loglik", "--data", str(ratings_file), *argv, "--out", str(out)]) == EXIT_OK
+    assert out.read_text().splitlines()[2:] == rows
+
+
 def test_loglik_names_the_cells_it_drops(ratings_file, tmp_path, capsys):
     out = tmp_path / "ll.csv"
     args = ["--data", str(ratings_file), "--out", str(out), "--top-items", "8",
@@ -421,7 +479,7 @@ def test_loglik_kernel_row_is_the_enumerated_modified_kernel(n):
         want = estimator.heldout_loglikelihood(
             [dist[pt.index[ev.enumerate_consistent()[0].order]] for ev in events]
         ).mean
-        got = _loglik_once(rankings, m, seed, h, "modified")
+        got = _loglik_once(estimator._grouped(rankings), m, seed, h, "modified")
         assert got["kernel"] == pytest.approx(want, rel=1e-12, abs=0)
     # the baselines, one event at a time over the TiedRankings
     empirical = [estimator.empirical_prob(train, ev) for ev in events]
@@ -430,6 +488,17 @@ def test_loglik_kernel_row_is_the_enumerated_modified_kernel(n):
     log_probs = [mallows.log_prob(ev.enumerate_consistent()[0]) for ev in events]
     assert got["mallows"] == estimator.heldout_loglikelihood([math.exp(lp) for lp in log_probs]).mean
     assert got["mallows"] == pytest.approx(math.fsum(log_probs) / len(log_probs), rel=1e-12)
+
+
+def test_predict_and_loglik_build_no_tied_ranking(ratings_file, tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a TiedRanking was built")
+
+    monkeypatch.setattr(TiedRanking, "__post_init__", refuse)
+    args = ["--data", str(ratings_file), "--top-items", "8", "--top-users", "300"]
+    assert main(["predict", *args, "--out", str(tmp_path / "pred.csv")]) == EXIT_OK
+    assert main(["loglik", *args, "--n-items", "3", "--n-items", "4", "--m-grid", "60",
+                 "--reps", "2", "--out", str(tmp_path / "ll.csv")]) == EXIT_OK
 
 
 def test_loglik_rejects_large_n():

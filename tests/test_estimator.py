@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rankdens import estimator, ingest, oracle
+from rankdens import cli, estimator, ingest, oracle
 from rankdens.censored import expected_kendall, pair_pref_prob, tie_terms
 from rankdens.estimator import EstimatorError
 from rankdens.rankings import (
@@ -282,26 +282,44 @@ def test_test_loglikelihood_drops_partial_users():
         parse_ranking("1|2", u),        # not full on the subset: dropped
         parse_ranking("1,2|3|4", u),    # tied: dropped
     ]
-    orders = estimator.strict_orders(test, range(4))
+    orders = cli._strict_orders(estimator._grouped(test))
     res = estimator.heldout_loglikelihood([0.5] * len(orders))
     assert res.n_used == 1
     assert res.mean == pytest.approx(math.log(0.5))
 
 
-def test_strict_orders_are_positions_in_items_in_input_order():
-    u = ItemUniverse(6)
+def test_record_strict_orders_keep_ties_outside_the_subset():
+    u, sub = ItemUniverse(6), ItemUniverse(4)
     rankings = [
         parse_ranking("4|3|2|1", u),
         parse_ranking("1|2", u),           # not every item ranked: dropped
         parse_ranking("1,2|3|4", u),       # tied items: dropped
-        parse_ranking("5|2,6|4|1|3", u),   # ties only with items outside `items`
+        parse_ranking("5|2,6|4|1|3", u),   # ties only with items outside the subset
         parse_ranking("1|2|3|4", u),
     ]
-    items = [3, 0, 2, 1]  # labels 4, 1, 3, 2
-    orders = estimator.strict_orders(rankings, items)
+    record = estimator._grouped(rankings)
+    projected = record.restrict(range(5), record.items < 4, sub)
+    orders = cli._strict_orders(projected)
     assert orders.dtype.kind == "i"
-    assert orders.tolist() == [[0, 2, 3, 1], [3, 0, 1, 2], [1, 3, 2, 0]]
-    assert estimator.strict_orders(rankings[1:3], items).shape == (0, 4)
+    assert orders.tolist() == [[3, 2, 1, 0], [1, 3, 0, 2], [0, 1, 2, 3]]
+    assert cli._strict_orders(projected.restrict([1, 2])).shape == (0, 4)
+
+
+@pytest.mark.parametrize("n_sub", [1, 3, 6])
+def test_restrict_is_each_ranking_projected_in_the_given_order(n_sub):
+    rng = np.random.default_rng(50 + n_sub)
+    u = ItemUniverse(6)
+    rankings = [oracle.random_tied_ranking(rng, u, level_labels=True) for _ in range(30)]
+    record = estimator._grouped(rankings)
+    users = rng.permutation(30)[:20]
+    sub = ItemUniverse(n_sub, tuple(u.label_of(i) for i in range(n_sub)))
+    got = record.restrict(users, record.items < n_sub, sub)
+    assert got.universe == sub and got.users.tolist() == users.tolist()
+    want = [project_ranking(rankings[i], range(n_sub), sub) for i in users]
+    ks = np.diff(got.user_starts)
+    assert (ks == 0).tolist() == [r is None for r in want]  # a ranking left empty stays
+    assert ingest.tied_rankings(got.restrict(np.flatnonzero(ks))) == [r for r in want if r]
+    assert ingest.tied_rankings(record.restrict(users[::-1])) == [rankings[i] for i in users[::-1]]
 
 
 def test_test_loglikelihood_floor():
@@ -310,49 +328,6 @@ def test_test_loglikelihood_floor():
     assert res.mean == pytest.approx(math.log(estimator.LIKELIHOOD_FLOOR))
     with pytest.raises(EstimatorError):
         estimator.heldout_loglikelihood([])
-
-
-def test_select_bandwidth_returns_grid_member():
-    rng = np.random.default_rng(11)
-    u = ItemUniverse(6)
-    cfg = oracle.MixtureConfig(
-        u, (Permutation((0, 1, 2, 3, 4, 5)),), (2.0,), (1.0,), rho=0.9, tie_block=1
-    )
-    train = oracle.synthesize(cfg, 160, seed=12)
-    items = [4, 1, 3]
-    # the modified kernel needs h > n(n-1)/4 = 7.5; 7.0 is skipped
-    grid = [7.0, 15.0, 9.0, 7.6, 12.0, 8.0]
-    h = estimator.select_bandwidth(train, grid, items, seed=0)
-
-    # reference: a refit per candidate, each projected event scored by event_prob
-    order = np.random.default_rng(0).permutation(len(train))
-    n_val = len(train) // 4
-    val = [train[i] for i in order[:n_val]]
-    fit_on = [train[i] for i in order[n_val:]]
-    events = []
-    for r in val:
-        proj = project_ranking(r, items)
-        if proj is not None and proj.k == len(items) and all(len(g) == 1 for g in proj.groups):
-            events.append(chain_ranking(u, [items[g[0]] for g in proj.groups]))
-    scores = {}
-    for cand in grid:
-        try:
-            model = estimator.fit(fit_on, h=cand)
-        except ValueError:
-            continue
-        probs = [model.event_prob(ev).value for ev in events]
-        scores[cand] = estimator.heldout_loglikelihood(probs).mean
-    assert 7.0 not in scores and len(set(scores.values())) == len(scores)
-    assert h == max(scores, key=scores.get)
-    assert h != grid[1]  # the pick is not just the first valid candidate
-
-
-def test_select_bandwidth_on_one_item_takes_the_first_valid_candidate():
-    # h = 0 cannot normalize the kernel; at n = 1 every h > 0 gives each
-    # event probability 1, so the first valid candidate is never beaten
-    u = ItemUniverse(1)
-    rankings = [parse_ranking("1", u)] * 8
-    assert estimator.select_bandwidth(rankings, [0.0, 2.0, 1.0], [0]) == 2.0
 
 
 def test_one_ranking_model_is_the_kernel_at_the_expected_kendall_distance():

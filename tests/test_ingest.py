@@ -83,7 +83,6 @@ def test_select_items_and_users(tmp_path):
     assert select_items(table, 2) == [10, 11]  # count, then ascending id
     users = select_users(table, [10, 11], top_m=2)
     assert users == [1, 2]
-    assert select_users(table, [10, 11], min_count=2) == [1]
     with pytest.raises(IngestError):
         select_items(table, 99)
 
@@ -328,9 +327,8 @@ def test_columnar_ingest_matches_per_line_reference(tmp_path, monkeypatch, fmt):
         items = _ranked(Counter(i for _, i in ratings))[:6]
         assert select_items(table, len(items)) == items
         coverage = Counter(u for u, i in ratings if i in items)
-        for min_count, top_m in ((None, None), (2, None), (None, 3)):
-            expect = [u for u in _ranked(coverage) if coverage[u] >= (min_count or 0)][:top_m]
-            assert select_users(table, items, min_count, top_m) == expect
+        for top_m in (None, 3):
+            assert select_users(table, items, top_m) == _ranked(coverage)[:top_m]
         users = _ranked(coverage)[::2]
         _, rankings = build_rankings(table, items, users)
         assert [(u, r.groups, r.level_labels) for u, r in rankings] == _reference_rankings(

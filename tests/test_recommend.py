@@ -1,5 +1,6 @@
+import dataclasses
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,18 +9,16 @@ from rankdens import cli, estimator, ingest, oracle
 from rankdens.censored import tie_terms
 from rankdens.rankings import ItemUniverse, TiedRanking, parse_ranking
 from rankdens.recommend import (
-    HoldoutUser,
+    Holdout,
     LossMatrix,
-    PredictionSplit,
     RecommendError,
     absolute_loss,
     asymmetric_loss,
     builtin_loss,
-    evaluate_prediction,
+    holdout_split,
     level_posterior,
     level_posteriors,
     loss_from_csv,
-    make_holdout,
     posterior_loss,
     predict_level,
     zero_one_loss,
@@ -182,37 +181,34 @@ def test_level_posterior_falls_back_to_uniform_when_every_weight_is_clamped():
     assert counts["clamped"] == 5
 
 
-def test_make_holdout_deterministic():
+def test_holdout_split_deterministic():
     u = ItemUniverse(6)
-    rankings = [
-        (7, TiedRanking(u, ((0, 1), (2,), (4,)), (5, 3, 1))),
-        (9, TiedRanking(u, ((3,), (5,)), (4, 2))),
-        (11, TiedRanking(u, ((2,),), (3,))),          # k < 2: dropped
-        (13, parse_ranking("1|2", u)),                 # no labels: dropped
-    ]
-    a = make_holdout(rankings, seed=5)
-    b = make_holdout(rankings, seed=5)
-    assert a == b
-    assert {usr.user_id for usr in a.users} == {7, 9}
-    for usr in a.users:
-        assert usr.held_out
-        assert usr.observed.k >= 1
-        for item, truth in usr.held_out:
-            assert usr.observed.group_index(item) is None
-            orig = dict(rankings)[usr.user_id]
+    rankings = {
+        7: TiedRanking(u, ((0, 1), (2,), (4,)), (5, 3, 1)),
+        9: TiedRanking(u, ((3,), (5,)), (4, 2)),
+        11: TiedRanking(u, ((2,),), (3,)),          # k < 2: dropped
+    }
+    record = dataclasses.replace(estimator._grouped(list(rankings.values())),
+                                 users=np.array(list(rankings)))
+    # round(3 * 0.9) = 3: every user is a test user
+    train_a, a = holdout_split(record, seed=4, test_fraction=0.9)
+    train_b, b = holdout_split(record, seed=4, test_fraction=0.9)
+    assert len(train_a.users) == len(train_b.users) == 0
+    for field in ("items", "owners", "levels"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert ingest.tied_rankings(a.observed) == ingest.tied_rankings(b.observed)
+    assert set(a.observed.users.tolist()) == {7, 9}
+    observed = dict(zip(a.observed.users.tolist(), ingest.tied_rankings(a.observed)))
+    for uid, usr in observed.items():
+        held = [(item, truth) for item, truth, owner
+                in zip(a.items.tolist(), a.levels.tolist(), a.owners.tolist())
+                if a.observed.users[owner] == uid]
+        assert held
+        assert usr.k >= 1
+        for item, truth in held:
+            assert usr.group_index(item) is None
+            orig = rankings[uid]
             assert truth == orig.level_labels[orig.group_index(item)]
-
-
-def test_evaluate_prediction_known_losses():
-    u = ItemUniverse(4)
-    observed = TiedRanking(u, ((0,),), (5,))
-    split_users = (
-        HoldoutUser("a", observed, ((1, 4), (2, 2))),
-    )
-    split = PredictionSplit(split_users, seed=0)
-    loss = absolute_loss(range(1, 6))
-    mean = evaluate_prediction(lambda user: [3, 3], split, loss)
-    assert mean == pytest.approx(1.0)  # |3-4| and |3-2|
 
 
 def test_posterior_loss_end_to_end():
@@ -224,10 +220,12 @@ def test_posterior_loss_end_to_end():
     train = oracle.synthesize(cfg, 150, seed=4)
     model = estimator.fit(train, h=11.0)
     loss = absolute_loss(range(1, 6))
-    user = HoldoutUser("u", TiedRanking(u, ((0,), (2,)), (5, 3)), ((1, 4),))
-    pred = predict_level(level_posterior(model, user.observed, 1, loss.levels), loss)
+    user = TiedRanking(u, ((0,), (2,)), (5, 3))
+    pred = predict_level(level_posterior(model, user, 1, loss.levels), loss)
     assert pred in loss.levels
-    assert posterior_loss(model, PredictionSplit((user,), seed=0), loss) == loss.loss(pred, 4)
+    holdout = Holdout(estimator._grouped([user]), np.array([1]), np.array([0]),
+                      np.array([4]))
+    assert posterior_loss(model, holdout, loss) == loss.loss(pred, 4)
 
 
 def _oracle_level_posterior(model, user_ranking, items, levels, counts):
@@ -260,11 +258,12 @@ def _oracle_level_posterior(model, user_ranking, items, levels, counts):
     return post
 
 
-def _assert_split_matches_oracle(model, users, levels):
+def _assert_split_matches_oracle(model, observed, owners, items, levels):
     counts, want_counts = Counter(), Counter()
-    post = level_posteriors(model, users, levels, counts)
-    want = np.concatenate([_oracle_level_posterior(model, r, items, levels, want_counts)
-                           for r, items in users])
+    post = level_posteriors(model, observed, owners, items, levels, counts)
+    want = np.concatenate([_oracle_level_posterior(model, r, items[owners == u].tolist(), levels,
+                                                   want_counts)
+                           for u, r in enumerate(ingest.tied_rankings(observed))])
     assert post.shape == want.shape and np.array_equal(post, want)
     assert counts == want_counts
     return counts
@@ -272,12 +271,12 @@ def _assert_split_matches_oracle(model, users, levels):
 
 @pytest.fixture(scope="module")
 def corpus_split(ratings_file):
-    """The predict command's training set, split and model on the corpus."""
+    """The predict command's training set, holdout and model on the corpus."""
     def build(top_items=53, top_users=2000, bandwidth="auto"):
         selection = cli._selection(ratings_file, "ml100k", top_items, top_users)
-        universe, rankings = ingest.build_rankings(*selection)
-        train, split = ingest.split_users(rankings, 0, 0.3, 0.5)
-        return train, split, cli._fit(train, universe.n, bandwidth)[1]
+        grouped = ingest.group_ratings(*selection)
+        train, holdout = holdout_split(grouped, 0, 0.3, 0.5)
+        return train, holdout, cli._fit(train, grouped.universe.n, bandwidth)[1]
     return build
 
 
@@ -287,9 +286,9 @@ def corpus_split(ratings_file):
 ])
 def test_split_posteriors_equal_the_per_user_oracle_on_the_corpus(
         corpus_split, top_items, top_users, bandwidth, clamped):
-    _, split, model = corpus_split(top_items, top_users, bandwidth)
-    users = [(u.observed, [item for item, _ in u.held_out]) for u in split.users]
-    counts = _assert_split_matches_oracle(model, users, range(1, 6))
+    _, holdout, model = corpus_split(top_items, top_users, bandwidth)
+    counts = _assert_split_matches_oracle(model, holdout.observed, holdout.owners, holdout.items,
+                                          range(1, 6))
     assert counts["clamped"] == clamped
 
 
@@ -302,28 +301,29 @@ def test_split_posteriors_equal_the_per_user_oracle_on_labelled_rankings(n):
     train = [oracle.random_tied_ranking(rng, u) for _ in range(12)]
     for h in (n * (n - 1) / 4 + 0.25, estimator.default_bandwidth(n)):
         model = estimator.fit(train, h=h)
-        users = []
-        for _ in range(25):
+        users, owners, items = [], [], []
+        for owner in range(25):
             user = _labelled_ranking(rng, u)
             unranked = [z for z in range(n) if user.group_index(z) is None]
-            users.append((user, rng.permutation(unranked)[:rng.integers(1, 4)].tolist()))
-        _assert_split_matches_oracle(model, users, list(range(12)))
+            users.append(user)
+            items += rng.permutation(unranked)[:rng.integers(1, 4)].tolist()
+            owners += [owner] * (len(items) - len(owners))
+        _assert_split_matches_oracle(model, estimator._grouped(users),
+                                     np.array(owners), np.array(items), list(range(12)))
 
 
-def _item_mean_predictor(train):
+def _item_mean_levels(train, n):
     """Each item's mean training level, rounded half up: floor(mean + 1/2)."""
-    seen = defaultdict(list)
-    for r in train:
-        for group, level in zip(r.groups, r.level_labels):
-            for item in group:
-                seen[item].append(level)
-    means = {item: math.floor(sum(v) / len(v) + 0.5) for item, v in seen.items()}
-    return lambda user: [means[item] for item, _ in user.held_out]
+    level = np.repeat(train.levels, np.diff(train.group_starts))
+    sums, counts = (np.bincount(train.items, weights, minlength=n) for weights in (level, None))
+    return np.floor(sums / counts + 0.5).astype(np.int64)
 
 
 def test_item_mean_baseline_and_kernel_posterior_on_the_default_split(corpus_split):
     # the measured gap to the baseline; the kernel is not gated against it
-    train, split, model = corpus_split()
+    train, holdout, model = corpus_split()
     loss = absolute_loss(range(1, 6))
-    assert evaluate_prediction(_item_mean_predictor(train), split, loss) == 0.856137607505864
-    assert posterior_loss(model, split, loss) == 1.1324472243940578
+    predicted = _item_mean_levels(train, model.universe.n)[holdout.items] - 1  # level indices
+    item_mean = math.fsum(loss.entries[predicted, holdout.levels - 1].tolist()) / len(predicted)
+    assert item_mean == 0.856137607505864
+    assert posterior_loss(model, holdout, loss) == 1.1324472243940578
