@@ -2,9 +2,18 @@
 
 The expected Kendall distance between two tied, incomplete rankings is
 linear in either one's pair factors 1 - 2*P(x precedes y) (Lebanon & Mao,
-JMLR 2008): ``expected_distance``, which the kernel model also evaluates.
-So one more item inserted into an event moves it only through the item's
-pair factors and the new group centres: ``insertion_distances``.
+JMLR 2008): ``expected_distance``, an O(k^2) loop with two running sums,
+which the kernel model evaluates for one event or a batch. So one more
+item inserted into an event moves it only through the item's pair factors
+and the new group centres: ``insertion_distances``.
+
+``expected_kendall`` runs the same two sums as numpy cumsums, which add in
+the loop's order, so its values are the loop's bit for bit. The kernel
+model keeps the loop, as measured: for one event (``event_prob``) the
+array form's fixed per-call cost outweighs its k^2 work at k = 40, which
+flattens the cost's growth with k, and across a batch axis
+(``chain_prob``) a cumsum runs 2-8x slower than the loop's row-by-row
+array updates.
 """
 
 from __future__ import annotations
@@ -16,23 +25,31 @@ import numpy as np
 from .rankings import RankingError, TiedRanking
 
 
-def tie_terms(sizes: Iterable[int]) -> tuple[list[int], list[float]]:
-    """Group index and centre of each ranked item, in group order, of a
-    ranking with these tie-group sizes (most preferred first).
+def group_centres(sizes: Sequence[int]) -> list[float]:
+    """The centre of each tie group of a ranking with these group sizes
+    (most preferred first): the pair factor of any of its items against
+    an unranked item.
 
-    The centre, the pair factor of a ranked item against any unranked one,
-    is 2c - 1 with c = (tau + (phi-1)/2) / (k+1) the probability that an
-    unranked item lands ahead of an item of best position tau in a group
-    of phi, k items being ranked.
+    It is 2c - 1 with c = (tau + (phi-1)/2) / (k+1) the probability that
+    an unranked item lands ahead of an item of best position tau in a
+    group of phi, k items being ranked.
     """
-    sizes = list(sizes)
     k = sum(sizes)
-    grp, centre = [], []
-    below = 0
-    for gi, size in enumerate(sizes):
-        grp += [gi] * size
-        centre += [2.0 * (below + 1 + (size - 1) / 2.0) / (k + 1) - 1.0] * size
+    centres, below = [], 0
+    for size in sizes:
+        centres.append(2.0 * (below + 1 + (size - 1) / 2.0) / (k + 1) - 1.0)
         below += size
+    return centres
+
+
+def tie_terms(sizes: Iterable[int]) -> tuple[list[int], list[float]]:
+    """Group index and centre (``group_centres``) of each ranked item, in
+    group order, of a ranking with these tie-group sizes."""
+    sizes = list(sizes)
+    grp, centre = [], []
+    for gi, (size, c) in enumerate(zip(sizes, group_centres(sizes))):
+        grp += [gi] * size
+        centre += [c] * size
     return grp, centre
 
 
@@ -106,33 +123,54 @@ def pair_pref_prob(u: TiedRanking, i: int, j: int) -> float:
         return 1.0 if gi < gj else 0.0
     if gi is None and gj is None:
         return 0.5
-    _, centre = tie_terms(map(len, u.groups))
-    ranked = [x for group in u.groups for x in group]
+    centre = group_centres([len(group) for group in u.groups])
     if gj is not None:  # only j ranked
-        return (1.0 + centre[ranked.index(j)]) / 2.0
-    return 1.0 - (1.0 + centre[ranked.index(i)]) / 2.0  # only i ranked
+        return (1.0 + centre[gj]) / 2.0
+    return 1.0 - (1.0 + centre[gi]) / 2.0  # only i ranked
 
 
 def expected_kendall(s: TiedRanking, r: TiedRanking) -> float:
     """Mean Kendall tau between independent uniform draws from the two
     consistent-permutation sets: ``expected_distance`` of s against r's
-    pair factors, O(k^2) over the items s ranks."""
+    pair factors, O(k^2) over the items s ranks, with the loop's two
+    running sums as cumsums, which add strictly left to right.
+
+    r's pair factor between two items depends only on their codes: r's
+    group, 1..L, or 0 for unranked. So s's block is an (L+1) x (L+1) table
+    read at s's items' codes, and its rows of one code are equal, as are
+    their sums over the block (one cumsum per code). ``inner`` is one
+    cumsum over a (k, k+1) term array that, read row-major, lists the
+    loop's updates in order, with +0.0 where the loop adds nothing, which
+    can change only the sign of a zero. So every value is bit-identical
+    to ``expected_distance``'s, which the kernel model keeps for the
+    reasons measured in the module docstring.
+    """
     if s.universe != r.universe:
         raise RankingError("universe mismatch")
     n = s.n
-    grp, centre = tie_terms(map(len, r.groups))
-    ranked = [x for group in r.groups for x in group]
-    # r's group index (-1 if unranked) and centre (0 if unranked) per item
-    r_grp, r_centre = np.full(n, -1), np.zeros(n)
-    r_grp[ranked], r_centre[ranked] = grp, centre
-    items = [x for group in s.groups for x in group]
-    g, c = r_grp[items], r_centre[items]
-    both = (g[:, None] >= 0) & (g >= 0)
-    block = np.where(both, np.sign(g[:, None] - g), c[:, None] - c)
+    group_of = {x: gi for gi, group in enumerate(r.groups, 1) for x in group}
+    code = np.array([group_of.get(x, 0) for group in s.groups for x in group])
+    k = len(code)
+    # pair factors by code: -1/0/+1 between two ranked items, otherwise the
+    # centre difference, as an unranked item's centre is 0
+    centre = np.array([0.0, *group_centres([len(g) for g in r.groups])])
+    table = centre[:, None] - centre
+    groups = np.arange(len(r.groups))
+    table[1:, 1:] = np.sign(groups[:, None] - groups)
+    rows = table[:, code]
     # an item's pair factors against r's k ranked items sum to (k+1) times
     # its centre and against the n-k unranked ones to (n-k) times it; an
     # item r leaves unranked has centre 0, as r's centres sum to 0
-    rowsums = (n + 1) * c
-    return expected_distance(
-        n, list(map(len, s.groups)), block.tolist(), rowsums.tolist()
-    )
+    by_code = np.empty((len(centre), k + 1))
+    np.negative(rows, out=by_code[:, :k])
+    by_code[:, k] = (n + 1) * centre - np.cumsum(rows, axis=1)[:, -1]
+    # row a: -F[a, b] for each b in a later group of s, then s's centre of
+    # a times the sum over the items s leaves unranked
+    terms = by_code[code]
+    lo = 0
+    for size, c in zip(map(len, s.groups), group_centres([len(g) for g in s.groups])):
+        terms[lo:lo + size, :lo + size] = 0.0
+        terms[lo:lo + size, k] *= c
+        lo += size
+    inner = float(np.cumsum(terms)[-1])
+    return n * (n - 1) / 4.0 - 0.5 * inner

@@ -294,6 +294,9 @@ def predict(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
         raise click.UsageError(f"--loss {loss}: {exc}") from None
     grouped = ingest.group_ratings(*_selection(data, fmt, top_items, top_users))
     train, holdout = holdout_split(grouped, seed, test_fraction, holdout_fraction)
+    if not len(train.users):
+        raise DataError(f"no training users: --test-fraction {test_fraction} leaves "
+                        f"none of {len(grouped.users)}")
     if not len(holdout.items):
         raise DataError("no test users with enough ranked items")
     h, model = _fit(train, grouped.universe.n, bandwidth)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rankdens import oracle
-from rankdens.censored import expected_kendall, pair_pref_prob
+from rankdens.censored import expected_distance, expected_kendall, pair_pref_prob, tie_terms
 from rankdens.rankings import ItemUniverse, TiedRanking, parse_ranking
 
 
@@ -94,3 +94,55 @@ def test_expected_kendall_is_the_sum_of_pair_disagreements():
             ps, pr = pair_pref_prob(s, i, j), pair_pref_prob(r, i, j)
             want += ps * (1.0 - pr) + (1.0 - ps) * pr
         assert expected_kendall(s, r) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def _loop_expected_kendall(s, r):
+    """expected_kendall by ``expected_distance``'s loop: r's pair factors
+    between s's items and their row sums, as Python lists."""
+    grp, centre = tie_terms(map(len, r.groups))
+    ranked = [x for group in r.groups for x in group]
+    g, c = dict(zip(ranked, grp)), dict(zip(ranked, centre))
+    items = [x for group in s.groups for x in group]
+    block = [[float(np.sign(g[a] - g[b])) if a in g and b in g else c.get(a, 0.0) - c.get(b, 0.0)
+              for b in items] for a in items]
+    rowsums = [(s.n + 1) * c.get(a, 0.0) for a in items]
+    return expected_distance(s.n, [len(group) for group in s.groups], block, rowsums)
+
+
+def _leveled_ranking(rng, u, items, levels):
+    """These items tied by a random level out of 1..levels, best level first."""
+    items = np.asarray(items)
+    level = rng.integers(levels, size=len(items))
+    return TiedRanking(u, tuple(tuple(items[level == lv].tolist())
+                                for lv in range(levels) if (level == lv).any()))
+
+
+def _pairs_of_every_shape():
+    rng = np.random.default_rng(17)
+    big = ItemUniverse(1000)
+    for k in (1, 2, 7, 30, 50, 60):  # the closed-forms batch shape: n = 1000, k = 50, 5 levels
+        for levels in range(1, 6):
+            s, r = (_leveled_ranking(rng, big, rng.choice(1000, k, replace=False), levels)
+                    for _ in range(2))
+            yield s, r
+    for n in (1, 2, 3, 5, 8):
+        u = ItemUniverse(n)
+        for _ in range(20):
+            s, r = (oracle.random_tied_ranking(rng, u) for _ in range(2))
+            yield s, r
+    u = ItemUniverse(40)
+    items = rng.permutation(40)
+    r = _leveled_ranking(rng, u, items[:12], 4)
+    for s_items in (items[:12], items[6:30], items[12:30]):  # the last: none ranked by r
+        yield TiedRanking(u, (tuple(s_items.tolist()),)), r  # s in one group
+        yield TiedRanking(u, tuple((int(x),) for x in s_items)), r  # s all singletons
+    yield TiedRanking(u, ((int(items[0]),),)), r  # k = 1, ranked by r
+    yield TiedRanking(u, ((int(items[39]),),)), r  # k = 1, not ranked by r
+
+
+def test_expected_kendall_is_bit_identical_to_the_loop():
+    # the array form's cumsums add in the loop's order: no value moves by a bit
+    for s, r in _pairs_of_every_shape():
+        got = expected_kendall(s, r)
+        assert type(got) is float
+        assert got == _loop_expected_kendall(s, r), (s, r)

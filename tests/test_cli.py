@@ -388,6 +388,19 @@ def test_strict_predict_exit_numeric_on_negative_level_weights(ratings_file, tmp
     assert main(["predict", *args, "--strict", "--out", str(default)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("top_users", [1, 2])
+def test_predict_without_training_users_is_a_data_error(ratings_file, tmp_path, capsys,
+                                                         top_users):
+    # round(m * 0.9) of m = 1 or 2 users puts every user in the test split
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--data", str(ratings_file), "--top-items", "8",
+                 "--top-users", str(top_users), "--test-fraction", "0.9",
+                 "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: no training users: --test-fraction 0.9 leaves none of {top_users}\n")
+    assert not out.exists()
+
+
 def test_graph(ratings_file, tmp_path):
     out = tmp_path / "graph.csv"
     args = ["--threshold", "1e-9", "--subset-size", "4"]
