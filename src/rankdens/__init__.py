@@ -10,7 +10,6 @@ from .rankings import (
     full_group_ranking,
     pair_ranking,
     parse_ranking,
-    project_ranking,
 )
 from .combinatorics import (
     MahonianTable,
@@ -28,9 +27,7 @@ from .estimator import (
     empirical_prob,
     fit,
     heldout_loglikelihood,
-    load_model,
     mallows_fit,
-    save_model,
 )
 from .recommend import (
     LossMatrix,

@@ -88,11 +88,11 @@ def _bandwidth(bandwidth: str, n: int, mode: str) -> float:
     return h
 
 
-def _fit(rankings, n: int, bandwidth: str):
-    """(h, model) for a command, fitted from its rankings or their grouped
-    record; a bandwidth the model cannot take is a usage error."""
-    h = _bandwidth(bandwidth, n, "modified")
-    return h, estimator.fit(rankings, h=h)
+def _fit(grouped, bandwidth: str):
+    """(h, model) for a command, fitted from its grouped record; a bandwidth
+    the model cannot take is a usage error."""
+    h = _bandwidth(bandwidth, grouped.universe.n, "modified")
+    return h, estimator.fit(grouped, h=h)
 
 
 common = [
@@ -102,10 +102,11 @@ common = [
     click.option("--top-items", default=53, show_default=True, type=click.IntRange(min=1)),
     click.option("--top-users", default=2000, show_default=True, type=click.IntRange(min=1)),
     click.option("--bandwidth", default="auto", show_default=True),
-    click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0)),
     click.option("--out", required=True, type=click.Path()),
     click.option("--strict", is_flag=True, help="escalate numeric warnings"),
 ]
+# only the commands that draw random numbers take a seed
+seed_option = click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 
 
 def with_common(fn):
@@ -146,11 +147,11 @@ def normtable(sizes, bandwidths, out):
 
 @cli.command()
 @with_common
-def pairs(data, fmt, top_items, top_users, bandwidth, seed, out, strict):
+def pairs(data, fmt, top_items, top_users, bandwidth, out, strict):
     """Pairwise preference matrix and the r(i) preference ranking."""
     grouped = ingest.group_ratings(*_selection(data, fmt, top_items, top_users))
     universe = grouped.universe
-    h, model = _fit(grouped, universe.n, bandwidth)
+    h, model = _fit(grouped, bandwidth)
     n = universe.n
     matrix = np.full((n, n), 0.5)
     off = np.nonzero(~np.eye(n, dtype=bool))  # every ordered pair i != j
@@ -162,8 +163,7 @@ def pairs(data, fmt, top_items, top_users, bandwidth, seed, out, strict):
     order = sorted(range(n), key=lambda i: (-r_scores[i], i))
     config = {
         "cmd": "pairs", "data": str(data), "sha256": _sha256(data), "format": fmt,
-        "top_items": top_items, "top_users": top_users, "h": h,
-        "kernel": "modified", "seed": seed,
+        "top_items": top_items, "top_users": top_users, "h": h, "kernel": "modified",
     }
     labels = [universe.label_of(i) for i in range(n)]
     lines = [f"{a},{b},{p!r}\n" for a, row in zip(labels, matrix.tolist())
@@ -177,6 +177,7 @@ def pairs(data, fmt, top_items, top_users, bandwidth, seed, out, strict):
 
 @cli.command()
 @with_common
+@seed_option
 @click.option("--kernel", default="modified", show_default=True,
               type=click.Choice(["modified", "exact"]),
               help="exact: the exact-support kernel, by enumeration")
@@ -185,7 +186,7 @@ def pairs(data, fmt, top_items, top_users, bandwidth, seed, out, strict):
 @click.option("--m-grid", multiple=True, type=click.IntRange(min=1),
               default=(100, 500, 1000), show_default=True)
 @click.option("--reps", default=5, show_default=True, type=click.IntRange(min=1))
-def loglik(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
+def loglik(data, fmt, top_items, top_users, bandwidth, out, strict, seed,
            kernel, small_ns, m_grid, reps):
     """Held-out log-likelihood: kernel vs empirical vs Mallows baseline."""
     mode = "exact-support" if kernel == "exact" else "modified"
@@ -194,7 +195,7 @@ def loglik(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
     universe = grouped.universe
     if max(small_ns) > universe.n:
         raise click.UsageError(f"--n-items {max(small_ns)} exceeds the {universe.n} loaded items")
-    lines = []
+    lines, counts = [], Counter()
     empty = no_mallows = 0  # cells with no rows at all, and with no mallows row
     rng = np.random.default_rng(seed)
     for n_sub in small_ns:
@@ -206,7 +207,7 @@ def loglik(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
             results = {"kernel": [], "empirical": [], "mallows": []}
             for rep in range(reps):
                 rep_seed = int(rng.integers(2**31))
-                scores = _loglik_once(projected, m, rep_seed, widths[n_sub], kernel)
+                scores = _loglik_once(projected, m, rep_seed, widths[n_sub], kernel, counts)
                 if scores is None:
                     continue
                 for key, val in scores.items():
@@ -228,6 +229,8 @@ def loglik(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
         click.echo(f"{empty} of {len(small_ns) * len(m_grid)} (n, m) cells dropped (too few or "
                    f"unusable held-out rankings), {no_mallows} without a mallows row (no full "
                    f"training ranking)", err=True)
+    if counts["negative"] and strict:
+        raise NumericError(f"{counts['negative']} negative kernel event probabilities")
 
 
 def _strict_orders(grouped) -> np.ndarray:
@@ -238,12 +241,14 @@ def _strict_orders(grouped) -> np.ndarray:
     return grouped.items[starts[:-1][full][:, None] + np.arange(n)]
 
 
-def _loglik_once(projected, m, seed, h, kernel):
+def _loglik_once(projected, m, seed, h, kernel, counts=None):
     """One run's mean log-likelihood per estimator, or None when too few
     rankings are left. ``projected`` holds each ranking cut to the subset,
     its universe (empty when it ranks no subset item); after a seeded
     shuffle of all of them the first m non-empty ones train, and the strict
-    full orders among the next ones are the test events."""
+    full orders among the next ones are the test events. Kernel event
+    probabilities below zero, which the mean floors, are counted in
+    ``counts["negative"]``."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(projected.users))
     kept = order[np.diff(projected.user_starts)[order] > 0]
@@ -260,11 +265,13 @@ def _loglik_once(projected, m, seed, h, kernel):
         kernel_probs = dist[[index[e] for e in events]]
     else:
         kernel_probs = estimator.fit(train, h).chain_prob(orders)
+    if counts is not None:
+        counts["negative"] += int((kernel_probs < 0).sum())
     full = list(map(tuple, _strict_orders(train).tolist()))
-    counts = Counter(full)  # only the identical strict full order implies an event
+    seen = Counter(full)  # only the identical strict full order implies an event
     out = {
         "kernel": estimator.heldout_loglikelihood(kernel_probs).mean,
-        "empirical": estimator.heldout_loglikelihood([counts[e] / m for e in events]).mean,
+        "empirical": estimator.heldout_loglikelihood([seen[e] / m for e in events]).mean,
     }
     if full:
         mallows = estimator.mallows_fit([Permutation(order) for order in full])
@@ -276,13 +283,14 @@ def _loglik_once(projected, m, seed, h, kernel):
 
 @cli.command()
 @with_common
+@seed_option
 @click.option("--loss", default="l1", show_default=True,
               help="l0 | l1 | le | path to CSV matrix")
 @click.option("--test-fraction", default=0.3, show_default=True,
               type=click.FloatRange(0, 1, min_open=True, max_open=True))
 @click.option("--holdout-fraction", default=0.5, show_default=True,
               type=click.FloatRange(0, 1, min_open=True, max_open=True))
-def predict(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
+def predict(data, fmt, top_items, top_users, bandwidth, out, strict, seed,
             loss, test_fraction, holdout_fraction):
     """Mean posterior-loss of held-out item level prediction."""
     lo, hi = _format(fmt).scale
@@ -299,7 +307,7 @@ def predict(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
                         f"none of {len(grouped.users)}")
     if not len(holdout.items):
         raise DataError("no test users with enough ranked items")
-    h, model = _fit(train, grouped.universe.n, bandwidth)
+    h, model = _fit(train, bandwidth)
     counts = Counter()
     mean_loss = posterior_loss(model, holdout, loss_matrix, counts)
     config = {"cmd": "predict", "data": str(data), "sha256": _sha256(data),
@@ -320,7 +328,7 @@ def predict(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
 @click.option("--subset-size", default=20, show_default=True, type=click.IntRange(min=1),
               help="analyze the most-rated subset of this size")
 @click.option("--top-t", default=10, show_default=True, type=click.IntRange(min=1))
-def rules_cmd(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
+def rules_cmd(data, fmt, top_items, top_users, bandwidth, out, strict,
               rule_mode, subset_size, top_t):
     """Mine association rules over the most rated items."""
     grouped = ingest.group_ratings(*_selection(data, fmt, top_items, top_users))
@@ -331,30 +339,29 @@ def rules_cmd(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
             f"--mode mi pairs up disjoint item pairs and needs at least 4 "
             f"subset items, got {len(subset)}"
         )
-    h, model = _fit(grouped, universe.n, bandwidth)
+    h, model = _fit(grouped, bandwidth)
+    counts = Counter()
     if rule_mode == "mi":
-        mined = rules.mine_mi_rules(model, subset, top_t)
-        negatives, what = mined.negative_cells, "negative MI joint-table cells"
+        mined = rules.mine_mi_rules(model, subset, top_t, counts)
+        what = "negative MI joint-table cells"
     else:
         lift_mode = "top2" if rule_mode == "lift-top2" else "top-bottom"
-        counts = Counter()
         try:
             mined = rules.mine_lift_rules(model, subset, lift_mode, top_t, counts)
         except rules.RulesError as exc:  # a signed kernel can leave a lift with no denominator
             raise NumericError(str(exc)) from exc
-        negatives, what = counts["negative"], "negative event probabilities"
+        what = "negative event probabilities"
     config = {"cmd": "rules", "data": str(data), "sha256": _sha256(data),
               "mode": rule_mode, "subset_size": subset_size, "top_t": top_t,
-              "h": h, "kernel": "modified", "seed": seed,
-              "top_items": top_items, "top_users": top_users}
+              "h": h, "kernel": "modified", "top_items": top_items, "top_users": top_users}
     lines = []
     for rule in mined:
         ante = "<".join(universe.label_of(i) for i in rule.antecedent)
         cons = "<".join(universe.label_of(i) for i in rule.consequent)
         lines.append(f"{ante},{cons},{rule.score!r}\n")
     _write_csv(Path(out), config, ("antecedent", "consequent", "score"), lines)
-    if negatives and strict:
-        raise NumericError(f"{negatives} {what}")
+    if counts["negative"] and strict:
+        raise NumericError(f"{counts['negative']} {what}")
 
 
 @cli.command()
@@ -362,12 +369,12 @@ def rules_cmd(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
 @click.option("--threshold", default=1.5, show_default=True,
               type=click.FloatRange(min=0, min_open=True))
 @click.option("--subset-size", default=20, show_default=True, type=click.IntRange(min=1))
-def graph(data, fmt, top_items, top_users, bandwidth, seed, out, strict,
+def graph(data, fmt, top_items, top_users, bandwidth, out, strict,
           threshold, subset_size):
     """Emit the affinity graph edge list for external layout tools."""
     grouped = ingest.group_ratings(*_selection(data, fmt, top_items, top_users))
     universe = grouped.universe
-    h, model = _fit(grouped, universe.n, bandwidth)
+    h, model = _fit(grouped, bandwidth)
     subset = list(range(min(subset_size, universe.n)))
     counts = Counter()
     try:
@@ -407,7 +414,7 @@ def _finite(ctx, param, value):
 @click.option("--rho", default=1.0, show_default=True,
               type=click.FloatRange(0, 1, min_open=True), callback=_finite)
 @click.option("--tie-block", default=1, show_default=True, type=click.IntRange(min=1))
-@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
+@seed_option
 @click.option("--out", required=True, type=click.Path())
 def synth(n, m, centers, concentration, rho, tie_block, seed, out):
     """Generate a reproducible synthetic corpus of censored rankings."""

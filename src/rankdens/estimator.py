@@ -9,14 +9,12 @@ modified-kernel event probability then follows by the closed form in
 O(k^2) for the k items the event ranks, with no term in m: ``event_prob``
 and ``chain_prob`` (a whole batch of events with the same tie-group sizes
 as array operations) both evaluate ``censored.expected_distance`` against
-fbar. The model keeps fbar and no training ranking; ``save_model`` writes
-fbar itself.
+fbar. The model keeps fbar and no training ranking.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -25,7 +23,6 @@ import numpy as np
 
 from .censored import expected_distance
 from .combinatorics import (
-    CombinatoricsError,
     MahonianTable,
     TriangularNormalization,
     mahonian_distribution,
@@ -34,7 +31,6 @@ from .combinatorics import (
 from .rankings import (
     ItemUniverse,
     Permutation,
-    RankingError,
     TiedRanking,
     chain_ranking,
 )
@@ -58,9 +54,6 @@ class EventProbability:
     value: float
     log_value: float
     negative: bool = False
-
-    def __float__(self) -> float:
-        return self.value
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,17 +260,6 @@ class KernelModel:
                 )
         return math.fsum(values)
 
-    # -- persistence -------------------------------------------------------
-
-    def to_archive(self) -> dict:
-        return {
-            "n": self.universe.n,
-            "labels": list(self.universe.labels) if self.universe.labels else None,
-            "h": self.h,
-            "m": self.m,
-            "fbar": self.fbar.tolist(),
-        }
-
 
 def fit(
     rankings: Sequence[TiedRanking] | GroupedRankings, h: Optional[float] = None
@@ -301,42 +283,6 @@ def fit(
         h = default_bandwidth(n)
     norm = triangular_normalization(n, h)
     return KernelModel(grouped.universe, _mean_pair_factors(grouped), h, m, norm)
-
-
-def save_model(model: KernelModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model.to_archive(), fh, indent=1)
-
-
-def load_model(path) -> KernelModel:
-    """The model of an archive. JSON writes floats by ``repr``, so fbar,
-    and with it every probability, round-trips exactly."""
-    with open(path) as fh:
-        archive = json.load(fh)
-    missing = sorted({"n", "h", "m"} - archive.keys())
-    if missing:
-        raise EstimatorError(f"archive has no {', '.join(missing)}")
-    n, h, m = archive["n"], archive["h"], archive["m"]
-    for key, value in (("n", n), ("m", m)):
-        if type(value) is not int or value < 1:  # a JSON true loads as a bool, an int subclass
-            raise EstimatorError(f"archive {key} must be a positive integer, got {value!r}")
-    try:
-        universe = ItemUniverse(n, tuple(archive["labels"]) if archive.get("labels") else None)
-    except (RankingError, TypeError) as exc:
-        raise EstimatorError(f"archive labels: {exc}") from None
-    try:
-        fbar = np.array(archive["fbar"], dtype=float)
-    except (KeyError, TypeError, ValueError):
-        fbar = None
-    if fbar is None or fbar.shape != (n, n) or not np.isfinite(fbar).all():
-        raise EstimatorError(f"archive has no finite {n} x {n} fbar")
-    if type(h) not in (int, float):
-        raise EstimatorError(f"archive h must be a number, got {h!r}")
-    try:
-        norm = triangular_normalization(n, h)
-    except CombinatoricsError as exc:
-        raise EstimatorError(f"archive h = {h!r}: {exc}") from None
-    return KernelModel(universe, fbar, h, m, norm)
 
 
 def _has_cycle(nodes, edges) -> bool:
@@ -385,23 +331,26 @@ def mallows_fit(
     """Exhaustive-center maximum likelihood fit at small n.
 
     The center minimizing total distance is the MLE for any positive
-    concentration c. The profile log-likelihood -c * mean_dist - log Z(c)
+    concentration c. A candidate's total distance to the data is, over
+    each pair it orders x ahead of y, the number of data orders that put
+    y ahead of x: an integer sum over the data's n x n pair-order counts.
+    The profile log-likelihood -c * mean_dist - log Z(c)
     is concave in c, with slope E_c[t] - mean_dist, which falls as c grows,
     so c is its root in [0, max_concentration], found by bisection to
     within 1e-6, or the end where the slope keeps one sign.
     """
-    from . import oracle
-
     if not perms:
         raise EstimatorError("empty data")
     n = perms[0].n
     if n > 6:
         raise EstimatorError("exhaustive Mallows fit limited to n <= 6")
-    pt = oracle.perm_table(n)
-    data_idx = np.array([pt.index[p.order] for p in perms])
-    totals = pt.dist[:, data_idx].sum(axis=1)
+    pos = np.argsort([p.order for p in perms], axis=1)  # item positions, order by order
+    ahead = (pos[:, :, None] < pos[:, None, :]).sum(axis=0)  # [x, y]: data orders, x ahead of y
+    candidates = np.array(list(itertools.permutations(range(n))))  # lexicographic
+    cpos = np.argsort(candidates, axis=1)
+    totals = (cpos[:, :, None] < cpos[:, None, :]).reshape(len(cpos), n * n) @ ahead.T.ravel()
     center_idx = int(np.argmin(totals))  # argmin ties break lexicographically
-    center = pt.perms[center_idx]
+    center = Permutation(tuple(candidates[center_idx].tolist()))
     mean_dist = totals[center_idx] / len(perms)
 
     table = mahonian_distribution(n)

@@ -72,10 +72,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.order)
 
-    def position(self, item: int) -> int:
-        """1-based rank of ``item`` (1 = most preferred)."""
-        return self.order.index(item) + 1
-
     def positions(self) -> tuple[int, ...]:
         """positions()[i] is the 1-based rank of item i."""
         pos = [0] * self.n
@@ -142,10 +138,6 @@ class TiedRanking:
     def group_index(self, item: int) -> Optional[int]:
         return self._group_of.get(item)
 
-    def is_unconstrained(self) -> bool:
-        """True when every permutation is consistent (a single tie group)."""
-        return len(self.groups) == 1
-
     def log_consistent_count(self) -> float:
         """log of the number of permutations consistent with this ranking."""
         total = math.lgamma(self.n + 1) - math.lgamma(self.k + 1)
@@ -171,61 +163,6 @@ class TiedRanking:
             if (gi < gj) != (si < sj) or si == sj:
                 return False
         return True
-
-    # -- editing ---------------------------------------------------------
-
-    def insert_item(
-        self,
-        item: int,
-        *,
-        group: Optional[int] = None,
-        gap: Optional[int] = None,
-        level: Optional[int] = None,
-    ) -> "TiedRanking":
-        """Insert an unranked item, by tie group, by gap, or by level.
-
-        Exactly one of ``group`` (join existing group), ``gap`` (new
-        singleton group at gap position 0..k) or ``level`` (join/create the
-        group with that level label) must be given.
-        """
-        if not 0 <= item < self.n:
-            raise RankingError(f"item index {item} out of range")
-        if item in self._group_of:
-            raise RankingError(f"item {self.universe.label_of(item)} already ranked")
-        chosen = [x is not None for x in (group, gap, level)]
-        if sum(chosen) != 1:
-            raise RankingError("exactly one of group, gap, level must be given")
-
-        groups = [list(g) for g in self.groups]
-        labels = list(self.level_labels) if self.level_labels is not None else None
-
-        if group is not None:
-            if not 0 <= group < len(groups):
-                raise RankingError(f"group index {group} out of range")
-            groups[group].append(item)
-        elif gap is not None:
-            if not 0 <= gap <= len(groups):
-                raise RankingError(f"gap position {gap} out of range")
-            groups.insert(gap, [item])
-            if labels is not None:
-                raise RankingError("gap insertion undefined with level labels; "
-                                   "insert by level instead")
-        else:
-            if labels is None:
-                raise RankingError("ranking has no level labels")
-            if level in labels:
-                groups[labels.index(level)].append(item)
-            else:
-                pos = 0
-                while pos < len(labels) and labels[pos] > level:
-                    pos += 1
-                groups.insert(pos, [item])
-                labels.insert(pos, level)
-        return TiedRanking(
-            self.universe,
-            tuple(tuple(g) for g in groups),
-            tuple(labels) if labels is not None else None,
-        )
 
     # -- enumeration -----------------------------------------------------
 
@@ -280,37 +217,6 @@ def parse_ranking(
 def format_ranking(r: TiedRanking) -> str:
     return "|".join(
         ",".join(r.universe.label_of(i) for i in g) for g in r.groups
-    )
-
-
-def project_ranking(
-    r: TiedRanking, items: Sequence[int], universe: Optional[ItemUniverse] = None
-) -> Optional[TiedRanking]:
-    """Restrict a ranking to ``items``, reindexed to a smaller universe.
-
-    Returns None when no ranked item survives. ``items[j]`` becomes item j
-    of the sub-universe; labels carry over.
-    """
-    if universe is None:
-        if tuple(items) == tuple(range(r.universe.n)):
-            universe = r.universe
-        else:
-            universe = ItemUniverse(
-                len(items), tuple(r.universe.label_of(i) for i in items)
-            )
-    new_index = {item: j for j, item in enumerate(items)}
-    groups = []
-    labels = []
-    for gi, g in enumerate(r.groups):
-        kept = tuple(new_index[i] for i in g if i in new_index)
-        if kept:
-            groups.append(kept)
-            if r.level_labels is not None:
-                labels.append(r.level_labels[gi])
-    if not groups:
-        return None
-    return TiedRanking(
-        universe, tuple(groups), tuple(labels) if labels else None
     )
 
 

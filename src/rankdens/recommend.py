@@ -116,7 +116,7 @@ def level_posteriors(model: KernelModel, observed: GroupedRankings, owners, item
     one (N, L) row per item ``items[i]`` of ranking ``owners[i]`` of the
     labelled record ``observed``, in order. A level's weight is the
     estimated probability of the ranking with the item inserted at that
-    level by ``insert_item``'s level rule (the observed ranking's cancels),
+    level by ``oracle.insert_item``'s level rule (the observed ranking's cancels),
     from one ``censored.insertion_distances`` call per ranked count k.
     Negative weights are clamped at zero and counted in
     ``counts["clamped"]``; an item with none positive gets the uniform posterior."""
@@ -136,7 +136,7 @@ def level_posteriors(model: KernelModel, observed: GroupedRankings, owners, item
         us, rows = np.flatnonzero(ks == k), np.flatnonzero(ks[owners] == k)
         at = starts[us][:, None] + np.arange(k)
         ranked, grp, lab = observed.items[at], local[at], observed.levels[group[at]]
-        # insert_item's level rule: join the group with that label, or open
+        # oracle.insert_item's level rule: join the group with that label, or open
         # a singleton group after the groups labelled above it
         gz = ((grp + 1)[:, None, :] * (lab[:, None, :] > levels[:, None])).max(axis=2)
         joins = (lab[:, None, :] == levels[:, None]).any(axis=2)

@@ -102,15 +102,6 @@ def mutual_information(table: JointPairTable) -> float:
     return float(_mi(terms)[0])
 
 
-class MinedRules(list):
-    """Rules, best first; ``negative_cells`` counts the joint-table cells
-    below zero over every quadruple scored."""
-
-    def __init__(self, rules: Sequence[Rule], negative_cells: int):
-        super().__init__(rules)
-        self.negative_cells = negative_cells
-
-
 def _quadruple_blocks(items: Sequence[int]):
     """Every pair (pa, pb) of disjoint item pairs with pa < pb, as rows
     (i, j, k, l), in lexicographic (pa, pb) order; blocks hold at least
@@ -130,10 +121,13 @@ def _quadruple_blocks(items: Sequence[int]):
 
 
 def mine_mi_rules(
-    model: KernelModel, items: Sequence[int], top_t: int
-) -> MinedRules:
+    model: KernelModel, items: Sequence[int], top_t: int,
+    counts: Optional[Counter] = None,
+) -> list[Rule]:
     """Rank all disjoint item-pair quadruples from the subset by mutual
     information and orient the top ones by their largest pointwise term.
+    Joint-table cells below zero, over every quadruple scored, are counted
+    in ``counts["negative"]``.
 
     A joint cell is the sum of six chain probabilities, so each block of
     quadruples is one ``chain_prob`` call over the 24 orders of each. Equal
@@ -148,14 +142,14 @@ def mine_mi_rules(
         raise RulesError("top_t must be non-negative")
     best_mi, best_terms = np.zeros(0), np.zeros((0, 4))
     best_quads = np.zeros((0, 4), dtype=int)
-    negative = 0
     for quads in _quadruple_blocks(items):
         chains = quads[:, _ORDERS].reshape(-1, 4)
         probs = model.chain_prob(chains).reshape(len(quads), len(_ORDERS))
         cells = np.zeros((len(quads), 4))
         for order, cell in enumerate(_ORDER_CELLS):
             cells[:, cell] += probs[:, order]
-        negative += int((cells < 0).sum())
+        if counts is not None:
+            counts["negative"] += int((cells < 0).sum())
         terms, ok = _mi_terms(cells)
         mi = np.concatenate((best_mi, _mi(terms)))
         keep = np.argsort(-mi, kind="stable")[:top_t]
@@ -168,7 +162,7 @@ def mine_mi_rules(
         ante = (i, j) if r == 0 else (j, i)
         cons = (k, l) if c == 0 else (l, k)
         rules.append(Rule(ante, cons, mi, "mi"))
-    return MinedRules(rules, negative)
+    return rules
 
 
 def _lifts(

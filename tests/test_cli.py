@@ -129,6 +129,9 @@ def test_usage_and_data_exit_codes(tmp_path):
     ["synth", "--users", "0"],
     ["synth", "--users", "-3"],
     ["synth", "--seed", "-1"],
+    ["pairs", "--top-items", "8", "--seed", "1"],  # only predict, loglik and synth draw
+    ["rules", "--top-items", "8", "--seed", "1"],
+    ["graph", "--top-items", "8", "--seed", "1"],
 ], ids=["kernel-pairs", "kernel-rules", "kernel-predict", "kernel-graph", "bandwidth", "bandwidth-nan",
         "bandwidth-inf", "normtable-bandwidth", "normtable-nan", "format", "top-items",
         "top-users", "mi-subset", "top-t", "loglik-nan", "loglik-narrow", "threshold",
@@ -139,7 +142,8 @@ def test_usage_and_data_exit_codes(tmp_path):
         "synth-centers-label", "synth-centers-partial",
         "synth-centers-tied", "synth-tie-block", "synth-rho-0", "synth-rho-1.5", "synth-rho-nan",
         "synth-concentration-nan", "synth-concentration-negative", "synth-users-0",
-        "synth-users-negative", "synth-seed-negative"])
+        "synth-users-negative", "synth-seed-negative",
+        "seed-pairs", "seed-rules", "seed-graph"])
 def test_bad_option_is_a_one_line_usage_error(ratings_file, tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     (tmp_path / "loss2x2.csv").write_text("0,1\n1,0\n")
@@ -223,11 +227,11 @@ def test_fbar_commands_write_the_bytes_of_a_ranking_fit(ratings_file, tmp_path, 
         selections.append(selection(*args))
         return selections[-1]
 
-    def fit_rankings(grouped, n, bandwidth):
+    def fit_rankings(grouped, bandwidth):
         """cli._fit over build_rankings of the command's selection."""
         fitted.append(grouped)
         _, rankings = ingest.build_rankings(*selections[-1])
-        h = cli._bandwidth(bandwidth, n, "modified")
+        h = cli._bandwidth(bandwidth, grouped.universe.n, "modified")
         return h, estimator.fit([r for _, r in rankings], h=h)
 
     monkeypatch.setattr(cli, "_selection", remember)
@@ -336,6 +340,36 @@ def test_strict_pairs_exits_numeric_on_negative_pair_probabilities(ratings_file,
     assert strict.read_text() == plain.read_text()
     default = tmp_path / "default.csv"
     assert main([*args, "--strict", "--out", str(default)]) == EXIT_OK
+
+
+def test_strict_loglik_exits_numeric_on_negative_kernel_event_probabilities(ratings_file,
+                                                                             tmp_path, capsys):
+    # h = 1.6 just above n(n-1)/4 = 1.5: the signed kernel gives some strict orders p < 0
+    plain, strict = tmp_path / "plain.csv", tmp_path / "strict.csv"
+    args = ["loglik", "--data", str(ratings_file), "--top-items", "8", "--top-users", "300",
+            "--n-items", "3", "--m-grid", "20", "--reps", "2"]
+    assert main([*args, "--bandwidth", "1.6", "--out", str(plain)]) == EXIT_OK
+    capsys.readouterr()
+    assert main([*args, "--bandwidth", "1.6", "--strict", "--out", str(strict)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numeric error: [1-9]\d* negative kernel event probabilities\n", err)
+    assert strict.read_text() == plain.read_text()
+    for extra in ([], ["--bandwidth", "1.6", "--kernel", "exact"]):  # weights >= 0
+        default = tmp_path / "default.csv"
+        assert main([*args, *extra, "--strict", "--out", str(default)]) == EXIT_OK
+
+
+def test_only_the_commands_that_draw_take_a_seed(ratings_file, tmp_path):
+    data = ["--data", str(ratings_file), "--top-items", "8", "--top-users", "300"]
+    config = lambda out: json.loads(out.read_text().splitlines()[0][len("# config: "):])
+    for command in (["predict"], ["loglik", "--n-items", "3", "--m-grid", "20", "--reps", "2"]):
+        out = tmp_path / f"{command[0]}.csv"
+        assert main([*command, *data, "--seed", "1", "--out", str(out)]) == EXIT_OK
+        assert config(out)["seed"] == 1
+    for command in ("pairs", "rules", "graph"):  # --seed itself is a usage error here
+        out = tmp_path / f"{command}.csv"
+        assert main([command, *data, "--out", str(out)]) == EXIT_OK
+        assert "seed" not in config(out)
 
 
 def test_rules_lift_mode(ratings_file, tmp_path):

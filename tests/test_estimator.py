@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 
 from rankdens import cli, estimator, ingest, oracle
 from rankdens.censored import expected_kendall, pair_pref_prob, tie_terms
+from rankdens.combinatorics import mahonian_distribution
 from rankdens.estimator import EstimatorError
 from rankdens.rankings import (
     ItemUniverse,
@@ -15,7 +15,6 @@ from rankdens.rankings import (
     full_group_ranking,
     pair_ranking,
     parse_ranking,
-    project_ranking,
 )
 
 
@@ -184,61 +183,6 @@ def test_fit_at_the_default_bandwidth_on_one_item():
     assert model.event_prob(parse_ranking("1", u)).value == 1.0
 
 
-def test_save_load_roundtrip(tmp_path):
-    rng = np.random.default_rng(9)
-    u = ItemUniverse(5)
-    train = [
-        oracle.random_tied_ranking(rng, u, level_labels=True) for _ in range(12)
-    ]
-    model = estimator.fit(train, h=7.0)
-    path = tmp_path / "model.json"
-    estimator.save_model(model, path)
-    loaded = estimator.load_model(path)
-    assert np.array_equal(loaded.fbar, model.fbar)
-    for _ in range(20):
-        event = oracle.random_tied_ranking(rng, u)
-        assert loaded.event_prob(event) == model.event_prob(event)
-    assert loaded.h == model.h and loaded.m == model.m == 12
-    assert "rankings" not in json.loads(path.read_text())
-
-
-@pytest.mark.parametrize("fbar", [
-    None, [[0.0] * 5] * 4, [[0.0] * 5] * 4 + [[0.0] * 4], [[0.0] * 5] * 4 + [[0.0] * 4 + [math.nan]],
-    [["x"] * 5] * 5,
-], ids=["missing", "rows", "ragged", "nan", "text"])
-def test_load_rejects_an_archive_without_a_finite_fbar(tmp_path, fbar):
-    u = ItemUniverse(5)
-    path = tmp_path / "model.json"
-    estimator.save_model(estimator.fit([parse_ranking("1|2|3", u)], h=7.0), path)
-    archive = json.loads(path.read_text())
-    archive["fbar"] = fbar
-    if fbar is None:
-        del archive["fbar"]
-    path.write_text(json.dumps(archive))
-    with pytest.raises(EstimatorError):
-        estimator.load_model(path)
-
-
-@pytest.mark.parametrize("change", [
-    {"n": None}, {"h": None}, {"m": None}, {"n": 0}, {"n": 5.0}, {"n": "5"}, {"n": True},
-    {"h": "x"}, {"h": 1.0}, {"h": math.nan}, {"labels": ["a"]}, {"m": "x"}, {"m": -3},
-], ids=["no-n", "no-h", "no-m", "n-zero", "n-float", "n-text", "n-bool",
-        "h-text", "h-small", "h-nan", "labels-short", "m-text", "m-negative"])
-def test_load_rejects_an_archive_without_a_positive_int_n_or_without_h_or_m(tmp_path, change):
-    u = ItemUniverse(5)
-    path = tmp_path / "model.json"
-    estimator.save_model(estimator.fit([parse_ranking("1|2|3", u)], h=7.0), path)
-    archive = json.loads(path.read_text())
-    for key, value in change.items():
-        if value is None:
-            del archive[key]
-        else:
-            archive[key] = value
-    path.write_text(json.dumps(archive))
-    with pytest.raises(EstimatorError, match=rf"\b{next(iter(change))}\b"):  # names the field
-        estimator.load_model(path)
-
-
 def test_empirical_prob():
     u = ItemUniverse(3)
     train = [parse_ranking("1|2|3", u), parse_ranking("2|1", u)]
@@ -273,6 +217,60 @@ def test_mallows_log_probabilities_are_at_most_zero_and_normalize(n):
 def test_mallows_fit_empty():
     with pytest.raises(EstimatorError):
         estimator.mallows_fit([])
+
+
+def _mallows_reference(pt, perms, max_concentration=50.0):
+    """(center, concentration, log_z) of the exhaustive fit: the centre and
+    mean distance from the n! x n! matrix ``PermTable.dist``, then the
+    concentration by bisection on the profile likelihood's slope."""
+    totals = pt.dist[:, [pt.index[p.order] for p in perms]].sum(axis=1)
+    center = int(np.argmin(totals))
+    mean_dist = totals[center] / len(perms)
+    log_counts = np.log(mahonian_distribution(pt.n).unnormalized())
+    t = np.arange(len(log_counts), dtype=float)
+
+    def terms(c):
+        logs = log_counts - c * t
+        return np.exp(logs - float(logs.max())), float(logs.max())
+
+    def rising(c):
+        w, _ = terms(c)
+        return float((w * t).sum() / w.sum()) > mean_dist
+
+    lo, hi = 0.0, max_concentration
+    if mean_dist >= t[-1] / 2:
+        c = lo
+    elif rising(hi):
+        c = hi
+    else:
+        while hi - lo > 1e-6:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if rising(mid) else (lo, mid)
+        c = 0.5 * (lo + hi)
+    w, top = terms(c)
+    return pt.perms[center], c, top + float(np.log(w.sum()))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_mallows_fit_matches_the_distance_matrix_without_the_oracle(monkeypatch, n):
+    rng = np.random.default_rng(60 + n)
+    pt = oracle.PermTable(n)
+    center = Permutation(tuple(rng.permutation(n).tolist()))
+    reverse = Permutation(center.order[::-1])
+    datasets = [pt.perms, [center, reverse] * 3]  # every candidate ties at the same total
+    for m in (1, 2, 3, 7, 40):
+        datasets.append([pt.perms[i] for i in rng.integers(len(pt.perms), size=m)])
+        datasets.append([oracle.sample_mallows(center, 0.7, rng) for _ in range(m)])
+    want = [_mallows_reference(pt, perms) for perms in datasets]
+
+    def refuse(n):
+        raise AssertionError("mallows_fit enumerated through the oracle")
+
+    monkeypatch.setattr(oracle, "perm_table", refuse)
+    for perms, (center, concentration, log_z) in zip(datasets, want):
+        model = estimator.mallows_fit(perms)
+        assert model.center == center
+        assert model.concentration == concentration and model.log_z == log_z
 
 
 def test_test_loglikelihood_drops_partial_users():
@@ -315,7 +313,7 @@ def test_restrict_is_each_ranking_projected_in_the_given_order(n_sub):
     sub = ItemUniverse(n_sub, tuple(u.label_of(i) for i in range(n_sub)))
     got = record.restrict(users, record.items < n_sub, sub)
     assert got.universe == sub and got.users.tolist() == users.tolist()
-    want = [project_ranking(rankings[i], range(n_sub), sub) for i in users]
+    want = [oracle.project_ranking(rankings[i], range(n_sub), sub) for i in users]
     ks = np.diff(got.user_starts)
     assert (ks == 0).tolist() == [r is None for r in want]  # a ranking left empty stays
     assert ingest.tied_rankings(got.restrict(np.flatnonzero(ks))) == [r for r in want if r]

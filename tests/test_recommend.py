@@ -127,7 +127,7 @@ def _labelled_ranking(rng, u):
 
 
 def _per_level_posterior(prob, user, item, levels):
-    weights = np.array([max(prob(user.insert_item(item, level=lv)), 0.0) for lv in levels])
+    weights = np.array([max(prob(oracle.insert_item(user, item, level=lv)), 0.0) for lv in levels])
     return weights / weights.sum()
 
 
@@ -232,7 +232,7 @@ def _oracle_level_posterior(model, user_ranking, items, levels, counts):
     """The per-user construction: ``insert_item`` at each level, then each
     insertion's centres from ``tie_terms`` with z's slot deleted."""
     F = model.fbar
-    augmented = [user_ranking.insert_item(items[0], level=lv) for lv in levels]
+    augmented = [oracle.insert_item(user_ranking, items[0], level=lv) for lv in levels]
     insertions = [(list(map(len, r.groups)), r.group_index(items[0])) for r in augmented]
     ranked = [x for group in user_ranking.groups for x in group]
     rows, zrows = F[np.ix_(ranked, ranked)], F[np.ix_(items, ranked)]
@@ -276,7 +276,7 @@ def corpus_split(ratings_file):
         selection = cli._selection(ratings_file, "ml100k", top_items, top_users)
         grouped = ingest.group_ratings(*selection)
         train, holdout = holdout_split(grouped, 0, 0.3, 0.5)
-        return train, holdout, cli._fit(train, grouped.universe.n, bandwidth)[1]
+        return train, holdout, cli._fit(train, bandwidth)[1]
     return build
 
 

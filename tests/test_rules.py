@@ -124,12 +124,13 @@ def test_mine_mi_rules_matches_per_quadruple_reference(monkeypatch, h, block):
     model = _structured_model(n=8, h=h)
     want = _reference_mi_rules(model, range(8))
     assert len(want) == 210  # C(8, 2) * C(6, 2) / 2 quadruples, none degenerate
-    mined = mine_mi_rules(model, range(8), top_t=len(want))
+    mined_counts, top_counts = Counter(), Counter()
+    mined = mine_mi_rules(model, range(8), top_t=len(want), counts=mined_counts)
     assert [(r.score, r.antecedent, r.consequent) for r in mined] == want
-    top = mine_mi_rules(model, range(8), top_t=7)
+    top = mine_mi_rules(model, range(8), top_t=7, counts=top_counts)
     assert [(r.score, r.antecedent, r.consequent) for r in top] == want[:7]
-    assert top.negative_cells == mined.negative_cells
-    assert (mined.negative_cells > 0) == (h is not None)
+    assert top_counts["negative"] == mined_counts["negative"]
+    assert (mined_counts["negative"] > 0) == (h is not None)
 
 
 def test_mine_needs_four_items():
