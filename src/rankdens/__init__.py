@@ -15,7 +15,6 @@ from .combinatorics import (
     MahonianTable,
     TriangularNormalization,
     kendall_tau,
-    kernel_weight,
     mahonian_distribution,
     triangular_normalization,
 )

@@ -120,6 +120,29 @@ def cli():
     """Preference-probability estimation over censored rankings."""
 
 
+_BLOCK = 4096  # normtable rows formatted, and written, as one string
+
+
+def _mass_rows(table):
+    """The ``n,g,t,value`` rows of a Mahonian table, one string per block of
+    ``_BLOCK`` rows. The table is a palindrome, so each value of its lower
+    half is repr'd once, and its reprs are kept, one joined string a block,
+    to write the upper half from the kept blocks in reverse."""
+    n, top = table.n, table.max_distance
+    half = top // 2 + 1
+    lower, blocks = table.mass[:half], []
+    for start in range(0, half, _BLOCK):
+        values = [repr(mass) for mass in lower[start : start + _BLOCK].tolist()]
+        blocks.append("\n".join(values))
+        yield "".join(f"{n},g,{t},{value}\n" for t, value in enumerate(values, start))
+    t, skip = half, 1 - top % 2  # when top is even, its middle row t = top/2 is written once
+    while blocks:
+        values = blocks.pop().split("\n")[-1 - skip :: -1]
+        skip = 0
+        yield "".join(f"{n},g,{u},{value}\n" for u, value in enumerate(values, t))
+        t += len(values)
+
+
 @cli.command()
 @click.option("--n", "sizes", multiple=True, type=int, required=True)
 @click.option("--bandwidth", "bandwidths", multiple=True, type=float, required=True)
@@ -133,13 +156,10 @@ def normtable(sizes, bandwidths, out):
     except CombinatoricsError as exc:
         raise click.UsageError(str(exc)) from None
 
-    def lines():  # the table is a palindrome: each value of the lower half is written twice
+    def lines():
         for table, row in zip(tables, norms):
-            n, top = table.n, table.max_distance
-            half = [repr(mass) for mass in table.mass[: top // 2 + 1].tolist()]
-            yield from (f"{n},g,{t},{value}\n" for t, value in enumerate(half))
-            yield from (f"{n},g,{t},{half[top - t]}\n" for t in range(top // 2 + 1, top + 1))
-            yield from (f"{n},normC,{norm.h},{norm.normC!r}\n" for norm in row)
+            yield from _mass_rows(table)
+            yield "".join(f"{table.n},normC,{norm.h},{norm.normC!r}\n" for norm in row)
 
     config = {"cmd": "normtable", "n": list(sizes), "h": list(bandwidths)}
     _write_csv(Path(out), config, ("n", "kind", "index", "value"), lines())
@@ -166,8 +186,8 @@ def pairs(data, fmt, top_items, top_users, bandwidth, out, strict):
         "top_items": top_items, "top_users": top_users, "h": h, "kernel": "modified",
     }
     labels = [universe.label_of(i) for i in range(n)]
-    lines = [f"{a},{b},{p!r}\n" for a, row in zip(labels, matrix.tolist())
-             for b, p in zip(labels, row)]
+    lines = ("".join(f"{a},{b},{p!r}\n" for b, p in zip(labels, row.tolist()))
+             for a, row in zip(labels, matrix))
     _write_csv(Path(out), config, ("item_i", "item_j", "p_i_before_j"), lines)
     lines = [f"{rank},{labels[i]},{r_scores[i]!r}\n" for rank, i in enumerate(order, 1)]
     _write_csv(Path(out).with_suffix(".ranking.csv"), config, ("rank", "item", "r_score"), lines)

@@ -80,15 +80,20 @@ def mahonian_distribution(n: int) -> MahonianTable:
     """
     if n < 1:
         raise CombinatoricsError("n must be >= 1")
-    g, top = np.ones(1), 0
+    # Every step runs on slices of two buffers sized for the last half table:
+    # two fresh arrays a step would page-fault their memory in anew each time.
+    g_buf, cs_buf = np.empty((2, n * (n - 1) // 4 + 1))
+    g_buf[0] = 1.0
+    g, top = g_buf[:1], 0
     for j in range(2, n + 1):
         size = (top + j - 1) // 2 + 1
-        cs = np.empty(size)
+        cs = cs_buf[:size]
         cs[: len(g)] = g
         cs[len(g):] = g[top - size + 1 : (top + 1) // 2][::-1]  # g[top - t] for t > top//2
         np.cumsum(cs, out=cs)
-        g = cs.copy()
-        g[j:] -= cs[:-j]
+        g = g_buf[:size]
+        g[:j] = cs[:j]
+        np.subtract(cs[j:], cs[:-j], out=g[j:])
         g /= j
         top += j - 1
     return MahonianTable(n, np.concatenate((g, g[: (top + 1) // 2][::-1])))
@@ -137,31 +142,3 @@ def triangular_normalization(
     if normC <= 0:
         raise CombinatoricsError(f"non-positive normalization {normC}")
     return TriangularNormalization(n, float(h), mode, normC)
-
-
-def kernel_weight(t: float, norm: TriangularNormalization) -> float:
-    """Per-permutation kernel weight at distance t: (1 - t/h) / (n! normC)."""
-    max_d = norm.n * (norm.n - 1) / 2
-    if t < 0 or t > max_d:
-        raise CombinatoricsError(f"distance {t} out of range 0..{max_d}")
-    shape = 1.0 - t / norm.h
-    if norm.mode == "exact-support" and t >= norm.h:
-        return 0.0
-    return shape * math.exp(-math.lgamma(norm.n + 1)) / norm.normC
-
-
-def normalization_from_counts(counts: np.ndarray, h: int) -> float:
-    """C(h) from the generating-function identity, for integer h.
-
-    [z^h]H_n is the cumulative coefficient sum; [z^{h-1}]G'_n/(1-z) is the
-    cumulative sum of t * counts[t]. Takes raw coefficient counts so the
-    caller may supply an independently computed histogram.
-    """
-    if h < 1 or int(h) != h:
-        raise CombinatoricsError("the coefficient identity needs integer h >= 1")
-    h = int(h)
-    t = np.arange(len(counts))
-    upto = t <= min(h, len(counts) - 1)
-    head = float(np.sum(counts[upto]))
-    weighted = float(np.sum(t[upto] * counts[upto]))
-    return head - weighted / h

@@ -171,13 +171,11 @@ class KernelModel:
         universe: ItemUniverse,
         fbar: np.ndarray,
         h: float,
-        m: int,
         norm: TriangularNormalization,
     ):
         self.universe = universe
         self.fbar = fbar
         self.h = float(h)
-        self.m = m
         self.norm = norm
         self.logfact = np.concatenate(
             ([0.0], np.cumsum(np.log(np.arange(1, universe.n + 1))))
@@ -275,14 +273,13 @@ def fit(
             if r.universe != rankings[0].universe:
                 raise EstimatorError("training rankings must share a universe")
         grouped = _grouped(rankings)
-    m = len(grouped.users)
-    if not m:
+    if not len(grouped.users):
         raise EstimatorError("empty training set")
     n = grouped.universe.n
     if h is None:
         h = default_bandwidth(n)
     norm = triangular_normalization(n, h)
-    return KernelModel(grouped.universe, _mean_pair_factors(grouped), h, m, norm)
+    return KernelModel(grouped.universe, _mean_pair_factors(grouped), h, norm)
 
 
 def _has_cycle(nodes, edges) -> bool:

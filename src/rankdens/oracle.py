@@ -1,8 +1,9 @@
 """Brute-force references and synthetic data generation.
 
-Everything here enumerates permutations directly and is therefore exact up
+The references enumerate permutations directly and are therefore exact up
 to floating-point summation; the closed-form implementations elsewhere are
-tested against these.
+tested against these. Only the tests use ``kernel_weight``, the kernel at
+one permutation, and ``normalization_from_counts``, C(h) from a histogram.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .combinatorics import CombinatoricsError, TriangularNormalization
 from .rankings import (
     ItemUniverse,
     Permutation,
@@ -97,6 +99,34 @@ def brute_normalization(n: int, h: float, mode: str = "exact-support") -> float:
     if mode == "exact-support":
         w[d >= h] = 0.0
     return float(np.mean(w))
+
+
+def kernel_weight(t: float, norm: TriangularNormalization) -> float:
+    """Per-permutation kernel weight at distance t: (1 - t/h) / (n! normC)."""
+    max_d = norm.n * (norm.n - 1) / 2
+    if t < 0 or t > max_d:
+        raise CombinatoricsError(f"distance {t} out of range 0..{max_d}")
+    shape = 1.0 - t / norm.h
+    if norm.mode == "exact-support" and t >= norm.h:
+        return 0.0
+    return shape * math.exp(-math.lgamma(norm.n + 1)) / norm.normC
+
+
+def normalization_from_counts(counts: np.ndarray, h: int) -> float:
+    """C(h) from the generating-function identity, for integer h.
+
+    [z^h]H_n is the cumulative coefficient sum; [z^{h-1}]G'_n/(1-z) is the
+    cumulative sum of t * counts[t]. Takes raw coefficient counts so the
+    caller may supply an independently computed histogram.
+    """
+    if h < 1 or int(h) != h:
+        raise CombinatoricsError("the coefficient identity needs integer h >= 1")
+    h = int(h)
+    t = np.arange(len(counts))
+    upto = t <= min(h, len(counts) - 1)
+    head = float(np.sum(counts[upto]))
+    weighted = float(np.sum(t[upto] * counts[upto]))
+    return head - weighted / h
 
 
 def brute_pair_pref(u: TiedRanking, i: int, j: int) -> float:

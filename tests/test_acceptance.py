@@ -18,10 +18,10 @@ from rankdens.censored import expected_kendall, pair_pref_prob
 from rankdens.cli import EXIT_OK, main
 from rankdens.combinatorics import (
     kendall_tau,
-    kernel_weight,
     mahonian_distribution,
     triangular_normalization,
 )
+from rankdens.oracle import kernel_weight
 from rankdens.rankings import (
     ItemUniverse,
     Permutation,

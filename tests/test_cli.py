@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,12 +39,10 @@ def test_normtable(tmp_path):
     assert normc == [pytest.approx(2 / 6)]  # C(2)/3! = (1 + 2*0.5)/6
 
 
-def test_normtable_bytes_match_the_row_tuple_writer(tmp_path):
-    out = tmp_path / "norm.csv"
-    argv = ["normtable", "--n", "3", "--n", "40", "--bandwidth", "2", "--bandwidth", "900"]
-    assert main([*argv, "--out", str(out)]) == EXIT_OK
-    sizes, bandwidths = (3, 40), (2.0, 900.0)
-    rows = []  # the tuple rows and per-field str join the CSV writer first used
+def _normtable_reference(sizes, bandwidths):
+    """The normtable CSV as one list of tuple rows, joined per field by str,
+    as the CSV writer first wrote it."""
+    rows = []
     for n in sizes:
         table = mahonian_distribution(n)
         for t, mass in enumerate(table.mass):
@@ -53,8 +52,49 @@ def test_normtable_bytes_match_the_row_tuple_writer(tmp_path):
             rows.append((n, "normC", h, repr(norm.normC)))
     config = {"cmd": "normtable", "n": list(sizes), "h": list(bandwidths)}
     want = "# config: " + json.dumps(config, sort_keys=True) + "\n" + "n,kind,index,value\n"
-    want += "".join(",".join(str(x) for x in row) + "\n" for row in rows)
-    assert out.read_text() == want
+    return want + "".join(",".join(str(x) for x in row) + "\n" for row in rows)
+
+
+def test_normtable_bytes_match_the_row_tuple_writer(tmp_path):
+    out = tmp_path / "norm.csv"
+    argv = ["normtable", "--n", "3", "--n", "40", "--bandwidth", "2", "--bandwidth", "900"]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert out.read_text() == _normtable_reference((3, 40), (2.0, 900.0))
+
+
+# n(n-1)/2 odd and even at each span: with 4,096-row blocks the lower half of
+# n = 129 and 130 spans two blocks, and of n = 200 and 203 three
+@pytest.mark.parametrize("sizes, bandwidths, block", [
+    ((129, 130), (5000.0, 30000.0), cli._BLOCK),
+    ((200, 203), (12000.5, 30000.0), cli._BLOCK),
+    # every block edge at small n: one-row blocks, and a last block that holds only the middle row
+    ((1, 2, 3, 4, 5, 6), (2.0, 9.0), 1),
+    ((1, 2, 3, 4, 5, 6), (2.0, 9.0), 2),
+    ((1, 2, 3, 4, 5, 6), (2.0, 9.0), 3),
+])
+def test_normtable_blocks_match_the_row_tuple_writer(tmp_path, monkeypatch, sizes, bandwidths,
+                                                     block):
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    out = tmp_path / "norm.csv"
+    argv = ["normtable", *(a for n in sizes for a in ("--n", str(n))),
+            *(a for h in bandwidths for a in ("--bandwidth", repr(h)))]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert out.read_text() == _normtable_reference(sizes, bandwidths)
+
+
+def test_normtable_memory_is_below_45_bytes_a_row(tmp_path):
+    # the values of the table, its lower half's reprs and one block of rows:
+    # about 34 bytes a row; every row formatted before the first is written took 63
+    out = tmp_path / "norm.csv"
+    tracemalloc.start()
+    try:
+        assert main(["normtable", "--n", "400", "--bandwidth", "80000", "--out", str(out)]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = len(out.read_text().splitlines()) - 2
+    assert rows == 400 * 399 // 2 + 2
+    assert peak < 45 * rows, peak / rows
 
 
 def test_normtable_upper_half_is_exact(tmp_path):

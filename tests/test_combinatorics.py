@@ -9,12 +9,10 @@ from rankdens.combinatorics import (
     CombinatoricsError,
     MahonianTable,
     kendall_tau,
-    kernel_weight,
     mahonian_distribution,
-    normalization_from_counts,
     triangular_normalization,
 )
-from rankdens.oracle import brute_normalization
+from rankdens.oracle import brute_normalization, kernel_weight, normalization_from_counts
 from rankdens.rankings import Permutation
 
 
@@ -92,6 +90,31 @@ def _gather_mahonian(n):
 @pytest.mark.parametrize("n", [*range(1, 61), 250])
 def test_mahonian_is_bit_identical_to_the_gather_recursion(n):
     assert np.array_equal(mahonian_distribution(n).mass, _gather_mahonian(n))
+
+
+def _allocating_mahonian(n):
+    """The half-table recursion with two fresh arrays at every step."""
+    g, top = np.ones(1), 0
+    for j in range(2, n + 1):
+        size = (top + j - 1) // 2 + 1
+        cs = np.empty(size)
+        cs[: len(g)] = g
+        cs[len(g):] = g[top - size + 1 : (top + 1) // 2][::-1]
+        np.cumsum(cs, out=cs)
+        g = cs.copy()
+        g[j:] -= cs[:-j]
+        g /= j
+        top += j - 1
+    return np.concatenate((g, g[: (top + 1) // 2][::-1]))
+
+
+@pytest.mark.parametrize("n", [*range(1, 81), 250, 500])
+def test_mahonian_is_bit_identical_to_the_allocating_recursion(n):
+    assert mahonian_distribution(n).mass.tobytes() == _allocating_mahonian(n).tobytes()
+
+
+def test_mahonian_mass_is_no_view_of_the_recursion_buffers():
+    assert mahonian_distribution(30).mass.flags.owndata
 
 
 @pytest.mark.parametrize("n", [*range(1, 61), 150])
