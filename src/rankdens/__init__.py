@@ -39,7 +39,6 @@ from .recommend import (
     zero_one_loss,
 )
 from .rules import (
-    JointPairTable,
     Rule,
     affinity_graph,
     joint_pair_table,

@@ -25,19 +25,25 @@ import numpy as np
 from .rankings import RankingError, TiedRanking
 
 
-def group_centres(sizes: Sequence[int]) -> list[float]:
-    """The centre of each tie group of a ranking with these group sizes
-    (most preferred first): the pair factor of any of its items against
-    an unranked item.
+def _centre(below, size, k):
+    """The centre of a tie group of ``size`` items after ``below`` more
+    preferred ones, k items being ranked: the pair factor of any of its
+    items against an unranked item. Ints or integer arrays alike.
 
     It is 2c - 1 with c = (tau + (phi-1)/2) / (k+1) the probability that
-    an unranked item lands ahead of an item of best position tau in a
-    group of phi, k items being ranked.
+    an unranked item lands ahead of an item of best position tau = below + 1
+    in a group of phi = size.
     """
+    return 2.0 * (below + 1 + (size - 1) / 2.0) / (k + 1) - 1.0
+
+
+def group_centres(sizes: Sequence[int]) -> list[float]:
+    """``_centre`` of each tie group of a ranking with these group sizes,
+    most preferred first."""
     k = sum(sizes)
     centres, below = [], 0
     for size in sizes:
-        centres.append(2.0 * (below + 1 + (size - 1) / 2.0) / (k + 1) - 1.0)
+        centres.append(_centre(below, size, k))
         below += size
     return centres
 
@@ -98,8 +104,8 @@ def insertion_distances(F, ranked, grp, items, owner, gz, joins):
     below, size = (pairs > 0).sum(2)[:, None], (pairs == 0).sum(2)[:, None]
     g, p, j = grp[:, None, :], gz[:, :, None], joins[:, :, None]
     after, joined = (g > p) | (g == p) & ~j, (g == p) & j  # z's group is before, or is, the item's
-    centre = 2.0 * (below + after + 1 + (size + joined - 1) / 2.0) / (k + 2) - 1.0
-    cz = 2.0 * ((g < p).sum(2) + 1 + joined.sum(2) / 2.0) / (k + 2) - 1.0
+    centre = _centre(below + after, size + joined, k + 1)
+    cz = _centre((g < p).sum(2), joined.sum(2) + 1, k + 1)
     coef = np.sign(p - (g + after)) + centre - cz[:, :, None]
     # one 1-D dot per (event, insertion): a stacked product changes the last bits
     const = np.array([[o + c @ out for c in cs] for o, cs, out in zip(ordered, centre, outside)])

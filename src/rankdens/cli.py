@@ -63,8 +63,9 @@ def _format(fmt) -> ingest.FormatDescriptor:
         raise click.UsageError(str(exc)) from None
 
 
-def _selection(data, fmt, top_items, top_users):
-    """The ratings table and the selected item and user ids of a command."""
+def _load(data, fmt, top_items, top_users):
+    """A command's selected ratings as one grouped record, and the config
+    entries that name the selection."""
     descriptor = _format(fmt)
     try:
         table = ingest.load_ratings(data, descriptor)
@@ -72,7 +73,9 @@ def _selection(data, fmt, top_items, top_users):
         users = ingest.select_users(table, items, top_m=top_users)
     except ingest.IngestError as exc:
         raise DataError(str(exc)) from exc
-    return table, items, users
+    config = {"data": str(data), "sha256": _sha256(data), "format": fmt,
+              "top_items": top_items, "top_users": top_users}
+    return ingest.group_ratings(table, items, users), config
 
 
 def _bandwidth(bandwidth: str, n: int, mode: str) -> float:
@@ -169,7 +172,7 @@ def normtable(sizes, bandwidths, out):
 @with_common
 def pairs(data, fmt, top_items, top_users, bandwidth, out, strict):
     """Pairwise preference matrix and the r(i) preference ranking."""
-    grouped = ingest.group_ratings(*_selection(data, fmt, top_items, top_users))
+    grouped, selection = _load(data, fmt, top_items, top_users)
     universe = grouped.universe
     h, model = _fit(grouped, bandwidth)
     n = universe.n
@@ -181,10 +184,7 @@ def pairs(data, fmt, top_items, top_users, bandwidth, out, strict):
     negatives = int((probs < 0).sum())
     r_scores = (matrix.sum(axis=1) / n).tolist()
     order = sorted(range(n), key=lambda i: (-r_scores[i], i))
-    config = {
-        "cmd": "pairs", "data": str(data), "sha256": _sha256(data), "format": fmt,
-        "top_items": top_items, "top_users": top_users, "h": h, "kernel": "modified",
-    }
+    config = {"cmd": "pairs", **selection, "h": h, "kernel": "modified"}
     labels = [universe.label_of(i) for i in range(n)]
     lines = ("".join(f"{a},{b},{p!r}\n" for b, p in zip(labels, row.tolist()))
              for a, row in zip(labels, matrix))
@@ -211,7 +211,7 @@ def loglik(data, fmt, top_items, top_users, bandwidth, out, strict, seed,
     """Held-out log-likelihood: kernel vs empirical vs Mallows baseline."""
     mode = "exact-support" if kernel == "exact" else "modified"
     widths = {n_sub: _bandwidth(bandwidth, n_sub, mode) for n_sub in small_ns}
-    grouped = ingest.group_ratings(*_selection(data, fmt, top_items, top_users))
+    grouped, selection = _load(data, fmt, top_items, top_users)
     universe = grouped.universe
     if max(small_ns) > universe.n:
         raise click.UsageError(f"--n-items {max(small_ns)} exceeds the {universe.n} loaded items")
@@ -241,9 +241,8 @@ def loglik(data, fmt, top_items, top_users, bandwidth, out, strict, seed,
                     mean = float(np.mean(vals))
                     se = float(np.std(vals) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
                     lines.append(f"{n_sub},{m},{key},{mean!r},{se!r}\n")
-    config = {"cmd": "loglik", "data": str(data), "sha256": _sha256(data),
-              "n": list(small_ns), "m_grid": list(m_grid), "reps": reps,
-              "seed": seed, "bandwidth": bandwidth, "kernel": kernel}
+    config = {"cmd": "loglik", **selection, "n": list(small_ns), "m_grid": list(m_grid),
+              "reps": reps, "seed": seed, "bandwidth": bandwidth, "kernel": kernel}
     _write_csv(Path(out), config, ("n", "m", "estimator", "mean_loglik", "stderr"), lines)
     if empty or no_mallows:
         click.echo(f"{empty} of {len(small_ns) * len(m_grid)} (n, m) cells dropped (too few or "
@@ -320,7 +319,7 @@ def predict(data, fmt, top_items, top_users, bandwidth, out, strict, seed,
                        else loss_from_csv(loss, levels))
     except (OSError, ValueError) as exc:  # a missing file, or a matrix not over the levels
         raise click.UsageError(f"--loss {loss}: {exc}") from None
-    grouped = ingest.group_ratings(*_selection(data, fmt, top_items, top_users))
+    grouped, selection = _load(data, fmt, top_items, top_users)
     train, holdout = holdout_split(grouped, seed, test_fraction, holdout_fraction)
     if not len(train.users):
         raise DataError(f"no training users: --test-fraction {test_fraction} leaves "
@@ -330,10 +329,8 @@ def predict(data, fmt, top_items, top_users, bandwidth, out, strict, seed,
     h, model = _fit(train, bandwidth)
     counts = Counter()
     mean_loss = posterior_loss(model, holdout, loss_matrix, counts)
-    config = {"cmd": "predict", "data": str(data), "sha256": _sha256(data),
-              "loss": loss, "h": h, "kernel": "modified", "seed": seed,
-              "test_fraction": test_fraction, "holdout_fraction": holdout_fraction,
-              "top_items": top_items, "top_users": top_users}
+    config = {"cmd": "predict", **selection, "loss": loss, "h": h, "kernel": "modified",
+              "seed": seed, "test_fraction": test_fraction, "holdout_fraction": holdout_fraction}
     _write_csv(Path(out), config, ("train_users", "test_users", "held_out_items", "mean_loss"),
                [f"{len(train.users)},{len(holdout.observed.users)},{len(holdout.items)},"
                 f"{mean_loss!r}\n"])
@@ -351,7 +348,7 @@ def predict(data, fmt, top_items, top_users, bandwidth, out, strict, seed,
 def rules_cmd(data, fmt, top_items, top_users, bandwidth, out, strict,
               rule_mode, subset_size, top_t):
     """Mine association rules over the most rated items."""
-    grouped = ingest.group_ratings(*_selection(data, fmt, top_items, top_users))
+    grouped, selection = _load(data, fmt, top_items, top_users)
     universe = grouped.universe
     subset = list(range(min(subset_size, universe.n)))
     if rule_mode == "mi" and len(subset) < 4:
@@ -371,9 +368,8 @@ def rules_cmd(data, fmt, top_items, top_users, bandwidth, out, strict,
         except rules.RulesError as exc:  # a signed kernel can leave a lift with no denominator
             raise NumericError(str(exc)) from exc
         what = "negative event probabilities"
-    config = {"cmd": "rules", "data": str(data), "sha256": _sha256(data),
-              "mode": rule_mode, "subset_size": subset_size, "top_t": top_t,
-              "h": h, "kernel": "modified", "top_items": top_items, "top_users": top_users}
+    config = {"cmd": "rules", **selection, "mode": rule_mode, "subset_size": subset_size,
+              "top_t": top_t, "h": h, "kernel": "modified"}
     lines = []
     for rule in mined:
         ante = "<".join(universe.label_of(i) for i in rule.antecedent)
@@ -392,7 +388,7 @@ def rules_cmd(data, fmt, top_items, top_users, bandwidth, out, strict,
 def graph(data, fmt, top_items, top_users, bandwidth, out, strict,
           threshold, subset_size):
     """Emit the affinity graph edge list for external layout tools."""
-    grouped = ingest.group_ratings(*_selection(data, fmt, top_items, top_users))
+    grouped, selection = _load(data, fmt, top_items, top_users)
     universe = grouped.universe
     h, model = _fit(grouped, bandwidth)
     subset = list(range(min(subset_size, universe.n)))
@@ -401,9 +397,8 @@ def graph(data, fmt, top_items, top_users, bandwidth, out, strict,
         edges = rules.affinity_graph(model, subset, threshold, counts)
     except rules.RulesError as exc:  # a signed kernel can leave a lift with no denominator
         raise NumericError(str(exc)) from exc
-    config = {"cmd": "graph", "data": str(data), "sha256": _sha256(data),
-              "threshold": threshold, "subset_size": subset_size, "h": h,
-              "kernel": "modified", "top_items": top_items, "top_users": top_users}
+    config = {"cmd": "graph", **selection, "threshold": threshold,
+              "subset_size": subset_size, "h": h, "kernel": "modified"}
     lines = [f"{universe.label_of(i)},{universe.label_of(j)},{w!r}\n" for i, j, w in edges]
     _write_csv(Path(out), config, ("item_a", "item_b", "weight"), lines)
     with _open_out(Path(out).with_suffix(".dot")) as fh:

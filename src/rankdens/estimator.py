@@ -21,9 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .censored import expected_distance
+from .censored import _centre, expected_distance
 from .combinatorics import (
-    MahonianTable,
     TriangularNormalization,
     mahonian_distribution,
     triangular_normalization,
@@ -35,7 +34,8 @@ from .rankings import (
     chain_ranking,
 )
 
-LIKELIHOOD_FLOOR = 1e-12
+LIKELIHOOD_FLOOR = 1e-12  # heldout_loglikelihood's least probability
+MAX_CONCENTRATION = 50.0  # the upper end of mallows_fit's concentration search
 
 
 class EstimatorError(ValueError):
@@ -52,7 +52,6 @@ def default_bandwidth(n: int) -> float:
 @dataclass(frozen=True)
 class EventProbability:
     value: float
-    log_value: float
     negative: bool = False
 
 
@@ -135,8 +134,7 @@ def _mean_pair_factors(grouped: GroupedRankings) -> np.ndarray:
     m, sizes = len(starts) - 1, np.diff(bounds)
     owner = np.searchsorted(starts, bounds[:-1], side="right") - 1  # each group's ranking
     k, below = np.diff(starts)[owner], bounds[:-1] - starts[owner]
-    # tie_terms' float expression, one group at a time
-    centre = 2.0 * (below + 1 + (sizes - 1) / 2.0) / (k + 1) - 1.0
+    centre = _centre(below, sizes, k)  # each group's, as tie_terms gives it
     firsts = np.searchsorted(bounds, starts)  # each ranking's first group
     width = int(np.diff(firsts).max(initial=1))  # the most groups in one ranking
     sign = np.sign(np.arange(width)[:, None] - np.arange(width))
@@ -205,9 +203,7 @@ class KernelModel:
             self.universe.n, sizes, block, [self._rowsums[x] for x in items]
         )
         value = self._kernel_value(sizes, e_mean)
-        negative = value < 0
-        log_value = math.log(value) if value > 0 else -math.inf
-        return EventProbability(value, log_value, negative)
+        return EventProbability(value, value < 0)
 
     def subset_stats(self, items: Sequence[int]) -> np.ndarray:
         """fbar's block over an item subset. Nothing in the package calls
@@ -239,15 +235,14 @@ class KernelModel:
 
     def conjunction_prob(self, constraints: Sequence[tuple[int, int]]) -> float:
         """Probability that all ordered pair constraints hold, via the sum
-        over the total orders (chains) of the involved items."""
+        over the total orders (chains) of the involved items that meet them;
+        the constraints are contradictory when no order does."""
         involved = sorted({i for c in constraints for i in c})
         if len(involved) > 6:
             raise EstimatorError("conjunction limited to 6 distinct items")
         for i, j in constraints:
             if i == j:
                 raise EstimatorError("constraint pairs need distinct items")
-        if _has_cycle(involved, constraints):
-            raise EstimatorError("contradictory constraints")
         cons = set(constraints)
         values = []
         for order in itertools.permutations(involved):
@@ -256,6 +251,8 @@ class KernelModel:
                 values.append(
                     self.event_prob(chain_ranking(self.universe, order)).value
                 )
+        if not values:
+            raise EstimatorError("contradictory constraints")
         return math.fsum(values)
 
 
@@ -282,23 +279,6 @@ def fit(
     return KernelModel(grouped.universe, _mean_pair_factors(grouped), h, norm)
 
 
-def _has_cycle(nodes, edges) -> bool:
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    for i, j in edges:
-        adj[i].append(j)
-    state = {v: 0 for v in nodes}
-
-    def visit(v):
-        state[v] = 1
-        for w in adj[v]:
-            if state[w] == 1 or (state[w] == 0 and visit(w)):
-                return True
-        state[v] = 2
-        return False
-
-    return any(state[v] == 0 and visit(v) for v in nodes)
-
-
 def empirical_prob(rankings: Sequence[TiedRanking], r: TiedRanking) -> float:
     """Fraction of rankings that entail the event."""
     if not rankings:
@@ -314,7 +294,6 @@ class MallowsModel:
     center: Permutation
     concentration: float
     log_z: float
-    table: MahonianTable
 
     def log_prob(self, perm: Permutation) -> float:
         from .combinatorics import kendall_tau
@@ -322,9 +301,7 @@ class MallowsModel:
         return -self.concentration * kendall_tau(perm, self.center) - self.log_z
 
 
-def mallows_fit(
-    perms: Sequence[Permutation], max_concentration: float = 50.0
-) -> MallowsModel:
+def mallows_fit(perms: Sequence[Permutation]) -> MallowsModel:
     """Exhaustive-center maximum likelihood fit at small n.
 
     The center minimizing total distance is the MLE for any positive
@@ -333,7 +310,7 @@ def mallows_fit(
     y ahead of x: an integer sum over the data's n x n pair-order counts.
     The profile log-likelihood -c * mean_dist - log Z(c)
     is concave in c, with slope E_c[t] - mean_dist, which falls as c grows,
-    so c is its root in [0, max_concentration], found by bisection to
+    so c is its root in [0, MAX_CONCENTRATION], found by bisection to
     within 1e-6, or the end where the slope keeps one sign.
     """
     if not perms:
@@ -365,7 +342,7 @@ def mallows_fit(
         terms, _ = log_terms(c)
         return float((terms * t).sum() / terms.sum()) > mean_dist
 
-    lo, hi = 0.0, float(max_concentration)
+    lo, hi = 0.0, MAX_CONCENTRATION
     if mean_dist >= table.max_distance / 2:  # E_0[t], exact: the uniform mean distance
         c = lo
     elif rising(hi):
@@ -376,7 +353,7 @@ def mallows_fit(
             lo, hi = (mid, hi) if rising(mid) else (lo, mid)
         c = 0.5 * (lo + hi)
     terms, top = log_terms(c)
-    return MallowsModel(center, c, top + float(np.log(terms.sum())), table)
+    return MallowsModel(center, c, top + float(np.log(terms.sum())))
 
 
 @dataclass(frozen=True)
@@ -386,15 +363,13 @@ class LogLikResult:
     n_floored: int
 
 
-def heldout_loglikelihood(
-    probs: Sequence[float] | np.ndarray, floor: float = LIKELIHOOD_FLOOR
-) -> LogLikResult:
-    """Mean log probability of held-out events, each floored at ``floor``.
+def heldout_loglikelihood(probs: Sequence[float] | np.ndarray) -> LogLikResult:
+    """Mean log probability of held-out events, each floored at ``LIKELIHOOD_FLOOR``.
     The logs are taken one value at a time by ``math.log``, as numpy's log
     may differ from libm in the last bit."""
     probs = np.asarray(probs, dtype=float)
     if not probs.size:
         raise EstimatorError("no usable test rankings")
-    floored = probs < floor
-    logs = [math.log(p) for p in np.where(floored, floor, probs).tolist()]
+    floored = probs < LIKELIHOOD_FLOOR
+    logs = [math.log(p) for p in np.where(floored, LIKELIHOOD_FLOOR, probs).tolist()]
     return LogLikResult(math.fsum(logs) / len(logs), len(logs), int(floored.sum()))

@@ -142,13 +142,13 @@ def level_posteriors(model: KernelModel, observed: GroupedRankings, owners, item
         joins = (lab[:, None, :] == levels[:, None]).any(axis=2)
         owner = np.searchsorted(us, owners[rows])
         e_mean = insertion_distances(model.fbar, ranked, grp, held[rows], owner, gz, joins)
-        # _kernel_value's set fraction, its log summed over the augmented groups in order:
-        # a new group at slot gz moves the later ones on by one (the last slot is empty)
-        slot, p, j = np.arange(grp.max() + 2), gz[:, :, None], joins[:, :, None]
-        sizes = (grp[:, :, None] == slot).sum(axis=1)
-        moved = np.where(j | (slot < p), sizes[:, None], np.roll(sizes, 1, axis=1)[:, None])
+        # _kernel_value's set fraction, its log summed over the groups in order: a
+        # joined group grows by one, and a new singleton would add logfact[1] = 0.0
+        slot = np.arange(grp.max() + 1)
+        sizes = (grp[:, :, None] == slot).sum(axis=1)[:, None] + (
+            joins[:, :, None] & (slot == gz[:, :, None]))
         log_fraction = np.full(gz.shape, -logfact[k + 1])
-        for size in np.moveaxis(np.where(slot == p, j * moved + 1, moved), 2, 0):
+        for size in np.moveaxis(sizes, 2, 0):
             log_fraction += logfact[size]
         fraction = np.array([math.exp(x) for x in log_fraction.ravel().tolist()]).reshape(gz.shape)
         weights[rows] = fraction[owner] * (1.0 - e_mean / model.h) / model.norm.normC

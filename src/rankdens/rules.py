@@ -29,26 +29,6 @@ _BLOCK = 512
 
 
 @dataclass(frozen=True)
-class JointPairTable:
-    """Joint law of the two binary events i<j and k<l.
-
-    cells[0,0] = p(i<j, k<l), cells[0,1] = p(i<j, l<k), and so on;
-    marginals are the row/column sums so that downstream mutual
-    information is a true plug-in quantity.
-    """
-
-    pair_a: tuple[int, int]
-    pair_b: tuple[int, int]
-    cells: np.ndarray
-
-    def row_marginals(self) -> np.ndarray:
-        return self.cells.sum(axis=1)
-
-    def col_marginals(self) -> np.ndarray:
-        return self.cells.sum(axis=0)
-
-
-@dataclass(frozen=True)
 class Rule:
     antecedent: tuple[int, int]
     consequent: tuple[int, int]
@@ -56,18 +36,18 @@ class Rule:
     kind: str
 
 
-def joint_pair_table(
-    model: KernelModel, i: int, j: int, k: int, l: int
-) -> JointPairTable:
+def joint_pair_table(model: KernelModel, i: int, j: int, k: int, l: int) -> np.ndarray:
+    """Joint law of the two binary events i<j and k<l as a 2x2 array:
+    [0, 0] = p(i<j, k<l), [0, 1] = p(i<j, l<k), and so on; its row and
+    column sums are the marginals, so mutual information is a true plug-in
+    quantity."""
     if len({i, j, k, l}) != 4:
         raise RulesError("joint pair table needs four distinct items")
     cells = np.empty((2, 2))
-    for r, (ij,) in enumerate(((True,), (False,))):
-        for c, (kl,) in enumerate(((True,), (False,))):
-            first = (i, j) if ij else (j, i)
-            second = (k, l) if kl else (l, k)
+    for r, first in enumerate(((i, j), (j, i))):
+        for c, second in enumerate(((k, l), (l, k))):
             cells[r, c] = model.conjunction_prob([first, second])
-    return JointPairTable((i, j), (k, l), cells)
+    return cells
 
 
 def _mi_terms(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,13 +70,13 @@ def _mi(terms: np.ndarray) -> np.ndarray:
     return np.maximum(((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3], 0.0)
 
 
-def mutual_information(table: JointPairTable) -> float:
-    """Plug-in mutual information of the table, natural log, >= 0.
+def mutual_information(cells: np.ndarray) -> float:
+    """Plug-in mutual information of a 2x2 joint table, natural log, >= 0.
 
     Negative cells (possible with the modified kernel) are clamped at zero
     and the table renormalized before the computation.
     """
-    terms, ok = _mi_terms(table.cells.reshape(1, 4))
+    terms, ok = _mi_terms(np.asarray(cells, dtype=float).reshape(1, 4))
     if not ok[0]:
         raise RulesError("degenerate joint table: all cells non-positive")
     return float(_mi(terms)[0])
@@ -131,7 +111,7 @@ def mine_mi_rules(
 
     A joint cell is the sum of six chain probabilities, so each block of
     quadruples is one ``chain_prob`` call over the 24 orders of each. Equal
-    MI keeps the lexicographic (pair_a, pair_b) order; a quadruple whose
+    MI keeps the lexicographic ((i, j), (k, l)) order; a quadruple whose
     cells are all non-positive is skipped. Only the best top_t quadruples
     are kept between blocks, so memory does not grow with the number of
     quadruples."""

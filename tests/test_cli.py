@@ -260,21 +260,14 @@ def test_fbar_commands_write_the_bytes_of_a_ranking_fit(ratings_file, tmp_path, 
                                                         argv):
     grouped_out, rankings_out = tmp_path / "grouped" / "out.csv", tmp_path / "rankings" / "out.csv"
     assert main([*argv, *_common(ratings_file, grouped_out)]) == EXIT_OK
-    selections, fitted = [], []
-    selection = cli._selection
-
-    def remember(*args):
-        selections.append(selection(*args))
-        return selections[-1]
+    fitted = []
 
     def fit_rankings(grouped, bandwidth):
-        """cli._fit over build_rankings of the command's selection."""
+        """cli._fit over the record's rankings as ``TiedRanking``s."""
         fitted.append(grouped)
-        _, rankings = ingest.build_rankings(*selections[-1])
         h = cli._bandwidth(bandwidth, grouped.universe.n, "modified")
-        return h, estimator.fit([r for _, r in rankings], h=h)
+        return h, estimator.fit(ingest.tied_rankings(grouped), h=h)
 
-    monkeypatch.setattr(cli, "_selection", remember)
     monkeypatch.setattr(cli, "_fit", fit_rankings)
     assert main([*argv, *_common(ratings_file, rankings_out)]) == EXIT_OK
     assert len(fitted) == 1 and isinstance(fitted[0], estimator.GroupedRankings)
@@ -410,6 +403,26 @@ def test_only_the_commands_that_draw_take_a_seed(ratings_file, tmp_path):
         out = tmp_path / f"{command}.csv"
         assert main([command, *data, "--out", str(out)]) == EXIT_OK
         assert "seed" not in config(out)
+
+
+def test_every_ratings_command_records_its_selection(ratings_file, tmp_path):
+    config = lambda out: json.loads(out.read_text().splitlines()[0][len("# config: "):])
+    want = {"data": str(ratings_file), "sha256": cli._sha256(ratings_file), "format": "ml100k",
+            "top_items": 8, "top_users": 150}
+    loglik = ["loglik", "--n-items", "3", "--m-grid", "20", "--reps", "1"]
+    for command in (["pairs"], ["predict"], ["rules"], ["graph"], loglik):
+        out = tmp_path / f"{command[0]}.csv"
+        assert main([*command, *_common(ratings_file, out)]) == EXIT_OK
+        assert {key: config(out)[key] for key in want} == want
+    # two runs apart only in --top-users write different rows under different config lines
+    runs = []
+    for top_users in (150, 400):
+        out = tmp_path / f"loglik-{top_users}.csv"
+        argv = ["--data", str(ratings_file), "--top-items", "8", "--top-users", str(top_users)]
+        assert main([*loglik, *argv, "--out", str(out)]) == EXIT_OK
+        runs.append(out.read_text().splitlines())
+    assert runs[0][2:] != runs[1][2:]
+    assert runs[0][0] != runs[1][0]
 
 
 def test_rules_lift_mode(ratings_file, tmp_path):

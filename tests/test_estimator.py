@@ -133,10 +133,13 @@ def test_conjunction_cells_sum_to_one():
 
 def test_conjunction_cycle_rejected():
     rng = np.random.default_rng(7)
-    u = ItemUniverse(5)
+    u = ItemUniverse(6)
     model = estimator.fit(_random_training(rng, u, 10))
-    with pytest.raises(EstimatorError):
-        model.conjunction_prob([(0, 1), (1, 2), (2, 0)])
+    # no order of the involved items meets a cycle, whatever else is asked
+    for constraints in ([(0, 1), (1, 2), (2, 0)], [(0, 1), (1, 0)],
+                        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5)]):
+        with pytest.raises(EstimatorError, match="^contradictory constraints$"):
+            model.conjunction_prob(constraints)
     with pytest.raises(EstimatorError):
         model.conjunction_prob([(0, 0)])
 
@@ -441,7 +444,7 @@ def test_mallows_concentration_maximizes_the_profile_likelihood(n, concentration
     model = estimator.mallows_fit(perms)
     pt = oracle.perm_table(n)
     mean_dist = np.mean(pt.dist[pt.index[model.center.order], [pt.index[p.order] for p in perms]])
-    log_counts = np.log(model.table.unnormalized())
+    log_counts = np.log(mahonian_distribution(n).unnormalized())
     t = np.arange(len(log_counts))
 
     def profile(c):  # the mean log-likelihood at each c of a grid
@@ -461,7 +464,6 @@ def test_mallows_concentration_at_the_ends_of_its_range():
     n = 4
     center = Permutation((1, 3, 0, 2))
     assert estimator.mallows_fit([center] * 5).concentration == 50.0  # one repeated order
-    assert estimator.mallows_fit([center] * 5, max_concentration=7.5).concentration == 7.5
     # every order once, or an order and its reverse: no pull toward any center
     assert estimator.mallows_fit(oracle.perm_table(n).perms).concentration == 0.0
     reverse = Permutation(center.order[::-1])

@@ -273,8 +273,7 @@ def _assert_split_matches_oracle(model, observed, owners, items, levels):
 def corpus_split(ratings_file):
     """The predict command's training set, holdout and model on the corpus."""
     def build(top_items=53, top_users=2000, bandwidth="auto"):
-        selection = cli._selection(ratings_file, "ml100k", top_items, top_users)
-        grouped = ingest.group_ratings(*selection)
+        grouped, _ = cli._load(ratings_file, "ml100k", top_items, top_users)
         train, holdout = holdout_split(grouped, 0, 0.3, 0.5)
         return train, holdout, cli._fit(train, bandwidth)[1]
     return build
