@@ -13,7 +13,7 @@ import click
 import numpy as np
 
 from . import estimator, ingest, oracle, rules
-from .combinatorics import CombinatoricsError, mahonian_distribution, triangular_normalization
+from .combinatorics import CombinatoricsError, mahonian_tables, triangular_normalization
 from .rankings import ItemUniverse, Permutation, RankingError, format_ranking, parse_ranking
 from .recommend import builtin_loss, holdout_split, loss_from_csv, posterior_loss
 
@@ -29,14 +29,6 @@ class DataError(click.ClickException):
 
 class NumericError(click.ClickException):
     exit_code = EXIT_NUMERIC
-
-
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _open_out(path: Path):
@@ -66,14 +58,14 @@ def _format(fmt) -> ingest.FormatDescriptor:
 def _load(data, fmt, top_items, top_users):
     """A command's selected ratings as one grouped record, and the config
     entries that name the selection."""
-    descriptor = _format(fmt)
+    descriptor, digest = _format(fmt), hashlib.sha256()
     try:
-        table = ingest.load_ratings(data, descriptor)
+        table = ingest.load_ratings(data, descriptor, digest=digest)
         items = ingest.select_items(table, top_items)
         users = ingest.select_users(table, items, top_m=top_users)
     except ingest.IngestError as exc:
         raise DataError(str(exc)) from exc
-    config = {"data": str(data), "sha256": _sha256(data), "format": fmt,
+    config = {"data": str(data), "sha256": digest.hexdigest(), "format": fmt,
               "top_items": top_items, "top_users": top_users}
     return ingest.group_ratings(table, items, users), config
 
@@ -128,21 +120,29 @@ _BLOCK = 4096  # normtable rows formatted, and written, as one string
 
 def _mass_rows(table):
     """The ``n,g,t,value`` rows of a Mahonian table, one string per block of
-    ``_BLOCK`` rows. The table is a palindrome, so each value of its lower
-    half is repr'd once, and its reprs are kept, one joined string a block,
-    to write the upper half from the kept blocks in reverse."""
+    ``_BLOCK`` rows, each formatted by one ``%``. The table is a palindrome,
+    so each value of its lower half is repr'd once, and its reprs are kept,
+    one joined string a block, to write the upper half from the kept blocks
+    in reverse."""
     n, top = table.n, table.max_distance
     half = top // 2 + 1
     lower, blocks = table.mass[:half], []
+
+    def rows(t, values):
+        args = [None] * (2 * len(values))
+        args[::2] = range(t, t + len(values))
+        args[1::2] = values
+        return (f"{n},g,%d,%s\n" * len(values)) % tuple(args)
+
     for start in range(0, half, _BLOCK):
         values = [repr(mass) for mass in lower[start : start + _BLOCK].tolist()]
         blocks.append("\n".join(values))
-        yield "".join(f"{n},g,{t},{value}\n" for t, value in enumerate(values, start))
+        yield rows(start, values)
     t, skip = half, 1 - top % 2  # when top is even, its middle row t = top/2 is written once
     while blocks:
         values = blocks.pop().split("\n")[-1 - skip :: -1]
         skip = 0
-        yield "".join(f"{n},g,{u},{value}\n" for u, value in enumerate(values, t))
+        yield rows(t, values)
         t += len(values)
 
 
@@ -153,7 +153,7 @@ def _mass_rows(table):
 def normtable(sizes, bandwidths, out):
     """Emit the tau-distance mass table and C(h) normalizations as CSV."""
     try:
-        tables = [mahonian_distribution(n) for n in sizes]
+        tables = mahonian_tables(sizes)
         norms = [[triangular_normalization(table.n, h, "exact-support", table) for h in bandwidths]
                  for table in tables]
     except CombinatoricsError as exc:

@@ -66,37 +66,60 @@ class MahonianTable:
         return np.rint(self.mass * math.factorial(self.n)).astype(np.int64)
 
 
-def mahonian_distribution(n: int) -> MahonianTable:
-    """Normalized coefficients of prod_{j=1}^{n-1} (1 + z + ... + z^j).
+MAX_MAHONIAN_N = 10_000
+"""The largest table size. The two recursion buffers hold n(n-1)/4 + 1
+floats each, 400 MB together at this bound, and the table 400 MB more."""
 
-    Incremental recursion with a sliding-window prefix sum: extending from
-    j-1 to j items convolves with a length-j uniform window, O(1) per
-    coefficient, O(n^3) total. Every table is a palindrome, so only the
-    lower half t <= top//2 is kept: the old half, run past its middle by its
-    own mirror, gives the prefix sums cs, and the new half is
+
+def mahonian_tables(sizes) -> list[MahonianTable]:
+    """The table of each size in ``sizes``, in their order, from one run of
+    the recursion up to the largest: the table of n is the state after
+    step n, whatever sizes come after it. Every size is checked before any
+    buffer is allocated.
+
+    The recursion takes the normalized coefficients of
+    prod_{j=1}^{n-1} (1 + z + ... + z^j) with a sliding-window prefix sum:
+    extending from j-1 to j items convolves with a length-j uniform window,
+    O(1) per coefficient, O(n^3) total. Every table is a palindrome, so only
+    the lower half t <= top//2 is kept: the old half, run past its middle by
+    its own mirror, gives the prefix sums cs, and the new half is
     cs[t] - cs[t-j] (t >= j). Each entry is then a difference of lower-tail
-    sums, with no cancellation near 1, and the table is mirrored once at
-    the end, so it is exactly palindromic.
+    sums, with no cancellation near 1, and each table is mirrored from its
+    half once, so it is exactly palindromic.
     """
-    if n < 1:
-        raise CombinatoricsError("n must be >= 1")
+    sizes = tuple(sizes)
+    for n in sizes:
+        if n < 1:
+            raise CombinatoricsError("n must be >= 1")
+        if n > MAX_MAHONIAN_N:
+            raise CombinatoricsError(f"n = {n} exceeds the table size bound {MAX_MAHONIAN_N}")
+    wanted, last = set(sizes), max(sizes)
     # Every step runs on slices of two buffers sized for the last half table:
     # two fresh arrays a step would page-fault their memory in anew each time.
-    g_buf, cs_buf = np.empty((2, n * (n - 1) // 4 + 1))
+    g_buf, cs_buf = np.empty((2, last * (last - 1) // 4 + 1))
     g_buf[0] = 1.0
     g, top = g_buf[:1], 0
-    for j in range(2, n + 1):
-        size = (top + j - 1) // 2 + 1
-        cs = cs_buf[:size]
-        cs[: len(g)] = g
-        cs[len(g):] = g[top - size + 1 : (top + 1) // 2][::-1]  # g[top - t] for t > top//2
-        np.cumsum(cs, out=cs)
-        g = g_buf[:size]
-        g[:j] = cs[:j]
-        np.subtract(cs[j:], cs[:-j], out=g[j:])
-        g /= j
-        top += j - 1
-    return MahonianTable(n, np.concatenate((g, g[: (top + 1) // 2][::-1])))
+    tables = {}
+    for j in range(1, last + 1):
+        if j > 1:
+            size = (top + j - 1) // 2 + 1
+            cs = cs_buf[:size]
+            cs[: len(g)] = g
+            cs[len(g):] = g[top - size + 1 : (top + 1) // 2][::-1]  # g[top - t] for t > top//2
+            np.cumsum(cs, out=cs)
+            g = g_buf[:size]
+            g[:j] = cs[:j]
+            np.subtract(cs[j:], cs[:-j], out=g[j:])
+            g /= j
+            top += j - 1
+        if j in wanted:
+            tables[j] = MahonianTable(j, np.concatenate((g, g[: (top + 1) // 2][::-1])))
+    return [tables[n] for n in sizes]
+
+
+def mahonian_distribution(n: int) -> MahonianTable:
+    """The table of size n: see ``mahonian_tables``."""
+    return mahonian_tables((n,))[0]
 
 
 @dataclass(frozen=True)

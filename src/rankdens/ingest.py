@@ -202,15 +202,18 @@ def _parse_bytes(data: bytes, fmt: FormatDescriptor) -> tuple[np.ndarray, int]:
 
 
 def load_ratings(
-    path, fmt: FormatDescriptor, error_rate_cap: float = 0.05
+    path, fmt: FormatDescriptor, error_rate_cap: float = 0.05, digest=None
 ) -> RatingsTable:
     """Parse a ratings file; malformed lines, a level off the scale among
-    them, are counted and tolerated up to the cap."""
+    them, are counted and tolerated up to the cap. A ``digest`` (a hashlib
+    object) is updated with the file's bytes, so the file is read once."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
+    if digest is not None:
+        digest.update(data)
     rows, malformed = _parse_bytes(data, fmt)
     del data  # free the file's bytes before the sort
     total = len(rows) + malformed

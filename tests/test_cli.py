@@ -1,3 +1,5 @@
+import builtins
+import hashlib
 import json
 import math
 import re
@@ -6,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rankdens import cli, estimator, ingest, oracle
+from rankdens import cli, combinatorics, estimator, ingest, oracle
 from rankdens.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _loglik_once, main
 from rankdens.combinatorics import mahonian_distribution, triangular_normalization
 from rankdens.rankings import ItemUniverse, Permutation, TiedRanking
@@ -71,6 +73,8 @@ def test_normtable_bytes_match_the_row_tuple_writer(tmp_path):
     ((1, 2, 3, 4, 5, 6), (2.0, 9.0), 1),
     ((1, 2, 3, 4, 5, 6), (2.0, 9.0), 2),
     ((1, 2, 3, 4, 5, 6), (2.0, 9.0), 3),
+    # repeated and unsorted sizes, all from one recursion
+    ((40, 3, 40, 1), (2.0, 900.0), cli._BLOCK),
 ])
 def test_normtable_blocks_match_the_row_tuple_writer(tmp_path, monkeypatch, sizes, bandwidths,
                                                      block):
@@ -109,6 +113,20 @@ def test_normtable_non_positive_normalization_writes_no_file(tmp_path, capsys):
     assert main(["normtable", "--n", "250", "--bandwidth", "7.5", "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error: non-positive normalization") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_normtable_above_the_size_bound_allocates_nothing(tmp_path, capsys, monkeypatch):
+    def no_empty(*args, **kwargs):
+        raise AssertionError("np.empty called")
+
+    monkeypatch.setattr(combinatorics.np, "empty", no_empty)
+    out = tmp_path / "norm.csv"
+    n = combinatorics.MAX_MAHONIAN_N + 1
+    argv = ["normtable", "--n", "3", "--n", str(n), "--bandwidth", "1e10", "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: n = {n} exceeds") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -405,9 +423,21 @@ def test_only_the_commands_that_draw_take_a_seed(ratings_file, tmp_path):
         assert "seed" not in config(out)
 
 
+def test_pairs_opens_the_ratings_file_once(ratings_file, tmp_path, monkeypatch):
+    opens, real_open = [], builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opens.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(["pairs", *_common(ratings_file, tmp_path / "pairs.csv")]) == EXIT_OK
+    assert opens.count(str(ratings_file)) == 1
+
+
 def test_every_ratings_command_records_its_selection(ratings_file, tmp_path):
     config = lambda out: json.loads(out.read_text().splitlines()[0][len("# config: "):])
-    want = {"data": str(ratings_file), "sha256": cli._sha256(ratings_file), "format": "ml100k",
+    want = {"data": str(ratings_file), "sha256": hashlib.sha256(ratings_file.read_bytes()).hexdigest(), "format": "ml100k",
             "top_items": 8, "top_users": 150}
     loglik = ["loglik", "--n-items", "3", "--m-grid", "20", "--reps", "1"]
     for command in (["pairs"], ["predict"], ["rules"], ["graph"], loglik):

@@ -10,6 +10,7 @@ from rankdens.combinatorics import (
     MahonianTable,
     kendall_tau,
     mahonian_distribution,
+    mahonian_tables,
     triangular_normalization,
 )
 from rankdens.oracle import brute_normalization, kernel_weight, normalization_from_counts
@@ -111,6 +112,14 @@ def _allocating_mahonian(n):
 @pytest.mark.parametrize("n", [*range(1, 81), 250, 500])
 def test_mahonian_is_bit_identical_to_the_allocating_recursion(n):
     assert mahonian_distribution(n).mass.tobytes() == _allocating_mahonian(n).tobytes()
+
+
+def test_mahonian_tables_match_each_size_computed_alone():
+    sizes = (500, 3, 500, 1, 2)
+    tables = mahonian_tables(sizes)
+    assert [table.n for table in tables] == list(sizes)
+    for table in tables:
+        assert np.array_equal(table.mass, mahonian_distribution(table.n).mass)
 
 
 def test_mahonian_mass_is_no_view_of_the_recursion_buffers():
