@@ -58,8 +58,9 @@ def parse_format(spec: str) -> FormatDescriptor:
         lo, _, hi = parts[3].partition("-")
         if not (lo.isdecimal() and hi.isdecimal() and int(lo) <= int(hi)):
             raise IngestError(f"rating scale {parts[3]!r} is not <min>-<max> in integers")
-        header = len(parts) > 4 and parts[4] == "header"
-        return FormatDescriptor(delim, cols, header, (int(lo), int(hi)))
+        if parts[4:] not in ([], ["header"]):
+            raise IngestError(f"csv format spec {spec!r}: only 'header' may follow the scale")
+        return FormatDescriptor(delim, cols, len(parts) == 5, (int(lo), int(hi)))
     raise IngestError(f"unknown ratings format {spec!r}")
 
 

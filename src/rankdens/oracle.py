@@ -2,8 +2,10 @@
 
 The references enumerate permutations directly and are therefore exact up
 to floating-point summation; the closed-form implementations elsewhere are
-tested against these. Only the tests use ``kernel_weight``, the kernel at
-one permutation, and ``normalization_from_counts``, C(h) from a histogram.
+tested against these. ``PermTable.consistent_indices`` is the one enumeration
+of a ranking's consistent set. Only the tests use ``kernel_weight``, the
+kernel at one permutation, and ``normalization_from_counts``, C(h) from a
+histogram.
 """
 
 from __future__ import annotations
@@ -79,6 +81,14 @@ class PermTable:
 @lru_cache(maxsize=8)
 def perm_table(n: int) -> PermTable:
     return PermTable(n)
+
+
+def log_consistent_count(r: TiedRanking) -> float:
+    """log of the number of permutations consistent with r, n!/k! prod |A_j|!."""
+    total = math.lgamma(r.n + 1) - math.lgamma(r.k + 1)
+    for g in r.groups:
+        total += math.lgamma(len(g) + 1)
+    return total
 
 
 def _kernel_values(n: int, h: float, mode: str) -> np.ndarray:
@@ -180,58 +190,22 @@ def brute_full_distribution(
 # -- one-ranking edits: references for level_posteriors and restrict -----
 
 
-def insert_item(
-    r: TiedRanking,
-    item: int,
-    *,
-    group: Optional[int] = None,
-    gap: Optional[int] = None,
-    level: Optional[int] = None,
-) -> TiedRanking:
-    """r with an unranked item inserted, by tie group, by gap, or by level.
-
-    Exactly one of ``group`` (join existing group), ``gap`` (new
-    singleton group at gap position 0..k) or ``level`` (join/create the
-    group with that level label) must be given.
-    """
-    if not 0 <= item < r.n:
-        raise RankingError(f"item index {item} out of range")
+def insert_item(r: TiedRanking, item: int, level: int) -> TiedRanking:
+    """r with an unranked item joining the group labelled ``level``, or a new
+    group at that label's place in the strictly decreasing labels."""
     if r.group_index(item) is not None:
         raise RankingError(f"item {r.universe.label_of(item)} already ranked")
-    chosen = [x is not None for x in (group, gap, level)]
-    if sum(chosen) != 1:
-        raise RankingError("exactly one of group, gap, level must be given")
-
+    if r.level_labels is None:
+        raise RankingError("ranking has no level labels")
     groups = [list(g) for g in r.groups]
-    labels = list(r.level_labels) if r.level_labels is not None else None
-
-    if group is not None:
-        if not 0 <= group < len(groups):
-            raise RankingError(f"group index {group} out of range")
-        groups[group].append(item)
-    elif gap is not None:
-        if not 0 <= gap <= len(groups):
-            raise RankingError(f"gap position {gap} out of range")
-        groups.insert(gap, [item])
-        if labels is not None:
-            raise RankingError("gap insertion undefined with level labels; "
-                               "insert by level instead")
+    labels = list(r.level_labels)
+    if level in labels:
+        groups[labels.index(level)].append(item)
     else:
-        if labels is None:
-            raise RankingError("ranking has no level labels")
-        if level in labels:
-            groups[labels.index(level)].append(item)
-        else:
-            pos = 0
-            while pos < len(labels) and labels[pos] > level:
-                pos += 1
-            groups.insert(pos, [item])
-            labels.insert(pos, level)
-    return TiedRanking(
-        r.universe,
-        tuple(tuple(g) for g in groups),
-        tuple(labels) if labels is not None else None,
-    )
+        pos = sum(label > level for label in labels)
+        groups.insert(pos, [item])
+        labels.insert(pos, level)
+    return TiedRanking(r.universe, tuple(tuple(g) for g in groups), tuple(labels))
 
 
 def project_ranking(

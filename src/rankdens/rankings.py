@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
-
-ENUMERATION_BOUND = 8
 
 GROUP_SEPARATORS = ("|", "≺")  # "|" or the precedes symbol
 
@@ -138,13 +135,6 @@ class TiedRanking:
     def group_index(self, item: int) -> Optional[int]:
         return self._group_of.get(item)
 
-    def log_consistent_count(self) -> float:
-        """log of the number of permutations consistent with this ranking."""
-        total = math.lgamma(self.n + 1) - math.lgamma(self.k + 1)
-        for g in self.groups:
-            total += math.lgamma(len(g) + 1)
-        return total
-
     # -- relations -------------------------------------------------------
 
     def implies(self, other: "TiedRanking") -> bool:
@@ -163,30 +153,6 @@ class TiedRanking:
             if (gi < gj) != (si < sj) or si == sj:
                 return False
         return True
-
-    # -- enumeration -----------------------------------------------------
-
-    def consistent(self, perm: Permutation) -> bool:
-        last = -1
-        for item in perm.order:
-            gi = self._group_of.get(item)
-            if gi is None:
-                continue
-            if gi < last:
-                return False
-            last = max(last, gi)
-        return True
-
-    def enumerate_consistent(self, bound: int = ENUMERATION_BOUND) -> list[Permutation]:
-        if self.n > bound:
-            raise RankingError(
-                f"enumeration requires n <= {bound}, got n = {self.n}"
-            )
-        return [
-            Permutation(order)
-            for order in itertools.permutations(range(self.n))
-            if self.consistent(Permutation(order))
-        ]
 
     def __str__(self) -> str:
         return format_ranking(self)

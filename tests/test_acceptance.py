@@ -219,12 +219,14 @@ def test_criterion_06_heldout_likelihood(report):
             # the exact-support estimator over full permutations, by one
             # oracle enumeration pass (the library scores only the modified kernel)
             dist = oracle.brute_full_distribution(train, h, "exact-support")
-            kernel = lambda ev: float(dist[pt.index[ev.enumerate_consistent()[0].order]])
+            # a strict full order's one consistent permutation is its groups in order
+            perm = lambda ev: Permutation(tuple(x for (x,) in ev.groups))
+            kernel = lambda ev: float(dist[pt.index[perm(ev).order]])
             empirical = lambda ev: estimator.empirical_prob(train, ev)
-            full = [r.enumerate_consistent()[0] for r in train
+            full = [perm(r) for r in train
                     if r.k == n and all(len(g) == 1 for g in r.groups)]
             mallows = estimator.mallows_fit(full)
-            mal = lambda ev: math.exp(mallows.log_prob(ev.enumerate_consistent()[0]))
+            mal = lambda ev: math.exp(mallows.log_prob(perm(ev)))
 
             # rho = 1 and tie_block = 1: every test ranking is a strict full order
             ll_k = estimator.heldout_loglikelihood([kernel(ev) for ev in test]).mean

@@ -161,6 +161,8 @@ def test_usage_and_data_exit_codes(tmp_path):
     ["graph", "--top-items", "8", "--threshold", "0"],
     ["pairs", "--top-items", "8", "--format", "csv:,:user,item,rating:1.5-5"],
     ["pairs", "--top-items", "8", "--format", "csv:,:user,item:1-5"],
+    ["pairs", "--top-items", "8", "--format", "csv:,:user,item,rating:1-5:hdr"],
+    ["pairs", "--top-items", "8", "--format", "csv:,:user,item,rating:1-5:header:extra"],
     ["loglik", "--top-items", "3", "--n-items", "5"],  # more than the loaded items
     ["loglik", "--top-items", "8", "--n-items", "1"],
     ["loglik", "--top-items", "8", "--n-items", "3", "--m-grid", "0"],
@@ -193,7 +195,8 @@ def test_usage_and_data_exit_codes(tmp_path):
 ], ids=["kernel-pairs", "kernel-rules", "kernel-predict", "kernel-graph", "bandwidth", "bandwidth-nan",
         "bandwidth-inf", "normtable-bandwidth", "normtable-nan", "format", "top-items",
         "top-users", "mi-subset", "top-t", "loglik-nan", "loglik-narrow", "threshold",
-        "fractional-scale", "format-no-rating", "loglik-n-items-loaded", "loglik-n-items-1",
+        "fractional-scale", "format-no-rating", "format-flag-typo", "format-extra-field",
+        "loglik-n-items-loaded", "loglik-n-items-1",
         "m-grid", "reps",
         "test-fraction-0", "test-fraction-1.5", "holdout-fraction", "loss-missing",
         "loss-shape", "loss-nan", "loss-inf", "predict-seed-negative", "loglik-seed-negative", "synth-n",
@@ -602,20 +605,21 @@ def test_loglik_kernel_row_is_the_enumerated_modified_kernel(n):
     shuffled = [rankings[i] for i in np.random.default_rng(seed).permutation(len(rankings))]
     train, test = shuffled[:m], shuffled[m:m + 200]
     strict = lambda r: r.k == n and all(len(g) == 1 for g in r.groups)
+    perm = lambda r: Permutation(tuple(x for (x,) in r.groups))  # a strict order's one permutation
     events = [r for r in test if strict(r)]
     pt = oracle.perm_table(n)
     for h in (n * (n - 1) / 4 + 0.5, n * (n - 1) / 2):  # signed, and the non-negative default
         dist = oracle.brute_full_distribution(train, h, "modified")
         want = estimator.heldout_loglikelihood(
-            [dist[pt.index[ev.enumerate_consistent()[0].order]] for ev in events]
+            [dist[pt.index[perm(ev).order]] for ev in events]
         ).mean
         got = _loglik_once(estimator._grouped(rankings), m, seed, h, "modified")
         assert got["kernel"] == pytest.approx(want, rel=1e-12, abs=0)
     # the baselines, one event at a time over the TiedRankings
     empirical = [estimator.empirical_prob(train, ev) for ev in events]
     assert got["empirical"] == estimator.heldout_loglikelihood(empirical).mean
-    mallows = estimator.mallows_fit([r.enumerate_consistent()[0] for r in train if strict(r)])
-    log_probs = [mallows.log_prob(ev.enumerate_consistent()[0]) for ev in events]
+    mallows = estimator.mallows_fit([perm(r) for r in train if strict(r)])
+    log_probs = [mallows.log_prob(perm(ev)) for ev in events]
     assert got["mallows"] == estimator.heldout_loglikelihood([math.exp(lp) for lp in log_probs]).mean
     assert got["mallows"] == pytest.approx(math.fsum(log_probs) / len(log_probs), rel=1e-12)
 

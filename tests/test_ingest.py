@@ -42,6 +42,10 @@ def test_parse_format_csv_spec():
     for scale in ("1.5-5", "5-1"):
         with pytest.raises(IngestError):
             parse_format(f"csv:,:user,item,rating:{scale}")
+    # only 'header' may follow the scale: a misspelt flag is no silent header=False
+    for tail in ("1-5:hdr", "1-5:header:extra", "1-5:"):
+        with pytest.raises(IngestError):
+            parse_format(f"csv:,:user,item,rating:{tail}")
 
 
 def test_load_ratings_basic(tmp_path):

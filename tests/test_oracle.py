@@ -26,12 +26,11 @@ def test_distance_matrix_properties():
     assert d.max() == 6
 
 
-def test_consistent_indices_count():
-    u = ItemUniverse(5)
-    r = parse_ranking("1,2|3", u)
-    pt = oracle.perm_table(5)
-    idx = pt.consistent_indices(r)
-    assert len(idx) == round(math.exp(r.log_consistent_count()))
+@pytest.mark.parametrize("text, n", [("1,2|3", 5), ("3|2|1,4", 4), ("2|1,3", 5), ("1,2,3", 3)])
+def test_consistent_indices_count(text, n):
+    r = parse_ranking(text, ItemUniverse(n))
+    idx = oracle.perm_table(n).consistent_indices(r)
+    assert len(idx) == round(math.exp(oracle.log_consistent_count(r)))
 
 
 def test_brute_bound():
@@ -99,8 +98,9 @@ def test_synthesize_latents_consistent():
         u, (Permutation((0, 1, 2, 3)),), (1.5,), (1.0,), rho=0.7, tie_block=1
     )
     rankings, latents = oracle.synthesize(cfg, 40, seed=9, return_latent=True)
+    pt = oracle.perm_table(4)
     for r, pi in zip(rankings, latents):
-        assert r.consistent(pi)
+        assert pt.index[pi.order] in pt.consistent_indices(r)
 
 
 def test_random_tied_ranking_respects_min_ranked():

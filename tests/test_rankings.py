@@ -79,19 +79,11 @@ def test_basic_structure(u4):
     assert r.group_index(1) is None
 
 
-def test_consistent_count_matches_enumeration():
-    for text, n in (("3|2|1,4", 4), ("2|1,3", 5), ("1,2,3", 3)):
-        u = ItemUniverse(n)
-        r = parse_ranking(text, u)
-        count = len(r.enumerate_consistent())
-        assert count == round(math.exp(r.log_consistent_count()))
-
-
 def test_consistent_count_formula(u5):
     # n! / k! * prod |A_j|!  with n=5, groups sizes (2, 1): 120/6 * 2 = 40
     r = parse_ranking("1,2|3", u5)
-    assert round(math.exp(r.log_consistent_count())) == 40
-    assert len(r.enumerate_consistent()) == 40
+    assert round(math.exp(oracle.log_consistent_count(r))) == 40
+    assert len(oracle.perm_table(5).consistent_indices(r)) == 40
 
 
 def test_implies(u4):
@@ -105,21 +97,11 @@ def test_implies(u4):
 
 
 def test_consistent(u4):
-    r = parse_ranking("3|1,4", u4)
-    assert r.consistent(Permutation((2, 0, 3, 1)))
-    assert r.consistent(Permutation((2, 1, 3, 0)))
-    assert not r.consistent(Permutation((0, 2, 3, 1)))
-
-
-def test_insert_item_by_group_and_gap(u4):
-    r = parse_ranking("3|1", u4)
-    assert format_ranking(oracle.insert_item(r, 1, group=0)) == "2,3|1"
-    assert format_ranking(oracle.insert_item(r, 1, gap=2)) == "3|1|2"
-    assert format_ranking(oracle.insert_item(r, 1, gap=0)) == "2|3|1"
-    with pytest.raises(RankingError):
-        oracle.insert_item(r, 0, group=0)  # already ranked
-    with pytest.raises(RankingError):
-        oracle.insert_item(r, 1, group=0, gap=1)
+    pt = oracle.perm_table(4)
+    idx = set(pt.consistent_indices(parse_ranking("3|1,4", u4)).tolist())
+    assert pt.index[(2, 0, 3, 1)] in idx
+    assert pt.index[(2, 1, 3, 0)] in idx
+    assert pt.index[(0, 2, 3, 1)] not in idx
 
 
 def test_insert_item_by_level(u4):
@@ -131,6 +113,8 @@ def test_insert_item_by_level(u4):
     assert created.level_labels == (5, 4, 3)
     below = oracle.insert_item(r, 1, level=1)
     assert below.groups == ((2,), (0,), (1,))
+    with pytest.raises(RankingError):
+        oracle.insert_item(r, 0, level=4)  # already ranked
     with pytest.raises(RankingError):
         oracle.insert_item(parse_ranking("3|1", u4), 1, level=2)  # no labels
 
@@ -156,5 +140,5 @@ def test_builders(u4):
 def test_full_order_consistent_only_with_itself(order):
     u = ItemUniverse(5)
     r = TiedRanking(u, tuple((i,) for i in order))
-    consistent = r.enumerate_consistent()
-    assert consistent == [Permutation(tuple(order))]
+    pt = oracle.perm_table(5)
+    assert pt.consistent_indices(r).tolist() == [pt.index[tuple(order)]]
