@@ -8,6 +8,7 @@ table is a probability mass function usable at large n.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,31 +21,17 @@ class CombinatoricsError(ValueError):
 
 
 def kendall_tau(pi: Permutation, sigma: Permutation) -> int:
-    """Number of item pairs ordered oppositely by the two permutations."""
+    """Number of item pairs ordered oppositely by the two permutations:
+    over sigma's order read from the back, how many later items pi puts
+    ahead of each, counted in a sorted list of their positions in pi."""
     if pi.n != sigma.n:
         raise CombinatoricsError("permutation size mismatch")
     pos = pi.positions()
-    seq = [pos[item] for item in sigma.order]
-    return _count_inversions(seq)
-
-
-def _count_inversions(seq) -> int:
-    # merge sort; O(n log n)
-    n = len(seq)
-    if n < 2:
-        return 0
-    mid = n // 2
-    left, right = list(seq[:mid]), list(seq[mid:])
-    inv = _count_inversions(left) + _count_inversions(right)
-    left.sort()
-    right.sort()
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            i += 1
-        else:
-            inv += len(left) - i
-            j += 1
+    later: list[int] = []
+    inv = 0
+    for item in reversed(sigma.order):
+        inv += bisect_left(later, pos[item])
+        insort(later, pos[item])
     return inv
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from .censored import _centre, expected_distance
 from .combinatorics import (
     TriangularNormalization,
+    kendall_tau,
     mahonian_distribution,
     triangular_normalization,
 )
@@ -52,7 +53,10 @@ def default_bandwidth(n: int) -> float:
 @dataclass(frozen=True)
 class EventProbability:
     value: float
-    negative: bool = False
+
+    @property
+    def negative(self) -> bool:
+        return self.value < 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,26 +206,24 @@ class KernelModel:
         e_mean = expected_distance(
             self.universe.n, sizes, block, [self._rowsums[x] for x in items]
         )
-        value = self._kernel_value(sizes, e_mean)
-        return EventProbability(value, value < 0)
+        return EventProbability(self._kernel_value(sizes, e_mean))
 
     def subset_stats(self, items: Sequence[int]) -> np.ndarray:
         """fbar's block over an item subset. Nothing in the package calls
         it; it stays while rankbench's tracer and its tests expect it."""
         return self.fbar[np.ix_(items, items)]
 
-    def chain_prob(self, chains, sizes: Optional[Sequence[int]] = None) -> np.ndarray | float:
+    def chain_prob(self, chains, sizes: Optional[Sequence[int]] = None) -> np.ndarray:
         """Probabilities of B same-shaped events: ``chains`` is a (B, k) int
         array, each row the event's k items in group order, and ``sizes``
         the tie-group sizes every row shares (all 1 by default: strict chains
-        chain[0] < chain[1] < ..., other items unranked). The result holds B
-        values, and a single 1-D row gives a float.
+        chain[0] < chain[1] < ..., other items unranked). The result is (B,),
+        a single 1-D row being a batch of one.
 
         It makes the ``expected_distance`` call of ``event_prob`` with (B,)
         arrays for floats, so each value is bit-identical to event_prob of
         the row's ranking when each group lists its items in ascending
         order, and temporaries are O(B)."""
-        chains = np.asarray(chains)
         cols = list(np.atleast_2d(chains).T)
         n = self.universe.n
         sizes = [1] * len(cols) if sizes is None else list(sizes)
@@ -230,8 +232,7 @@ class KernelModel:
             n, sizes, _gathered_rows(self.fbar.ravel(), n, cols),
             [rowsums[col] for col in cols],
         )
-        values = self._kernel_value(sizes, e_mean)
-        return float(values[0]) if chains.ndim == 1 else values
+        return self._kernel_value(sizes, e_mean)
 
     def conjunction_prob(self, constraints: Sequence[tuple[int, int]]) -> float:
         """Probability that all ordered pair constraints hold, via the sum
@@ -296,8 +297,6 @@ class MallowsModel:
     log_z: float
 
     def log_prob(self, perm: Permutation) -> float:
-        from .combinatorics import kendall_tau
-
         return -self.concentration * kendall_tau(perm, self.center) - self.log_z
 
 

@@ -69,7 +69,6 @@ class RatingsTable:
     """(m, 3) int64 (user, item, level) rows sorted by (user, item); the last line wins."""
 
     ratings: np.ndarray
-    scale: tuple[int, int]
     malformed: int = 0
     duplicates: int = 0
 
@@ -92,6 +91,7 @@ def _parse_line(line: str, delimiter: str, cols) -> Optional[tuple[int, int, int
     return user, item, level
 
 
+MALFORMED_CAP = 0.05  # load_ratings' largest tolerated share of malformed lines
 _BLOCK = 1 << 17  # bytes parsed at a time; a block runs on to the end of its last line
 _DIGITS = 18  # a field of at most 18 digits is below 10**18 < 2**63
 _NOT_DELIMITER = b"0123456789\n\r"
@@ -202,11 +202,9 @@ def _parse_bytes(data: bytes, fmt: FormatDescriptor) -> tuple[np.ndarray, int]:
     return np.concatenate(parts), malformed
 
 
-def load_ratings(
-    path, fmt: FormatDescriptor, error_rate_cap: float = 0.05, digest=None
-) -> RatingsTable:
+def load_ratings(path, fmt: FormatDescriptor, digest=None) -> RatingsTable:
     """Parse a ratings file; malformed lines, a level off the scale among
-    them, are counted and tolerated up to the cap. A ``digest`` (a hashlib
+    them, are counted and tolerated up to ``MALFORMED_CAP``. A ``digest`` (a hashlib
     object) is updated with the file's bytes, so the file is read once."""
     try:
         with open(path, "rb") as fh:
@@ -218,14 +216,12 @@ def load_ratings(
     rows, malformed = _parse_bytes(data, fmt)
     del data  # free the file's bytes before the sort
     total = len(rows) + malformed
-    if total and malformed / total > error_rate_cap:
-        raise IngestError(
-            f"{malformed}/{total} malformed lines exceeds cap {error_rate_cap}"
-        )
+    if total and malformed / total > MALFORMED_CAP:
+        raise IngestError(f"{malformed}/{total} malformed lines exceeds cap {MALFORMED_CAP}")
     if not len(rows):
         raise IngestError(f"no usable ratings in {path}")
     order, last = _sorted_rows(rows[:, 0], rows[:, 1])  # a pair's last line ends its run
-    return RatingsTable(rows[order[last]], fmt.scale, malformed, len(rows) - int(last.sum()))
+    return RatingsTable(rows[order[last]], malformed, len(rows) - int(last.sum()))
 
 
 def _sorted_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -255,7 +255,8 @@ def sample_mallows(
         if concentration <= 0:
             probs = np.full(idx + 1, 1.0 / (idx + 1))
         else:
-            logits = -concentration * np.arange(idx + 1, dtype=float)
+            with np.errstate(over="ignore"):  # a huge concentration: -inf, a weight of 0
+                logits = -concentration * np.arange(idx + 1, dtype=float)
             logits -= logits.max()
             probs = np.exp(logits)
             probs /= probs.sum()

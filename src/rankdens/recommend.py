@@ -74,8 +74,8 @@ _ASYMMETRIC_6 = np.array(
 )
 
 
-def asymmetric_loss(levels: Sequence[int] = range(6)) -> LossMatrix:
-    """The 6x6 asymmetric star loss, restrictable to a sub-scale.
+def asymmetric_loss(levels: Sequence[int]) -> LossMatrix:
+    """The 6x6 asymmetric star loss on a sub-scale.
 
     ``levels`` must be a contiguous subrange of 0..5; for 1-5 star data the
     first row and column are dropped.
@@ -87,17 +87,14 @@ def asymmetric_loss(levels: Sequence[int] = range(6)) -> LossMatrix:
     return LossMatrix(levels, _ASYMMETRIC_6[np.ix_(sel, sel)])
 
 
-def loss_from_csv(path, levels: Optional[Sequence[int]] = None) -> LossMatrix:
+def loss_from_csv(path, levels: Sequence[int]) -> LossMatrix:
     with open(path, newline="") as fh:
         rows = [
             [float(x) for x in row]
             for row in csv.reader(fh)
             if row and not row[0].lstrip().startswith("#")
         ]
-    entries = np.array(rows)
-    if levels is None:
-        levels = range(len(rows))
-    return LossMatrix(tuple(levels), entries)
+    return LossMatrix(tuple(levels), np.array(rows))
 
 
 def builtin_loss(name: str, levels: Sequence[int]) -> LossMatrix:
@@ -163,11 +160,11 @@ def level_posteriors(model: KernelModel, observed: GroupedRankings, owners, item
 
 def level_posterior(model: KernelModel, user_ranking: TiedRanking, item: int | Sequence[int],
                     levels: Sequence[int], counts: Optional[Counter] = None) -> np.ndarray:
-    """``level_posteriors`` of one user's items: (B, L) for B items, (L,) for one."""
+    """``level_posteriors`` of one user's items: (B, L) for B items, a single
+    item being a batch of one."""
     items = np.atleast_1d(item)
-    post = level_posteriors(model, _grouped([user_ranking]),
+    return level_posteriors(model, _grouped([user_ranking]),
                             np.zeros(len(items), np.int64), items, levels, counts)
-    return post[0] if np.ndim(item) == 0 else post
 
 
 def _best_levels(posteriors: np.ndarray, loss: LossMatrix) -> np.ndarray:

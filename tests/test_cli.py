@@ -639,6 +639,14 @@ def test_loglik_rejects_large_n():
     assert main(["loglik", "--data", "x", "--out", "y", "--n-items", "7"]) == EXIT_USAGE
 
 
+@pytest.mark.filterwarnings("error")
+def test_synth_at_a_huge_concentration_warns_nothing(tmp_path):
+    # -concentration * v overflows to -inf, the intended weight of 0
+    out = tmp_path / "synth.tsv"
+    assert main(["synth", "--n", "6", "--users", "30", "--concentration", "1e308",
+                 "--out", str(out)]) == EXIT_OK
+
+
 def test_synth_roundtrip(tmp_path):
     out = tmp_path / "synth.tsv"
     args = ["synth", "--n", "4", "--users", "30", "--centers", "4|3|2|1",

@@ -32,6 +32,14 @@ def test_kendall_tau_matches_pair_count(a, b):
     assert kendall_tau(Permutation(tuple(a)), Permutation(tuple(b))) == _brute_tau(a, b)
 
 
+@pytest.mark.parametrize("n", [7, 50, 200])
+def test_kendall_tau_matches_pair_count_above_six_items(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        a, b = rng.permutation(n).tolist(), rng.permutation(n).tolist()
+        assert kendall_tau(Permutation(tuple(a)), Permutation(tuple(b))) == _brute_tau(a, b)
+
+
 def test_kendall_tau_identity_and_reverse():
     p = Permutation((0, 1, 2, 3, 4))
     assert kendall_tau(p, p) == 0

@@ -70,6 +70,11 @@ def test_negative_flag():
     assert p.negative
 
 
+def test_negative_flag_follows_the_value():
+    assert estimator.EventProbability(-1e-300).negative
+    assert not estimator.EventProbability(0.0).negative
+
+
 def test_chain_prob_matches_event_prob():
     rng = np.random.default_rng(4)
     u = ItemUniverse(8)
@@ -77,7 +82,7 @@ def test_chain_prob_matches_event_prob():
     for _ in range(40):
         chain = [int(x) for x in rng.permutation(8)[: rng.integers(2, 5)]]
         direct = model.event_prob(chain_ranking(u, chain)).value
-        assert model.chain_prob(chain) == pytest.approx(direct, abs=1e-12)
+        assert model.chain_prob(chain)[0] == pytest.approx(direct, abs=1e-12)
 
 
 def test_batched_chain_prob_is_bit_identical_to_one_chain():
@@ -101,7 +106,7 @@ def test_batched_chain_prob_is_bit_identical_to_one_chain():
             groups = [tuple(chain[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
             assert value == model.event_prob(TiedRanking(u, tuple(groups))).value
             single = model.chain_prob(chain, sizes)
-            assert type(single) is float and single == value
+            assert single.shape == (1,) and single[0] == value
 
 
 def test_fbar_is_the_training_mean_of_censored_pair_factors():
@@ -366,7 +371,7 @@ def _as_ratings(rankings, ids):
     rows = [(3 * u - 40, ids[x], len(r.groups) - j)
             for u, r in enumerate(rankings) for j, group in enumerate(r.groups) for x in group]
     rows = np.array(rows, np.int64).reshape(-1, 3)
-    return ingest.RatingsTable(rows[np.random.default_rng(0).permutation(len(rows))], (1, 30))
+    return ingest.RatingsTable(rows[np.random.default_rng(0).permutation(len(rows))])
 
 
 def _fbar_both_ways(rankings):
@@ -430,7 +435,7 @@ def test_fbar_is_bit_identical_to_the_per_ranking_sum_on_the_corpus(ratings_file
 
 
 def test_fit_rejects_an_empty_record():
-    table = ingest.RatingsTable(np.array([[1, 10, 3]]), (1, 5))
+    table = ingest.RatingsTable(np.array([[1, 10, 3]]))
     with pytest.raises(EstimatorError, match="empty training set"):
         estimator.fit(ingest.group_ratings(table, [10], users=[2]))
 

@@ -63,20 +63,22 @@ def test_load_ratings_last_duplicate_wins(tmp_path):
     assert table.duplicates == 1
 
 
-def test_load_ratings_malformed_tolerated(tmp_path):
+def test_load_ratings_malformed_tolerated(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "MALFORMED_CAP", 0.1)
     lines = ["1\t10\t5\t0"] * 30 + ["garbage line", "1\t11\t9\t0", "1\t12\t3.5\t0",
                                       "1\t13\t4.0\t0"]
     path = _write(tmp_path, "\n".join(lines) + "\n")
-    table = load_ratings(path, FORMATS["ml100k"], error_rate_cap=0.1)
+    table = load_ratings(path, FORMATS["ml100k"])
     assert table.malformed == 3  # unparseable, out-of-scale and fractional rating
     assert table.ratings.tolist() == [[1, 10, 5], [1, 13, 4]]
     assert table.ratings.dtype == np.int64  # the 4.0 line loads as an int
 
 
-def test_load_ratings_error_cap(tmp_path):
+def test_load_ratings_error_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "MALFORMED_CAP", 0.05)
     path = _write(tmp_path, "junk\njunk\n1\t10\t5\t0\n")
     with pytest.raises(IngestError):
-        load_ratings(path, FORMATS["ml100k"], error_rate_cap=0.05)
+        load_ratings(path, FORMATS["ml100k"])
     with pytest.raises(IngestError):
         load_ratings(tmp_path / "missing.tsv", FORMATS["ml100k"])
 
@@ -172,16 +174,16 @@ def test_synthetic_corpus_shape(ratings_file):
     assert len(rankings) == 2000
 
 
-def test_id_outside_int64_is_malformed(tmp_path):
+def test_id_outside_int64_is_malformed(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "MALFORMED_CAP", 0.1)
     lines = ["1\t10\t5\t0"] * 30 + [f"{2**64}\t10\t4\t0", f"1\t{-2**63 - 1}\t4\t0",
                                       f"{-2**63}\t11\t4\t0"]
-    table = load_ratings(_write(tmp_path, "\n".join(lines) + "\n"), FORMATS["ml100k"],
-                         error_rate_cap=0.1)
+    table = load_ratings(_write(tmp_path, "\n".join(lines) + "\n"), FORMATS["ml100k"])
     assert table.malformed == 2
     assert table.ratings.tolist() == [[-2**63, 11, 4], [1, 10, 5]]
 
 
-def test_load_ratings_ml1m_and_csv_header(tmp_path):
+def test_load_ratings_ml1m_and_csv_header(tmp_path, monkeypatch):
     ml1m = _write(tmp_path, "1::10::5::978300760\n1::11::3::978302109\n2::10::4::978301968\n"
                   "2::10::2::978301969\n", "ratings.dat")
     table = load_ratings(ml1m, parse_format("ml1m"))
@@ -189,15 +191,16 @@ def test_load_ratings_ml1m_and_csv_header(tmp_path):
     assert (table.malformed, table.duplicates) == (0, 1)
     csv = _write(tmp_path, "user,item,rating\n3,7,1\n3,8,5\n4,7,4.0\n4,8,3.5\n"
                  * 1 + "3,7,2\n", "ratings.csv")
-    table = load_ratings(csv, parse_format("csv:,:user,item,rating:1-5:header"),
-                         error_rate_cap=0.5)
+    monkeypatch.setattr(ingest, "MALFORMED_CAP", 0.5)
+    table = load_ratings(csv, parse_format("csv:,:user,item,rating:1-5:header"))
     assert table.ratings.tolist() == [[3, 7, 2], [3, 8, 5], [4, 7, 4]]
     assert (table.malformed, table.duplicates) == (1, 1)
 
 
-def test_fractional_level_is_malformed_and_a_whole_float_level_reads_as_an_int(tmp_path):
+def test_fractional_level_is_malformed_and_a_whole_float_level_reads_as_an_int(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "MALFORMED_CAP", 1.0)
     path = _write(tmp_path, "1\t10\t4.5\t0\n1\t11\t4.0\t0\n1\t12\t3\t0\n")
-    table = load_ratings(path, FORMATS["ml100k"], error_rate_cap=1.0)
+    table = load_ratings(path, FORMATS["ml100k"])
     assert table.ratings.tolist() == [[1, 11, 4], [1, 12, 3]]
     assert table.malformed == 1
 
@@ -317,6 +320,7 @@ def _dirty_file(path, rng, fmt, kinds):
     FormatDescriptor("\t", ("timestamp", "user", "item", "rating"), False, (1, 5)),
 ], ids=["ml100k", "ml1m", "csv-header", "csv-permuted", "tab-unused-first"])
 def test_columnar_ingest_matches_per_line_reference(tmp_path, monkeypatch, fmt):
+    monkeypatch.setattr(ingest, "MALFORMED_CAP", 1.0)
     rng = np.random.default_rng(20101)
     plain = [0] * 20 + [5, 10]  # digits and delimiters only, or blank
     mixes = [plain + [2, 3, 8, 9], plain + [2, 3, 8, 9, 11], [0, 0, 0, *range(12)]]
@@ -325,7 +329,7 @@ def test_columnar_ingest_matches_per_line_reference(tmp_path, monkeypatch, fmt):
         monkeypatch.setattr(ingest, "_BLOCK", (ingest._BLOCK, 12)[trial % 2])
         path = _dirty_file(tmp_path / f"r{trial}.txt", rng, fmt, mixes[trial % 3])
         ratings, malformed, duplicates = _reference_load(path, fmt)
-        table = load_ratings(path, fmt, error_rate_cap=1.0)
+        table = load_ratings(path, fmt)
         assert table.ratings.tolist() == [[u, i, lv] for (u, i), lv in sorted(ratings.items())]
         assert (table.malformed, table.duplicates) == (malformed, duplicates)
         items = _ranked(Counter(i for _, i in ratings))[:6]
@@ -372,14 +376,15 @@ _EDGES = {
 @pytest.mark.parametrize("case", list(_EDGES))
 def test_byte_parser_edge_cases_match_per_line_reference(tmp_path, monkeypatch, case, block):
     monkeypatch.setattr(ingest, "_BLOCK", block)
+    monkeypatch.setattr(ingest, "MALFORMED_CAP", 1.0)
     fmt, data = _EDGES[case]
     path = tmp_path / "edge.data"
     path.write_bytes(data)
     ratings, malformed, duplicates = _reference_load(path, fmt)
     if not ratings:
         with pytest.raises(IngestError):
-            load_ratings(path, fmt, error_rate_cap=1.0)
+            load_ratings(path, fmt)
         return
-    table = load_ratings(path, fmt, error_rate_cap=1.0)
+    table = load_ratings(path, fmt)
     assert table.ratings.tolist() == [[u, i, lv] for (u, i), lv in sorted(ratings.items())]
     assert (table.malformed, table.duplicates) == (malformed, duplicates)

@@ -36,7 +36,7 @@ def test_zero_one_and_absolute_losses():
 
 
 def test_asymmetric_loss_values():
-    le = asymmetric_loss()
+    le = asymmetric_loss(range(6))
     # over-recommending a disliked item costs more than the reverse
     assert le.loss(5, 0) == 15.0
     assert le.loss(0, 5) == 5.0
@@ -104,7 +104,7 @@ def test_level_posterior_normalizes():
     train = [oracle.random_tied_ranking(rng, u, level_labels=True) for _ in range(20)]
     model = estimator.fit(train, h=6.0)
     user = TiedRanking(u, ((0,), (2, 3)), (5, 2))
-    post = level_posterior(model, user, 1, list(range(1, 6)))
+    post = level_posterior(model, user, 1, list(range(1, 6)))[0]
     assert post.shape == (5,)
     assert post.sum() == pytest.approx(1.0)
     assert (post >= 0).all()
@@ -146,7 +146,7 @@ def test_batched_level_posterior_matches_per_level_event_prob(n):
         for z, row in zip(held, post):
             want = _per_level_posterior(lambda ev: model.event_prob(ev).value, user, z, levels)
             np.testing.assert_allclose(row, want, rtol=1e-12, atol=0)
-        single = level_posterior(model, user, held[-1], levels)
+        single = level_posterior(model, user, held[-1], levels)[0]
         assert single.shape == (len(levels),) and np.array_equal(single, post[-1])
 
 
@@ -221,7 +221,7 @@ def test_posterior_loss_end_to_end():
     model = estimator.fit(train, h=11.0)
     loss = absolute_loss(range(1, 6))
     user = TiedRanking(u, ((0,), (2,)), (5, 3))
-    pred = predict_level(level_posterior(model, user, 1, loss.levels), loss)
+    pred = predict_level(level_posterior(model, user, 1, loss.levels)[0], loss)
     assert pred in loss.levels
     holdout = Holdout(estimator._grouped([user]), np.array([1]), np.array([0]),
                       np.array([4]))
