@@ -37,6 +37,12 @@ def _centre(below, size, k):
     return 2.0 * (below + 1 + (size - 1) / 2.0) / (k + 1) - 1.0
 
 
+def _centre_numerator(below, size, k):
+    """``_centre`` times k + 1, the integer 2*below + size - k, in [-k, k].
+    Ints or integer arrays alike."""
+    return 2 * below + size - k
+
+
 def group_centres(sizes: Sequence[int]) -> list[float]:
     """``_centre`` of each tie group of a ranking with these group sizes,
     most preferred first."""

@@ -13,7 +13,12 @@ import click
 import numpy as np
 
 from . import estimator, ingest, oracle, rules
-from .combinatorics import CombinatoricsError, mahonian_tables, triangular_normalization
+from .combinatorics import (
+    CombinatoricsError,
+    NormalizationUnderflow,
+    mahonian_tables,
+    triangular_normalization,
+)
 from .rankings import ItemUniverse, Permutation, RankingError, format_ranking, parse_ranking
 from .recommend import builtin_loss, holdout_split, loss_from_csv, posterior_loss
 
@@ -156,6 +161,8 @@ def normtable(sizes, bandwidths, out):
         tables = mahonian_tables(sizes)
         norms = [[triangular_normalization(table.n, h, "exact-support", table) for h in bandwidths]
                  for table in tables]
+    except NormalizationUnderflow as exc:  # the exact-support C(h) is always positive
+        raise NumericError(str(exc)) from None
     except CombinatoricsError as exc:
         raise click.UsageError(str(exc)) from None
 

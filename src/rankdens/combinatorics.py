@@ -20,6 +20,11 @@ class CombinatoricsError(ValueError):
     pass
 
 
+class NormalizationUnderflow(CombinatoricsError):
+    """A kernel normalization that is positive in exact arithmetic (h is
+    valid) but rounds to 0 or below: a numeric failure, not bad input."""
+
+
 def kendall_tau(pi: Permutation, sigma: Permutation) -> int:
     """Number of item pairs ordered oppositely by the two permutations:
     over sigma's order read from the back, how many later items pi puts
@@ -150,5 +155,5 @@ def triangular_normalization(
         support = t < h
         normC = float(np.sum((1.0 - t[support] / h) * table.mass[support]))
     if normC <= 0:
-        raise CombinatoricsError(f"non-positive normalization {normC}")
+        raise NormalizationUnderflow(f"non-positive normalization {normC}: C(h)/n! underflows")
     return TriangularNormalization(n, float(h), mode, normC)

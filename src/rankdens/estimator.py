@@ -3,8 +3,10 @@
 With missing items randomly censored, the expected Kendall distance from
 an event to a training ranking is linear in the training ranking's pair
 factors 1 - 2*P(x precedes y). So ``fit`` reduces the m training rankings
-of n items to their mean, the n x n antisymmetric matrix fbar, in
-O(sum of k^2 + n^2) for k items ranked per training ranking. A
+of n items to their mean, the n x n antisymmetric matrix fbar, by matrix
+products whose every partial sum is an exact integer, about (G + 2) m n^2
+multiply-adds for rankings of at most G tie groups; fbar is the same to
+the bit whatever the order of the rankings or the BLAS thread count. A
 modified-kernel event probability then follows by the closed form in
 O(k^2) for the k items the event ranks, with no term in m: ``event_prob``
 and ``chain_prob`` (a whole batch of events with the same tie-group sizes
@@ -21,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .censored import _centre, expected_distance
+from .censored import _centre_numerator, expected_distance
 from .combinatorics import (
     TriangularNormalization,
     kendall_tau,
@@ -118,40 +120,93 @@ def _grouped(rankings: Sequence[TiedRanking]) -> GroupedRankings:
     )
 
 
+_USER_BLOCK = 128  # rankings per block of fbar's matrix products
+_DIGIT_BITS = 26  # a centre is summed as three base-2**26 digits
+
+
+def _centre_digits(numer: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """(3, len) integer digits d_1, d_2, d_3 of numer/den, with numer/den
+    = sum_j d_j 2^(-26 j) + a remainder in [0, 2^-78); by floor division,
+    so d_1 is in [-2^26, 2^26) for |numer| < den, and d_2, d_3 in [0, 2^26)."""
+    digits, rest = [], numer
+    for _ in range(3):
+        digit, rest = np.divmod(rest * (1 << _DIGIT_BITS), den)
+        digits.append(digit)
+    return np.array(digits)
+
+
 def _mean_pair_factors(grouped: GroupedRankings) -> np.ndarray:
     """The n x n training mean of 1 - 2*P(x precedes y | ranking).
 
     A pair factor is -1/0/+1 when both items are ranked (x in an
     earlier/the same/a later group), x's centre g[x] (``tie_terms``) when
-    only x is ranked, -g[y] when only y is, and 0 when neither is. The
-    one-ranked cases sum to the rank-one term gtot[x] - gtot[y] once each
-    ranking's k x k block of ranked pairs subtracts its own share, so a
-    ranking costs O(k^2). Within a ranking that block entry,
-    sign(q[x] - q[y]) - (g[x] - g[y]) for groups q, depends only on the two
-    groups, so each block is its ranking's G x G group table repeated out
-    to k x k. The blocks are added one ranking at a time, in order, and
-    gtot by one ``bincount``, which also adds in order: any other grouping
-    of the float sums would change fbar's last bits.
+    only x is ranked, -g[y] when only y is, and 0 when neither is. With Q
+    the (m, n) matrix of each ranking's 1-based group indices, 0 where an
+    item is unranked, the sum over rankings is P - P^T + sum_j 2^(-26 j)
+    (D_j - D_j^T): P = sum_{g >= 2} (Q = g)^T (0 < Q < g) counts the
+    rankings that put y in an earlier group than x, and D_j = W_j^T (Q = 0)
+    sums x's centre digits ``_centre_digits`` W_j over the rankings that
+    leave y unranked. A centre g = N/(k + 1) has the integer numerator N =
+    ``_centre_numerator``, so its digits are exact integers and its
+    truncation below 2^-78 is the only error before the sum. Every entry of
+    every partial product is then an integer that its float type holds
+    exactly (P in float32 up to ``_USER_BLOCK``, D_j in float64 for fewer
+    than 2^25 rankings), so no BLAS blocking, thread count or order of the
+    rankings can change a bit; ``_mean_from_sums`` rounds the total once.
+
+    The rankings go in blocks of ``_USER_BLOCK``, so temporaries are
+    O(block n + n^2); the work is about (G + 2) m n^2 multiply-adds for
+    rankings of at most G groups.
     """
     n = grouped.universe.n
     items, starts, bounds = grouped.items, grouped.user_starts, grouped.group_starts
     m, sizes = len(starts) - 1, np.diff(bounds)
     owner = np.searchsorted(starts, bounds[:-1], side="right") - 1  # each group's ranking
     k, below = np.diff(starts)[owner], bounds[:-1] - starts[owner]
-    centre = _centre(below, sizes, k)  # each group's, as tie_terms gives it
     firsts = np.searchsorted(bounds, starts)  # each ranking's first group
-    width = int(np.diff(firsts).max(initial=1))  # the most groups in one ranking
-    sign = np.sign(np.arange(width)[:, None] - np.arange(width))
-    total = np.zeros(n * n)  # flat, so a block is one fancy-indexed add
-    row = items * n  # each item's row offset in the flat total
-    starts, firsts = starts.tolist(), firsts.tolist()
-    for a, b, ga, gb in zip(starts, starts[1:], firsts, firsts[1:]):
-        s, c = sizes[ga:gb], centre[ga:gb]
-        table = sign[:gb - ga, :gb - ga] - (c[:, None] - c)
-        total[row[a:b, None] + items[a:b]] += table.repeat(s, 0).repeat(s, 1)
-    gtot = np.bincount(items, weights=np.repeat(centre, sizes), minlength=n)
-    total = total.reshape(n, n) + (gtot[:, None] - gtot[None, :])
-    return total / m
+    # each ranked item's ranking, 1-based group index and centre digits
+    user = np.repeat(owner, sizes)
+    group = np.repeat(np.arange(len(sizes)) - firsts[owner] + 1, sizes)
+    digits = np.repeat(_centre_digits(_centre_numerator(below, sizes, k), k + 1), sizes, axis=1)
+    later = np.zeros((n, n))  # P: rankings with y in an earlier group than x
+    centred = np.zeros((3, n, n))  # D_1, D_2, D_3
+    starts = starts.tolist()
+    for u0 in range(0, m, _USER_BLOCK):
+        u1 = min(u0 + _USER_BLOCK, m)
+        a, b = starts[u0], starts[u1]
+        rows, cols = user[a:b] - u0, items[a:b]
+        q = np.zeros((u1 - u0, n), np.int32)
+        q[rows, cols] = group[a:b]
+        w = np.zeros((3, u1 - u0, n))
+        w[:, rows, cols] = digits[:, a:b]
+        unranked = (q == 0).astype(np.float64)
+        for j in range(3):
+            centred[j] += w[j].T @ unranked
+        ahead = np.zeros((u1 - u0, n), np.float32)  # 1 where an item is in a group before g
+        counts = np.zeros((n, n), np.float32)
+        for g in range(1, int(q.max(initial=0)) + 1):
+            at = (q == g).astype(np.float32)
+            if g > 1:
+                counts += at.T @ ahead
+            ahead += at
+        later += counts
+    return _mean_from_sums(later, centred, m)
+
+
+def _mean_from_sums(later: np.ndarray, centred: np.ndarray, m: int) -> np.ndarray:
+    """fbar from the integer sums P (n, n) and D (3, n, n) of m rankings
+    (``_mean_pair_factors``). The integers of P - P^T and D_j - D_j^T are
+    carried so that the two lower digits lie in [0, 2^26); then the integer
+    part plus the first digit, and the two lower digits, are each an exact
+    float, so their sum is rounded once, before the division by m. Each
+    entry is within about an ulp of the exact mean, and the result is
+    exactly antisymmetric, as rounding is symmetric in sign."""
+    one = 1 << _DIGIT_BITS
+    d1, d2, d3 = ((d - d.T).astype(np.int64) for d in centred)
+    carry, d3 = np.divmod(d3, one)
+    carry, d2 = np.divmod(d2 + carry, one)
+    whole = (later - later.T) + (d1 + carry) * 2.0**-_DIGIT_BITS
+    return (whole + (d2 * 2.0**(-2 * _DIGIT_BITS) + d3 * 2.0**(-3 * _DIGIT_BITS))) / m
 
 
 def _gathered_rows(flat: np.ndarray, n: int, cols: Sequence[np.ndarray]):

@@ -1,10 +1,19 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rankdens import oracle
-from rankdens.censored import expected_distance, expected_kendall, pair_pref_prob, tie_terms
+from rankdens.censored import (
+    _centre,
+    _centre_numerator,
+    expected_distance,
+    expected_kendall,
+    pair_pref_prob,
+    tie_terms,
+)
 from rankdens.rankings import ItemUniverse, TiedRanking, parse_ranking
 
 
@@ -146,3 +155,18 @@ def test_expected_kendall_is_bit_identical_to_the_loop():
         got = expected_kendall(s, r)
         assert type(got) is float
         assert got == _loop_expected_kendall(s, r), (s, r)
+
+
+def test_centre_numerator_over_k_plus_one_is_the_centre():
+    # fit sums the integer numerators exactly. _centre's last step subtracts 1,
+    # so it agrees with their quotient to an ulp of 1.0 (measured: half of
+    # one, up to k = 200), not of the centre: near 0 that is up to 123 ulps
+    below, size, k = np.array([(b, s, k) for k in range(1, 41) for b in range(k)
+                               for s in range(1, k - b + 1)]).T
+    numer = _centre_numerator(below, size, k)
+    assert numer.dtype == np.int64 and (np.abs(numer) <= k).all()
+    centre = _centre(below, size, k)
+    for b, s, kk, nu, c in zip(*(a.tolist() for a in (below, size, k, numer, centre))):
+        assert Fraction(nu, kk + 1) == 2 * Fraction(2 * b + 1 + s, 2 * (kk + 1)) - 1
+        assert _centre_numerator(b, s, kk) == nu and _centre(b, s, kk) == c
+        assert abs(nu / (kk + 1) - c) <= math.ulp(1.0)

@@ -108,11 +108,22 @@ def test_normtable_upper_half_is_exact(tmp_path):
 
 
 def test_normtable_non_positive_normalization_writes_no_file(tmp_path, capsys):
-    # count/250! underflows to 0 at every distance below 7.5, and so does C(h)/n!
+    # count/250! underflows to 0 at every distance below 7.5, and so does C(h)/n!,
+    # which is positive in exact arithmetic: a numeric error
     out = tmp_path / "norm.csv"
-    assert main(["normtable", "--n", "250", "--bandwidth", "7.5", "--out", str(out)]) == EXIT_USAGE
+    assert main(["normtable", "--n", "250", "--bandwidth", "7.5", "--out", str(out)]) == EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert err.startswith("usage error: non-positive normalization") and err.count("\n") == 1
+    assert err.startswith("numeric error: non-positive normalization") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_normtable_underflow_at_n_500_is_a_numeric_error(tmp_path, capsys):
+    # C(1000)/500! is positive but its Mahonian tail underflows; a bandwidth
+    # that is not positive stays a usage error (normtable-bandwidth below)
+    out = tmp_path / "norm.csv"
+    assert main(["normtable", "--n", "500", "--bandwidth", "1000", "--out", str(out)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: non-positive normalization 0.0") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -296,6 +307,32 @@ def test_fbar_commands_write_the_bytes_of_a_ranking_fit(ratings_file, tmp_path, 
     assert written == sorted(p.name for p in rankings_out.parent.iterdir())
     for name in written:
         assert (grouped_out.parent / name).read_bytes() == (rankings_out.parent / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["pairs"],
+    ["graph", "--threshold", "1.0"],
+], ids=["pairs", "graph"])
+def test_fbar_commands_do_not_depend_on_the_order_of_the_users(ratings_file, tmp_path, argv):
+    # user u renamed 10**6 - u reverses the users' order; with every user
+    # selected the rankings are the same, so every line after the config is
+    flipped = tmp_path / "flipped.data"
+    lines = ratings_file.read_text().splitlines()
+    flipped.write_text("".join(f"{10**6 - int(user)}\t{rest}\n"
+                               for user, rest in (line.split("\t", 1) for line in lines)))
+    outs = []
+    for data in (ratings_file, flipped):
+        outs.append(tmp_path / data.stem / "out.csv")
+        assert main([*argv, "--data", str(data), "--top-users", "5000",
+                     "--out", str(outs[-1])]) == EXIT_OK
+    written = sorted(p.name for p in outs[0].parent.iterdir())
+    assert written == sorted(p.name for p in outs[1].parent.iterdir())
+    for name in written:
+        a, b = (out.parent.joinpath(name).read_text() for out in outs)
+        if name.endswith(".csv"):
+            assert a.startswith("# config") and b.startswith("# config")
+            a, b = a.split("\n", 1)[1], b.split("\n", 1)[1]
+        assert a == b, name
 
 
 def test_pairs_deterministic(ratings_file, tmp_path):
@@ -552,7 +589,7 @@ _LOGLIK_DEFAULT_ROWS = [
     "3,500,kernel,-1.6645227907324887,0.006501915071054035",
     "3,500,empirical,-4.441046057672227,0.2712408694247989",
     "3,500,mallows,-1.0840838201007317,0.07071666543722821",
-    "3,1000,kernel,-1.6759431219381473,0.0026143154264961672",
+    "3,1000,kernel,-1.6759431219381473,0.002614315426496173",
     "3,1000,empirical,-4.5298634540409735,0.43197906803420766",
     "3,1000,mallows,-1.3007920890329383,0.02967666022001824",
     "4,100,kernel,-3.104546778837208,0.012912837999501596",
@@ -561,7 +598,7 @@ _LOGLIK_DEFAULT_ROWS = [
     "4,500,kernel,-3.0828157408036003,0.009245254298743644",
     "4,500,empirical,-16.92281460717537,5.047896957790199",
     "4,500,mallows,-10.56374357793512,6.998071636583288",
-    "4,1000,kernel,-3.0774074590163587,0.006866668840303142",
+    "4,1000,kernel,-3.0774074590163587,0.00686666884030318",
     "4,1000,empirical,-12.101096926611767,2.4992381667298864",
     "4,1000,mallows,-2.6454676841453475,0.24860204771946523",
 ]

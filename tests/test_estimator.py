@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rankdens import cli, estimator, ingest, oracle
-from rankdens.censored import expected_kendall, pair_pref_prob, tie_terms
+from rankdens.censored import _centre_numerator, expected_kendall, pair_pref_prob, tie_terms
 from rankdens.combinatorics import mahonian_distribution
 from rankdens.estimator import EstimatorError
 from rankdens.rankings import (
@@ -350,9 +351,13 @@ def test_one_ranking_model_is_the_kernel_at_the_expected_kendall_distance():
             assert model.event_prob(s).value == pytest.approx(want, rel=1e-12, abs=0)
 
 
+# the float per-ranking loop's rounding errors reach 3.1e-16 on the conftest corpus
+FLOAT_LOOP_ATOL = 1e-15
+
+
 def _per_ranking_fbar(n, training):
-    """fbar summed one TiedRanking at a time: each ranking's k x k block of
-    ranked pairs into the flat total, its centres into gtot, in order."""
+    """fbar summed in floats one TiedRanking at a time: each ranking's k x k
+    block of ranked pairs into the flat total, its centres into gtot, in order."""
     total = np.zeros(n * n)
     gtot = np.zeros(n)
     for r in training:
@@ -363,6 +368,98 @@ def _per_ranking_fbar(n, training):
         gtot[items] += g
     total = total.reshape(n, n) + (gtot[:, None] - gtot[None, :])
     return total / len(training)
+
+
+def _per_ranking_sums(n, training):
+    """fbar from fit's integer sums added up one TiedRanking at a time in
+    int64: P[x, y], the rankings with y in an earlier group than x, and
+    D[j, x, y], x's j-th centre digit summed over the rankings that rank x
+    and leave y unranked, rounded by ``_mean_from_sums``."""
+    later = np.zeros((n, n), np.int64)
+    centred = np.zeros((3, n, n), np.int64)
+    for r in training:
+        items = np.array([x for group in r.groups for x in group], np.int64)
+        grp = np.array(tie_terms(map(len, r.groups))[0])
+        later[items[:, None], items] += grp[:, None] > grp
+        sizes = np.array([len(group) for group in r.groups])
+        numer = _centre_numerator(np.cumsum(sizes) - sizes, sizes, r.k)
+        digits = estimator._centre_digits(numer, r.k + 1).repeat(sizes, axis=1)
+        centred[:, items[:, None], np.setdiff1d(np.arange(n), items)] += digits[:, :, None]
+    return estimator._mean_from_sums(later, centred, len(training))
+
+
+def _fraction_fbar(n, training):
+    """The exact training mean of the pair factors, as Fractions: a group of
+    phi items after tau - 1 more preferred ones, of k ranked, has the centre
+    2 (tau + (phi - 1)/2) / (k + 1) - 1."""
+    total = [[Fraction(0)] * n for _ in range(n)]
+    for r in training:
+        centre, group, tau = {}, {}, 1
+        for gi, members in enumerate(r.groups):
+            for x in members:
+                centre[x] = 2 * (tau + Fraction(len(members) - 1, 2)) / (r.k + 1) - 1
+                group[x] = gi
+            tau += len(members)
+        for x in range(n):
+            for y in range(n):
+                if x in group and y in group:
+                    total[x][y] += (group[x] > group[y]) - (group[x] < group[y])
+                elif x in group:
+                    total[x][y] += centre[x]
+                elif y in group:
+                    total[x][y] -= centre[y]
+    return [[value / len(training) for value in row] for row in total]
+
+
+def _exact_cases(rng):
+    """(n, training) at n = 1..8: random tied rankings with a one-item, an
+    all-tied and a strict ranking mixed in, and a set of rankings with each
+    one's reverse, whose mean is exactly 0."""
+    for n in range(1, 9):
+        u = ItemUniverse(n)
+        for _ in range(4):
+            train = _random_training(rng, u, int(rng.integers(1, 40))) + [
+                TiedRanking(u, ((int(rng.integers(n)),),)),
+                TiedRanking(u, (tuple(range(n)),)),
+                chain_ranking(u, rng.permutation(n).tolist()),
+            ]
+            yield n, [train[i] for i in rng.permutation(len(train))]
+        half = _random_training(rng, u, 15)
+        yield n, half + [TiedRanking(u, r.groups[::-1]) for r in half]
+
+
+def test_fbar_is_within_two_ulps_of_the_exact_mean():
+    rng = np.random.default_rng(2500)
+    zeros = 0
+    for n, train in _exact_cases(rng):
+        got = estimator.fit(train).fbar
+        assert np.array_equal(got, -got.T)
+        for x, row in enumerate(_fraction_fbar(n, train)):
+            for y, exact in enumerate(row):
+                if exact == 0:
+                    zeros += x != y
+                    assert abs(got[x, y]) <= 1e-20
+                else:
+                    ulp = Fraction(math.ulp(float(exact)))
+                    assert abs(Fraction(float(got[x, y])) - exact) <= 2 * ulp
+    assert zeros >= sum(n * (n - 1) for n in range(9))  # the mirrored sets' alone
+
+
+def test_fbar_is_identical_under_user_order_and_block_size(ratings_file, monkeypatch):
+    table = ingest.load_ratings(ratings_file, ingest.FORMATS["ml100k"])
+    items = ingest.select_items(table, 53)
+    corpus = ingest.group_ratings(table, items, ingest.select_users(table, items, top_m=2000))
+    rng = np.random.default_rng(2600)
+    records = [corpus] + [estimator._grouped(train) for _, train in _exact_cases(rng)][::7]
+    for record in records:
+        want = estimator.fit(record).fbar
+        for _ in range(2):
+            shuffled = record.restrict(rng.permutation(len(record.users)))
+            assert np.array_equal(estimator.fit(shuffled).fbar, want)
+        for block in (1, 7):
+            monkeypatch.setattr(estimator, "_USER_BLOCK", block)
+            assert np.array_equal(estimator.fit(record).fbar, want)
+        monkeypatch.undo()
 
 
 def _as_ratings(rankings, ids):
@@ -397,11 +494,14 @@ def _few_groups(rng, universe, m, levels=3):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 30, 150])
 def test_fbar_is_bit_identical_to_the_per_ranking_sum(n):
+    # the blocked matrix products add the integers a sum one ranking at a time
+    # adds, so fbar is bit-identical to that sum's rounding; the float loop
+    # is within FLOAT_LOOP_ATOL
     rng = np.random.default_rng(1200 + n)
     u = ItemUniverse(n)
     few = _few_groups(rng, u, 60)
     for got in _fbar_both_ways(few):
-        assert np.array_equal(got, _per_ranking_fbar(n, few))
+        assert np.array_equal(got, _per_ranking_sums(n, few))
     extremes = [
         TiedRanking(u, ((int(rng.integers(n)),),)),  # one item
         TiedRanking(u, (tuple(range(n)),)),  # every item in one tied group
@@ -415,12 +515,13 @@ def test_fbar_is_bit_identical_to_the_per_ranking_sum(n):
     for _ in range(3):
         train = _random_training(rng, u, int(rng.integers(1, 60))) + extremes
         train = [train[i] for i in rng.permutation(len(train))]
-        want = _per_ranking_fbar(n, train)
+        want = _per_ranking_sums(n, train)
         for got in _fbar_both_ways(train):
             assert np.array_equal(got, want)
         record = estimator._grouped(train)
         assert record.levels is None
         assert np.array_equal(estimator._mean_pair_factors(record), want)
+        assert np.allclose(want, _per_ranking_fbar(n, train), rtol=0, atol=FLOAT_LOOP_ATOL)
 
 
 def test_fbar_is_bit_identical_to_the_per_ranking_sum_on_the_corpus(ratings_file):
@@ -429,9 +530,10 @@ def test_fbar_is_bit_identical_to_the_per_ranking_sum_on_the_corpus(ratings_file
     users = ingest.select_users(table, items, top_m=2000)
     _, rankings = ingest.build_rankings(table, items, users)
     train = [r for _, r in rankings]
-    want = _per_ranking_fbar(53, train)
+    want = _per_ranking_sums(53, train)
     assert np.array_equal(estimator.fit(train).fbar, want)
     assert np.array_equal(estimator.fit(ingest.group_ratings(table, items, users)).fbar, want)
+    assert np.allclose(want, _per_ranking_fbar(53, train), rtol=0, atol=FLOAT_LOOP_ATOL)
 
 
 def test_fit_rejects_an_empty_record():
