@@ -28,12 +28,28 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 
-class DataError(click.ClickException):
-    exit_code = EXIT_DATA
+class DataError(Exception):
+    """A command's own check found its data unusable (exit 2)."""
 
 
-class NumericError(click.ClickException):
-    exit_code = EXIT_NUMERIC
+class NumericError(Exception):
+    """A command's own check found a numeric failure (exit 3)."""
+
+
+# How main reports a failure: the first row whose class matches gives the
+# exit code, so a subclass comes before its base. Any other exception is a
+# bug and keeps its traceback.
+_EXITS = (
+    (click.UsageError, EXIT_USAGE),
+    (ingest.FormatError, EXIT_USAGE),
+    (NormalizationUnderflow, EXIT_NUMERIC),  # C(h) is positive, but its Mahonian tail underflows
+    (CombinatoricsError, EXIT_USAGE),
+    (ingest.IngestError, EXIT_DATA),
+    (rules.RulesError, EXIT_NUMERIC),  # a signed kernel can leave a lift with no denominator
+    (DataError, EXIT_DATA),
+    (NumericError, EXIT_NUMERIC),
+)
+_PREFIX = {EXIT_USAGE: "usage error", EXIT_DATA: "data error", EXIT_NUMERIC: "numeric error"}
 
 
 def _open_out(path: Path):
@@ -53,30 +69,21 @@ def _write_csv(out_path: Path, config: dict, columns, lines) -> None:
         fh.writelines(lines)
 
 
-def _format(fmt) -> ingest.FormatDescriptor:
-    try:
-        return ingest.parse_format(fmt)
-    except ingest.IngestError as exc:
-        raise click.UsageError(str(exc)) from None
-
-
 def _load(data, fmt, top_items, top_users):
     """A command's selected ratings as one grouped record, and the config
     entries that name the selection."""
-    descriptor, digest = _format(fmt), hashlib.sha256()
-    try:
-        table = ingest.load_ratings(data, descriptor, digest=digest)
-        items = ingest.select_items(table, top_items)
-        users = ingest.select_users(table, items, top_m=top_users)
-    except ingest.IngestError as exc:
-        raise DataError(str(exc)) from exc
+    digest = hashlib.sha256()
+    table = ingest.load_ratings(data, ingest.parse_format(fmt), digest=digest)
+    items = ingest.select_items(table, top_items)
+    users = ingest.select_users(table, items, top_m=top_users)
     config = {"data": str(data), "sha256": digest.hexdigest(), "format": fmt,
               "top_items": top_items, "top_users": top_users}
     return ingest.group_ratings(table, items, users), config
 
 
 def _bandwidth(bandwidth: str, n: int, mode: str) -> float:
-    """h for n items; one the kernel cannot normalize is a usage error."""
+    """h for n items; one the kernel cannot normalize is a usage error. The
+    commands that load --top-items items check it before reading any data."""
     try:
         h = estimator.default_bandwidth(n) if bandwidth == "auto" else float(bandwidth)
     except ValueError:
@@ -157,14 +164,9 @@ def _mass_rows(table):
 @click.option("--out", required=True, type=click.Path())
 def normtable(sizes, bandwidths, out):
     """Emit the tau-distance mass table and C(h) normalizations as CSV."""
-    try:
-        tables = mahonian_tables(sizes)
-        norms = [[triangular_normalization(table.n, h, "exact-support", table) for h in bandwidths]
-                 for table in tables]
-    except NormalizationUnderflow as exc:  # the exact-support C(h) is always positive
-        raise NumericError(str(exc)) from None
-    except CombinatoricsError as exc:
-        raise click.UsageError(str(exc)) from None
+    tables = mahonian_tables(sizes)
+    norms = [[triangular_normalization(table.n, h, "exact-support", table) for h in bandwidths]
+             for table in tables]
 
     def lines():
         for table, row in zip(tables, norms):
@@ -179,6 +181,7 @@ def normtable(sizes, bandwidths, out):
 @with_common
 def pairs(data, fmt, top_items, top_users, bandwidth, out, strict):
     """Pairwise preference matrix and the r(i) preference ranking."""
+    _bandwidth(bandwidth, top_items, "modified")
     grouped, selection = _load(data, fmt, top_items, top_users)
     universe = grouped.universe
     h, model = _fit(grouped, bandwidth)
@@ -218,10 +221,10 @@ def loglik(data, fmt, top_items, top_users, bandwidth, out, strict, seed,
     """Held-out log-likelihood: kernel vs empirical vs Mallows baseline."""
     mode = "exact-support" if kernel == "exact" else "modified"
     widths = {n_sub: _bandwidth(bandwidth, n_sub, mode) for n_sub in small_ns}
+    if max(small_ns) > top_items:
+        raise click.UsageError(f"--n-items {max(small_ns)} exceeds the {top_items} loaded items")
     grouped, selection = _load(data, fmt, top_items, top_users)
     universe = grouped.universe
-    if max(small_ns) > universe.n:
-        raise click.UsageError(f"--n-items {max(small_ns)} exceeds the {universe.n} loaded items")
     lines, counts = [], Counter()
     empty = no_mallows = 0  # cells with no rows at all, and with no mallows row
     rng = np.random.default_rng(seed)
@@ -319,13 +322,14 @@ def _loglik_once(projected, m, seed, h, kernel, counts=None):
 def predict(data, fmt, top_items, top_users, bandwidth, out, strict, seed,
             loss, test_fraction, holdout_fraction):
     """Mean posterior-loss of held-out item level prediction."""
-    lo, hi = _format(fmt).scale
+    lo, hi = ingest.parse_format(fmt).scale
     levels = tuple(range(lo, hi + 1))
     try:
         loss_matrix = (builtin_loss(loss, levels) if loss in ("l0", "l1", "le")
                        else loss_from_csv(loss, levels))
     except (OSError, ValueError) as exc:  # a missing file, or a matrix not over the levels
         raise click.UsageError(f"--loss {loss}: {exc}") from None
+    _bandwidth(bandwidth, top_items, "modified")
     grouped, selection = _load(data, fmt, top_items, top_users)
     train, holdout = holdout_split(grouped, seed, test_fraction, holdout_fraction)
     if not len(train.users):
@@ -355,14 +359,15 @@ def predict(data, fmt, top_items, top_users, bandwidth, out, strict, seed,
 def rules_cmd(data, fmt, top_items, top_users, bandwidth, out, strict,
               rule_mode, subset_size, top_t):
     """Mine association rules over the most rated items."""
-    grouped, selection = _load(data, fmt, top_items, top_users)
-    universe = grouped.universe
-    subset = list(range(min(subset_size, universe.n)))
+    subset = list(range(min(subset_size, top_items)))
     if rule_mode == "mi" and len(subset) < 4:
         raise click.UsageError(
             f"--mode mi pairs up disjoint item pairs and needs at least 4 "
             f"subset items, got {len(subset)}"
         )
+    _bandwidth(bandwidth, top_items, "modified")
+    grouped, selection = _load(data, fmt, top_items, top_users)
+    universe = grouped.universe
     h, model = _fit(grouped, bandwidth)
     counts = Counter()
     if rule_mode == "mi":
@@ -370,10 +375,7 @@ def rules_cmd(data, fmt, top_items, top_users, bandwidth, out, strict,
         what = "negative MI joint-table cells"
     else:
         lift_mode = "top2" if rule_mode == "lift-top2" else "top-bottom"
-        try:
-            mined = rules.mine_lift_rules(model, subset, lift_mode, top_t, counts)
-        except rules.RulesError as exc:  # a signed kernel can leave a lift with no denominator
-            raise NumericError(str(exc)) from exc
+        mined = rules.mine_lift_rules(model, subset, lift_mode, top_t, counts)
         what = "negative event probabilities"
     config = {"cmd": "rules", **selection, "mode": rule_mode, "subset_size": subset_size,
               "top_t": top_t, "h": h, "kernel": "modified"}
@@ -395,15 +397,13 @@ def rules_cmd(data, fmt, top_items, top_users, bandwidth, out, strict,
 def graph(data, fmt, top_items, top_users, bandwidth, out, strict,
           threshold, subset_size):
     """Emit the affinity graph edge list for external layout tools."""
+    _bandwidth(bandwidth, top_items, "modified")
     grouped, selection = _load(data, fmt, top_items, top_users)
     universe = grouped.universe
     h, model = _fit(grouped, bandwidth)
     subset = list(range(min(subset_size, universe.n)))
     counts = Counter()
-    try:
-        edges = rules.affinity_graph(model, subset, threshold, counts)
-    except rules.RulesError as exc:  # a signed kernel can leave a lift with no denominator
-        raise NumericError(str(exc)) from exc
+    edges = rules.affinity_graph(model, subset, threshold, counts)
     config = {"cmd": "graph", **selection, "threshold": threshold,
               "subset_size": subset_size, "h": h, "kernel": "modified"}
     lines = [f"{universe.label_of(i)},{universe.label_of(j)},{w!r}\n" for i, j, w in edges]
@@ -471,18 +471,11 @@ def synth(n, m, centers, concentration, rho, tie_block, seed, out):
 def main(argv=None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
-        return EXIT_USAGE
-    except DataError as exc:
-        click.echo(f"data error: {exc.format_message()}", err=True)
-        return EXIT_DATA
-    except NumericError as exc:
-        click.echo(f"numeric error: {exc.format_message()}", err=True)
-        return EXIT_NUMERIC
-    except click.ClickException as exc:
-        exc.show()
-        return exc.exit_code
+    except tuple(cls for cls, _ in _EXITS) as exc:
+        code = next(code for cls, code in _EXITS if isinstance(exc, cls))
+        text = exc.format_message() if isinstance(exc, click.UsageError) else str(exc)
+        click.echo(f"{_PREFIX[code]}: {text}", err=True)
+        return code
     except SystemExit as exc:
         return int(exc.code or 0)
     return EXIT_OK

@@ -19,6 +19,10 @@ class IngestError(ValueError):
     pass
 
 
+class FormatError(IngestError):
+    """A format spec that names no readable format: bad input, not bad data."""
+
+
 @dataclass(frozen=True)
 class FormatDescriptor:
     """How to read a ratings file: delimiter, column order, header flag,
@@ -49,19 +53,19 @@ def parse_format(spec: str) -> FormatDescriptor:
     if spec.startswith("csv:"):
         parts = spec.split(":")
         if len(parts) < 4:
-            raise IngestError(f"bad csv format spec {spec!r}")
+            raise FormatError(f"bad csv format spec {spec!r}")
         delim = parts[1] or ","
         cols = tuple(parts[2].split(","))
         for name in ("user", "item", "rating"):
             if name not in cols:
-                raise IngestError(f"format lacks a {name!r} column")
+                raise FormatError(f"format lacks a {name!r} column")
         lo, _, hi = parts[3].partition("-")
         if not (lo.isdecimal() and hi.isdecimal() and int(lo) <= int(hi)):
-            raise IngestError(f"rating scale {parts[3]!r} is not <min>-<max> in integers")
+            raise FormatError(f"rating scale {parts[3]!r} is not <min>-<max> in integers")
         if parts[4:] not in ([], ["header"]):
-            raise IngestError(f"csv format spec {spec!r}: only 'header' may follow the scale")
+            raise FormatError(f"csv format spec {spec!r}: only 'header' may follow the scale")
         return FormatDescriptor(delim, cols, len(parts) == 5, (int(lo), int(hi)))
-    raise IngestError(f"unknown ratings format {spec!r}")
+    raise FormatError(f"unknown ratings format {spec!r}")
 
 
 @dataclass

@@ -33,7 +33,6 @@ class Rule:
     antecedent: tuple[int, int]
     consequent: tuple[int, int]
     score: float
-    kind: str
 
 
 def joint_pair_table(model: KernelModel, i: int, j: int, k: int, l: int) -> np.ndarray:
@@ -141,7 +140,7 @@ def mine_mi_rules(
         r, c = divmod(int(np.argmax(terms)), 2)
         ante = (i, j) if r == 0 else (j, i)
         cons = (k, l) if c == 0 else (l, k)
-        rules.append(Rule(ante, cons, mi, "mi"))
+        rules.append(Rule(ante, cons, mi))
     return rules
 
 
@@ -221,8 +220,7 @@ def mine_lift_rules(
     scored = [(lift[a][b], i, j) for a, i in enumerate(items)
               for b, j in enumerate(items) if a != b]
     scored.sort(key=lambda t: (-t[0], t[1], t[2]))
-    kind = f"lift-{mode}"
-    return [Rule((i,), (j,), s, kind) for s, i, j in scored[:top_t]]
+    return [Rule((i,), (j,), s) for s, i, j in scored[:top_t]]
 
 
 def affinity_graph(

@@ -5,10 +5,11 @@ import math
 import re
 import tracemalloc
 
+import click
 import numpy as np
 import pytest
 
-from rankdens import cli, combinatorics, estimator, ingest, oracle
+from rankdens import cli, combinatorics, estimator, ingest, oracle, rules
 from rankdens.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _loglik_once, main
 from rankdens.combinatorics import mahonian_distribution, triangular_normalization
 from rankdens.rankings import ItemUniverse, Permutation, TiedRanking
@@ -150,6 +151,52 @@ def test_usage_and_data_exit_codes(tmp_path):
     # a bad --loss is found before the data is read
     assert main(["predict", "--data", str(missing), "--out", str(out),
                  "--loss", str(tmp_path / "nope.csv")]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "--bandwidth", bandwidth] for command in ("pairs", "rules", "graph", "predict")
+      for bandwidth in ("abc", "1")),  # h = 1 is below n(n-1)/4 at the default 53 items
+    ["rules", "--mode", "mi", "--subset-size", "3"],
+    ["loglik", "--top-items", "3", "--n-items", "5"],
+])
+def test_option_values_are_checked_before_the_data_is_read(tmp_path, capsys, argv):
+    # the ratings file is missing: read first, it would be a data error
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--data", str(tmp_path / "nope.data"), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+# one case per row of main's table; a subclass exits apart from its base
+@pytest.mark.parametrize("cls, code, prefix", [
+    (click.UsageError, EXIT_USAGE, "usage error"),
+    (ingest.FormatError, EXIT_USAGE, "usage error"),
+    (combinatorics.NormalizationUnderflow, EXIT_NUMERIC, "numeric error"),
+    (combinatorics.CombinatoricsError, EXIT_USAGE, "usage error"),
+    (ingest.IngestError, EXIT_DATA, "data error"),
+    (rules.RulesError, EXIT_NUMERIC, "numeric error"),
+    (cli.DataError, EXIT_DATA, "data error"),
+    (cli.NumericError, EXIT_NUMERIC, "numeric error"),
+], ids=["UsageError", "FormatError", "NormalizationUnderflow", "CombinatoricsError",
+        "IngestError", "RulesError", "DataError", "NumericError"])
+def test_each_failure_class_exits_with_its_code_and_one_line(tmp_path, capsys, monkeypatch,
+                                                             cls, code, prefix):
+    def fail(*args):
+        raise cls("what went wrong")
+
+    monkeypatch.setattr(cli, "_load", fail)
+    out = tmp_path / "out.csv"
+    assert main(["pairs", "--data", str(tmp_path / "u.data"), "--out", str(out)]) == code
+    assert capsys.readouterr().err == f"{prefix}: what went wrong\n"
+
+
+def test_a_failure_in_no_row_propagates_with_its_traceback(tmp_path, monkeypatch):
+    def fail(*args):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(cli, "_load", fail)
+    with pytest.raises(RuntimeError, match="^a bug$"):
+        main(["pairs", "--data", str(tmp_path / "u.data"), "--out", str(tmp_path / "out.csv")])
 
 
 @pytest.mark.parametrize("argv", [

@@ -169,6 +169,21 @@ def test_conjunction_matches_enumeration():
         assert got == pytest.approx(want, abs=1e-10)
 
 
+@pytest.mark.parametrize("n, h", [(6, 8.0), (6, 15.0), (12, 40.0), (12, 66.0), (12, 200.0)])
+def test_disjoint_pair_events_do_not_interact(n, h):
+    # P(i<j and k<l) = (P(i<j) + P(k<l))/2 - 1/4 for four distinct items: summed
+    # over a cell's six orders, the fbar terms that join the two pairs cancel
+    rng = np.random.default_rng(n)
+    u = ItemUniverse(n)
+    model = estimator.fit(_random_training(rng, u, 60), h=h)
+    for _ in range(40):
+        i, j, k, l = map(int, rng.permutation(n)[:4])
+        joint = model.conjunction_prob([(i, j), (k, l)])
+        a = model.event_prob(pair_ranking(u, i, j)).value
+        b = model.event_prob(pair_ranking(u, k, l)).value
+        assert abs(joint - ((a + b) / 2 - 0.25)) <= 1e-15, (i, j, k, l)
+
+
 def test_fit_validation():
     u = ItemUniverse(3)
     with pytest.raises(EstimatorError):
