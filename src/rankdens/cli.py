@@ -196,8 +196,9 @@ def pairs(data, fmt, top_items, top_users, bandwidth, out, strict):
     order = sorted(range(n), key=lambda i: (-r_scores[i], i))
     config = {"cmd": "pairs", **selection, "h": h, "kernel": "modified"}
     labels = [universe.label_of(i) for i in range(n)]
-    lines = ("".join(f"{a},{b},{p!r}\n" for b, p in zip(labels, row.tolist()))
-             for a, row in zip(labels, matrix))
+    # one row of item a's cells: \0 stands for a, and %r is repr, as f"{p!r}" writes it
+    row = "".join(f"\0,{b},%r\n" for b in labels)
+    lines = (row.replace("\0", a) % tuple(values) for a, values in zip(labels, matrix.tolist()))
     _write_csv(Path(out), config, ("item_i", "item_j", "p_i_before_j"), lines)
     lines = [f"{rank},{labels[i]},{r_scores[i]!r}\n" for rank, i in enumerate(order, 1)]
     _write_csv(Path(out).with_suffix(".ranking.csv"), config, ("rank", "item", "r_score"), lines)

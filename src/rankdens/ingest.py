@@ -144,7 +144,7 @@ def _plain_rows(text: bytes, code: int, cols) -> tuple[np.ndarray, np.ndarray, n
         value = np.zeros(len(lines), np.int64)
         for back in range(int((end - before).max(initial=1)) - 1, 0, -1):  # Horner
             value = value * 10 + digit[np.maximum(end - back, before)]
-        rows[lines, j] = value
+        rows[:, j][lines] = value
     return rows, plain, ends[last[1:]] - len(_LEAD)
 
 
@@ -176,7 +176,7 @@ def _parse_block(block: bytes, delimiter: str, cols, scale) -> tuple[np.ndarray,
     on_scale = (lo <= rows[:, 2]) & (rows[:, 2] <= hi)
     malformed += int(np.count_nonzero(ok & ~on_scale))
     ok &= on_scale
-    return (rows if ok.all() else rows[ok]), malformed
+    return (rows if ok.all() else np.compress(ok, rows, axis=0)), malformed
 
 
 def _parse_bytes(data: bytes, fmt: FormatDescriptor) -> tuple[np.ndarray, int]:
@@ -225,7 +225,8 @@ def load_ratings(path, fmt: FormatDescriptor, digest=None) -> RatingsTable:
     if not len(rows):
         raise IngestError(f"no usable ratings in {path}")
     order, last = _sorted_rows(rows[:, 0], rows[:, 1])  # a pair's last line ends its run
-    return RatingsTable(rows[order[last]], malformed, len(rows) - int(last.sum()))
+    kept = np.take(rows, order[last], axis=0)
+    return RatingsTable(kept, malformed, len(rows) - len(kept))
 
 
 def _sorted_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,15 +250,10 @@ def _sorted_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.r_[differs, True]
 
 
-def _by_count(ids: np.ndarray) -> list[int]:
-    """Distinct ids, most frequent first, then by id."""
-    ids, counts = np.unique(ids, return_counts=True)
-    return ids[np.lexsort((ids, -counts))].tolist()
-
-
 def select_items(table: RatingsTable, top_n: int) -> list[int]:
     """The top_n most rated item ids; count ties break by ascending id."""
-    ranked = _by_count(table.ratings[:, 1])
+    ids, counts = np.unique(table.ratings[:, 1], return_counts=True)
+    ranked = ids[np.argsort(-counts, kind="stable")].tolist()
     if top_n > len(ranked):
         raise IngestError(f"only {len(ranked)} distinct items available")
     return ranked[:top_n]
@@ -266,9 +262,13 @@ def select_items(table: RatingsTable, top_n: int) -> list[int]:
 def select_users(
     table: RatingsTable, items: Sequence[int], top_m: Optional[int] = None
 ) -> list[int]:
-    """Users ranked by how many of the selected items they rated."""
-    users, rated = table.ratings[:, 0], table.ratings[:, 1]
-    return _by_count(users[np.isin(rated, items)])[:top_m]
+    """Users ranked by how many of the selected items they rated; count ties
+    break by ascending id. Reads each user's count as the length of its run
+    in the table's user column, which its (user, item) order keeps sorted."""
+    users = table.ratings[:, 0][np.isin(table.ratings[:, 1], items)]
+    first = np.flatnonzero(np.r_[True, users[1:] != users[:-1]][: len(users)])  # none if empty
+    counts = np.diff(np.r_[first, len(users)])
+    return users[first][np.argsort(-counts, kind="stable")].tolist()[:top_m]
 
 
 def group_ratings(
@@ -284,12 +284,12 @@ def group_ratings(
     Users come in ascending id order.
     """
     universe = ItemUniverse(len(items), tuple(str(i) for i in items))
-    user, item, level = table.ratings.T
-    keep = np.isin(item, items) & (users is None or np.isin(user, users))
+    ratings = table.ratings
+    keep = np.isin(ratings[:, 1], items) & (users is None or np.isin(ratings[:, 0], users))
     if not keep.any():
         none, zero = np.zeros(0, np.int64), np.zeros(1, np.int64)
         return GroupedRankings(universe, none, none, zero, zero, none)
-    user, item, level = user[keep], item[keep], level[keep]
+    user, item, level = np.compress(keep, ratings, axis=0).T
     index = np.argsort(items)[np.searchsorted(np.sort(items), item)]
     order, _ = _sorted_rows(user, -level, index)
     user, index, level = user[order], index[order], level[order]

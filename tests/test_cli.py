@@ -318,6 +318,22 @@ def test_pairs_complement_and_ranking(ratings_file, tmp_path):
     assert scores == sorted(scores, reverse=True)
 
 
+@pytest.mark.parametrize("bandwidth", ["auto", "1580.5"])  # n(n-1)/4 = 1580: some p < 0
+def test_pairs_rows_are_the_per_cell_form(ratings_file, tmp_path, bandwidth):
+    out = tmp_path / "pairs.csv"
+    assert main(["pairs", "--data", str(ratings_file), "--top-items", "80",
+                 "--bandwidth", bandwidth, "--out", str(out)]) == EXIT_OK
+    body = out.read_text().splitlines(keepends=True)[2:]
+    cells = [line.rstrip("\n").split(",") for line in body]
+    for line, (a, b, p) in zip(body, cells):
+        assert line == f"{a},{b},{float(p)!r}\n"
+    table = ingest.load_ratings(ratings_file, ingest.FORMATS["ml100k"])
+    labels = [str(i) for i in ingest.select_items(table, 80)]
+    assert [(a, b) for a, b, _ in cells] == [(a, b) for a in labels for b in labels]
+    assert [float(p) for a, b, p in cells if a == b] == [0.5] * 80
+    assert any(float(p) < 0 for *_, p in cells) == (bandwidth != "auto")
+
+
 def test_pairs_on_one_item_at_the_default_bandwidth(ratings_file, tmp_path, capsys):
     out = tmp_path / "one.csv"
     assert main(["pairs", "--data", str(ratings_file), "--top-items", "1",

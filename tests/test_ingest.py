@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rankdens import ingest
+from rankdens.cli import EXIT_OK, main
 from rankdens.ingest import (
     FORMATS,
     FormatDescriptor,
@@ -388,3 +389,34 @@ def test_byte_parser_edge_cases_match_per_line_reference(tmp_path, monkeypatch, 
     table = load_ratings(path, fmt)
     assert table.ratings.tolist() == [[u, i, lv] for (u, i), lv in sorted(ratings.items())]
     assert (table.malformed, table.duplicates) == (malformed, duplicates)
+
+
+def test_selection_and_grouping_at_the_int64_ends(tmp_path):
+    # the user span alone overflows int64, so group_ratings' sort key takes
+    # _sorted_rows' lexsort path; every ratings command still runs on the file
+    rng = np.random.default_rng(63)
+    ends = [-2**63, 2**63 - 1]
+    users, items = ends + list(range(-12, 28)), ends + [-5, -1, 0, 3, 8, 13]
+    pairs = [(u, i) for u in users for i in rng.permutation(items)[:rng.integers(3, 9)].tolist()]
+    pairs += [pairs[k] for k in rng.integers(len(pairs), size=15)]  # repeats: the last line wins
+    path = _write(tmp_path, "".join(f"{u}\t{i}\t{rng.integers(1, 6)}\t0\n" for u, i in pairs))
+    ratings, _, duplicates = _reference_load(path, _ML100K)
+    table = load_ratings(path, _ML100K)
+    assert table.duplicates == duplicates > 0
+    assert table.ratings.tolist() == [[u, i, lv] for (u, i), lv in sorted(ratings.items())]
+    picked = _ranked(Counter(i for _, i in ratings))
+    assert select_items(table, len(items)) == picked and set(ends) <= set(picked)
+    for kept in (picked, picked[:2] + picked[-2:]):
+        coverage = Counter(u for u, i in ratings if i in kept)
+        for top_m in (None, 2):
+            assert select_users(table, kept, top_m) == _ranked(coverage)[:top_m]
+        for chosen in (None, _ranked(coverage)[::3]):
+            _, rankings = build_rankings(table, kept, chosen)
+            assert [(u, r.groups, r.level_labels) for u, r in rankings] == _reference_rankings(
+                ratings, kept, set(coverage if chosen is None else chosen))
+    for argv in (["pairs"], ["rules", "--mode", "mi"], ["rules", "--mode", "lift-top2"],
+                 ["graph", "--threshold", "1e-9"], ["predict"],
+                 ["loglik", "--n-items", "3", "--m-grid", "10", "--reps", "1"]):
+        out = tmp_path / argv[0] / "out.csv"
+        assert main([*argv, "--data", str(path), "--top-items", str(len(items)),
+                     "--out", str(out)]) == EXIT_OK, argv
