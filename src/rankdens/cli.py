@@ -19,6 +19,7 @@ from .combinatorics import (
     mahonian_tables,
     triangular_normalization,
 )
+from .floatrepr import reprs
 from .rankings import ItemUniverse, Permutation, RankingError, format_ranking, parse_ranking
 from .recommend import builtin_loss, holdout_split, loss_from_csv, posterior_loss
 
@@ -133,9 +134,9 @@ _BLOCK = 4096  # normtable rows formatted, and written, as one string
 def _mass_rows(table):
     """The ``n,g,t,value`` rows of a Mahonian table, one string per block of
     ``_BLOCK`` rows, each formatted by one ``%``. The table is a palindrome,
-    so each value of its lower half is repr'd once, and its reprs are kept,
-    one joined string a block, to write the upper half from the kept blocks
-    in reverse."""
+    so each value of its lower half is repr'd once, a block at a time by
+    ``reprs``, and its reprs are kept, one joined string a block, to write
+    the upper half from the kept blocks in reverse."""
     n, top = table.n, table.max_distance
     half = top // 2 + 1
     lower, blocks = table.mass[:half], []
@@ -147,7 +148,7 @@ def _mass_rows(table):
         return (f"{n},g,%d,%s\n" * len(values)) % tuple(args)
 
     for start in range(0, half, _BLOCK):
-        values = [repr(mass) for mass in lower[start : start + _BLOCK].tolist()]
+        values = reprs(lower[start : start + _BLOCK])
         blocks.append("\n".join(values))
         yield rows(start, values)
     t, skip = half, 1 - top % 2  # when top is even, its middle row t = top/2 is written once
