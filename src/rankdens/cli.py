@@ -84,7 +84,8 @@ def _load(data, fmt, top_items, top_users):
 
 def _bandwidth(bandwidth: str, n: int, mode: str) -> float:
     """h for n items; one the kernel cannot normalize is a usage error. The
-    commands that load --top-items items check it before reading any data."""
+    commands that load --top-items items check it once, before reading any
+    data: their record's universe has exactly --top-items items."""
     try:
         h = estimator.default_bandwidth(n) if bandwidth == "auto" else float(bandwidth)
     except ValueError:
@@ -94,13 +95,6 @@ def _bandwidth(bandwidth: str, n: int, mode: str) -> float:
     except CombinatoricsError as exc:
         raise click.UsageError(f"--bandwidth {bandwidth}: {exc}") from None
     return h
-
-
-def _fit(grouped, bandwidth: str):
-    """(h, model) for a command, fitted from its grouped record; a bandwidth
-    the model cannot take is a usage error."""
-    h = _bandwidth(bandwidth, grouped.universe.n, "modified")
-    return h, estimator.fit(grouped, h=h)
 
 
 common = [
@@ -182,10 +176,10 @@ def normtable(sizes, bandwidths, out):
 @with_common
 def pairs(data, fmt, top_items, top_users, bandwidth, out, strict):
     """Pairwise preference matrix and the r(i) preference ranking."""
-    _bandwidth(bandwidth, top_items, "modified")
+    h = _bandwidth(bandwidth, top_items, "modified")
     grouped, selection = _load(data, fmt, top_items, top_users)
     universe = grouped.universe
-    h, model = _fit(grouped, bandwidth)
+    model = estimator.fit(grouped, h)
     n = universe.n
     matrix = np.full((n, n), 0.5)
     off = np.nonzero(~np.eye(n, dtype=bool))  # every ordered pair i != j
@@ -331,7 +325,7 @@ def predict(data, fmt, top_items, top_users, bandwidth, out, strict, seed,
                        else loss_from_csv(loss, levels))
     except (OSError, ValueError) as exc:  # a missing file, or a matrix not over the levels
         raise click.UsageError(f"--loss {loss}: {exc}") from None
-    _bandwidth(bandwidth, top_items, "modified")
+    h = _bandwidth(bandwidth, top_items, "modified")
     grouped, selection = _load(data, fmt, top_items, top_users)
     train, holdout = holdout_split(grouped, seed, test_fraction, holdout_fraction)
     if not len(train.users):
@@ -339,7 +333,7 @@ def predict(data, fmt, top_items, top_users, bandwidth, out, strict, seed,
                         f"none of {len(grouped.users)}")
     if not len(holdout.items):
         raise DataError("no test users with enough ranked items")
-    h, model = _fit(train, bandwidth)
+    model = estimator.fit(train, h)
     counts = Counter()
     mean_loss = posterior_loss(model, holdout, loss_matrix, counts)
     config = {"cmd": "predict", **selection, "loss": loss, "h": h, "kernel": "modified",
@@ -367,10 +361,10 @@ def rules_cmd(data, fmt, top_items, top_users, bandwidth, out, strict,
             f"--mode mi pairs up disjoint item pairs and needs at least 4 "
             f"subset items, got {len(subset)}"
         )
-    _bandwidth(bandwidth, top_items, "modified")
+    h = _bandwidth(bandwidth, top_items, "modified")
     grouped, selection = _load(data, fmt, top_items, top_users)
     universe = grouped.universe
-    h, model = _fit(grouped, bandwidth)
+    model = estimator.fit(grouped, h)
     counts = Counter()
     if rule_mode == "mi":
         mined = rules.mine_mi_rules(model, subset, top_t, counts)
@@ -399,10 +393,10 @@ def rules_cmd(data, fmt, top_items, top_users, bandwidth, out, strict,
 def graph(data, fmt, top_items, top_users, bandwidth, out, strict,
           threshold, subset_size):
     """Emit the affinity graph edge list for external layout tools."""
-    _bandwidth(bandwidth, top_items, "modified")
+    h = _bandwidth(bandwidth, top_items, "modified")
     grouped, selection = _load(data, fmt, top_items, top_users)
     universe = grouped.universe
-    h, model = _fit(grouped, bandwidth)
+    model = estimator.fit(grouped, h)
     subset = list(range(min(subset_size, universe.n)))
     counts = Counter()
     edges = rules.affinity_graph(model, subset, threshold, counts)

@@ -150,9 +150,10 @@ def _mean_pair_factors(grouped: GroupedRankings) -> np.ndarray:
     ``_centre_numerator``, so its digits are exact integers and its
     truncation below 2^-78 is the only error before the sum. Every entry of
     every partial product is then an integer that its float type holds
-    exactly (P in float32 up to ``_USER_BLOCK``, D_j in float64 for fewer
-    than 2^25 rankings), so no BLAS blocking, thread count or order of the
-    rankings can change a bit; ``_mean_from_sums`` rounds the total once.
+    exactly (a block's (Q = g)^T (0 < Q < g) in float32 up to
+    ``_USER_BLOCK``, P and D_j in float64 for fewer than 2^25 rankings), so
+    no BLAS blocking, thread count or order of the rankings can change a
+    bit; ``_mean_from_sums`` rounds the total once.
 
     The rankings go in blocks of ``_USER_BLOCK``, so temporaries are
     O(block n + n^2); the work is about (G + 2) m n^2 multiply-adds for
@@ -183,13 +184,11 @@ def _mean_pair_factors(grouped: GroupedRankings) -> np.ndarray:
         for j in range(3):
             centred[j] += w[j].T @ unranked
         ahead = np.zeros((u1 - u0, n), np.float32)  # 1 where an item is in a group before g
-        counts = np.zeros((n, n), np.float32)
         for g in range(1, int(q.max(initial=0)) + 1):
             at = (q == g).astype(np.float32)
             if g > 1:
-                counts += at.T @ ahead
+                later += at.T @ ahead
             ahead += at
-        later += counts
     return _mean_from_sums(later, centred, m)
 
 

@@ -154,7 +154,7 @@ def _lifts(
     two marginals. Every event of one kind has the same tie groups, (1, 1,
     s-2), (1, s-2, 1), (1, s-1) or (s-1, 1), the other items tied in subset
     order, so each kind is one ``chain_prob`` call; the "b second" marginal
-    sums the joint column in subset order, one row at a time. Raises
+    sums the joint column in subset order. Raises
     RulesError when the denominator of the lift at positions ``pair``, or of
     any lift, is not positive. Event probabilities below zero are counted in
     ``counts["negative"]``."""
@@ -178,9 +178,7 @@ def _lifts(
     joint = np.zeros((s, s))
     joint[a, b] = probs
     if mode == "top2":
-        other = np.zeros(s)
-        for row in joint:  # the diagonal adds 0.0
-            other += row
+        other = joint.sum(axis=0)  # a C-ordered array's rows, added in subset order
     else:
         other = model.chain_prob(np.column_stack((others, items)), (s - 1, 1))
         events.append(other)

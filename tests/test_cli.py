@@ -13,6 +13,7 @@ from rankdens import cli, combinatorics, estimator, ingest, oracle, rules
 from rankdens.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _loglik_once, main
 from rankdens.combinatorics import mahonian_distribution, triangular_normalization
 from rankdens.rankings import ItemUniverse, Permutation, TiedRanking
+from rankdens.recommend import holdout_split
 
 
 def _read_csv(path):
@@ -359,15 +360,14 @@ def test_fbar_commands_write_the_bytes_of_a_ranking_fit(ratings_file, tmp_path, 
                                                         argv):
     grouped_out, rankings_out = tmp_path / "grouped" / "out.csv", tmp_path / "rankings" / "out.csv"
     assert main([*argv, *_common(ratings_file, grouped_out)]) == EXIT_OK
-    fitted = []
+    fitted, fit = [], estimator.fit
 
-    def fit_rankings(grouped, bandwidth):
-        """cli._fit over the record's rankings as ``TiedRanking``s."""
+    def fit_rankings(grouped, h):
+        """estimator.fit over the record's rankings as ``TiedRanking``s."""
         fitted.append(grouped)
-        h = cli._bandwidth(bandwidth, grouped.universe.n, "modified")
-        return h, estimator.fit(ingest.tied_rankings(grouped), h=h)
+        return fit(ingest.tied_rankings(grouped), h)
 
-    monkeypatch.setattr(cli, "_fit", fit_rankings)
+    monkeypatch.setattr(estimator, "fit", fit_rankings)
     assert main([*argv, *_common(ratings_file, rankings_out)]) == EXIT_OK
     assert len(fitted) == 1 and isinstance(fitted[0], estimator.GroupedRankings)
     written = sorted(p.name for p in grouped_out.parent.iterdir())
@@ -498,6 +498,27 @@ def test_strict_pairs_exits_numeric_on_negative_pair_probabilities(ratings_file,
     assert strict.read_text() == plain.read_text()
     default = tmp_path / "default.csv"
     assert main([*args, "--strict", "--out", str(default)]) == EXIT_OK
+
+
+def _h_f(grouped):
+    """q + half the sum of |fbar| over the pairs x < y of the record's fit:
+    at h >= h_F no event probability is negative."""
+    fbar = estimator.fit(grouped).fbar
+    n = len(fbar)
+    return n * (n - 1) / 4 + 0.5 * np.abs(fbar[np.triu_indices(n, 1)]).sum()
+
+
+def test_strict_never_fires_at_h_f(ratings_file, tmp_path):
+    # h_F of the default selection, and of predict's default training record
+    grouped, _ = cli._load(ratings_file, "ml100k", 53, 2000)
+    train, _ = holdout_split(grouped, 0, 0.3, 0.5)
+    data = ["--data", str(ratings_file), "--strict"]
+    for command, h_f in ((["pairs"], _h_f(grouped)), (["graph"], _h_f(grouped)),
+                         (["rules", "--mode", "mi"], _h_f(grouped)),
+                         (["predict"], _h_f(train))):
+        out = tmp_path / f"{command[0]}.csv"
+        assert main([*command, *data, "--bandwidth", repr(float(h_f)),
+                     "--out", str(out)]) == EXIT_OK, command
 
 
 def test_strict_loglik_exits_numeric_on_negative_kernel_event_probabilities(ratings_file,

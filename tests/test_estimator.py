@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -182,6 +183,54 @@ def test_disjoint_pair_events_do_not_interact(n, h):
         a = model.event_prob(pair_ranking(u, i, j)).value
         b = model.event_prob(pair_ranking(u, k, l)).value
         assert abs(joint - ((a + b) / 2 - 0.25)) <= 1e-15, (i, j, k, l)
+
+
+@pytest.mark.parametrize("n", [3, 8, 30])
+def test_pair_probability_is_a_half_less_a_linear_term_in_fbar(n):
+    # with R the row sums of fbar and q = n(n-1)/4, P(i<j) = 1/2 - (fbar[i, j]
+    # + R_i - R_j) / (12 (h - q)); as |fbar| <= 1, the numerator is at most
+    # 3 + 2(n - 2) = 2n - 1 in size, so every pair stays within (2n - 1) /
+    # (12 (h - q)) of 1/2
+    rng = np.random.default_rng(n)
+    train = _random_training(rng, ItemUniverse(n), 40)
+    q = n * (n - 1) / 4
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    for h in (q + 0.5, 1.3 * q, n * (n - 1) / 2, 5 * n * n):
+        model = estimator.fit(train, h)
+        fbar, rows = model.fbar, model.fbar.sum(axis=1)
+        probs = model.chain_prob(np.column_stack((i, j)))
+        law = 0.5 - (fbar[i, j] + rows[i] - rows[j]) / (12 * (h - q))
+        assert np.abs(probs - law).max() <= 1e-13, h
+        assert np.abs(probs - 0.5).max() * (h - q) <= (2 * n - 1) / 12, h
+
+
+def _h_f(fbar):
+    """q + half the sum of |fbar| over the pairs x < y: no permutation's
+    expected distance E = q + sum over its ordered pairs (x before y) of
+    fbar[x, y] / 2 exceeds it, so 1 - E/h >= 0 for every event at h >= h_F."""
+    n = len(fbar)
+    return n * (n - 1) / 4 + 0.5 * np.abs(fbar[np.triu_indices(n, 1)]).sum()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_every_full_chain_is_proper_from_h_f_on(n):
+    rng = np.random.default_rng(100 + n)
+    chains = np.array(list(itertools.permutations(range(n))))  # perm_table order
+    cases = 0
+    for _ in range(5):
+        train = _random_training(rng, ItemUniverse(n), int(rng.integers(1, 8)))
+        h_f = _h_f(estimator.fit(train).fbar)
+        if not h_f > n * (n - 1) / 4:
+            continue
+        cases += 1
+        at_h_f = estimator.fit(train, h_f).chain_prob(chains)
+        above = estimator.fit(train, 1.01 * h_f).chain_prob(chains)
+        assert at_h_f.min() >= -1e-15 and above.min() > 0
+        assert abs(at_h_f.sum() - 1) <= 1e-12 and abs(above.sum() - 1) <= 1e-12
+        if cases == 1:
+            want = oracle.brute_full_distribution(train, h_f, "modified")
+            assert at_h_f == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert cases
 
 
 def test_fit_validation():

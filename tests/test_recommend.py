@@ -169,6 +169,32 @@ def test_batched_level_posterior_matches_enumeration():
                 np.testing.assert_allclose(row, want, rtol=1e-9, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_level_weight_is_the_set_fraction_times_one_plus_the_data_term(n):
+    # a level's weight, the probability of the ranking r with the item
+    # inserted at that level, is u (1 + (q - E)/(h - q)): u = |r|/n! is r's
+    # set fraction, q = n(n-1)/4 and E r's mean expected Kendall distance to
+    # the training rankings, so the data enter only through (q - E)/(h - q)
+    rng = np.random.default_rng(300 + n)
+    u, q, levels = ItemUniverse(n), n * (n - 1) / 4, list(range(12))
+    for h in (q + 1, estimator.default_bandwidth(n), 3 * q):
+        train = [oracle.random_tied_ranking(rng, u) for _ in range(int(rng.integers(1, 6)))]
+        model = estimator.fit(train, h=h)
+        user = _labelled_ranking(rng, u)
+        held = [z for z in range(n) if user.group_index(z) is None]
+
+        def law(r):
+            fraction = math.exp(oracle.log_consistent_count(r) - math.lgamma(n + 1))
+            e = np.mean([oracle.brute_expected_kendall(s, r) for s in train])
+            want = oracle.brute_event_prob(train, h, "modified", r)
+            assert fraction * (1 + (q - e) / (h - q)) == pytest.approx(want, abs=1e-12)
+            return want
+
+        for z, row in zip(held, level_posterior(model, user, held, levels)):
+            np.testing.assert_allclose(row, _per_level_posterior(law, user, z, levels),
+                                       rtol=1e-9, atol=1e-12)
+
+
 def test_level_posterior_falls_back_to_uniform_when_every_weight_is_clamped():
     # h just above n(n-1)/4 = 7.5; the user reverses the training order on
     # five items, so every insertion of item 0 is at distance >= 10 > h
@@ -275,7 +301,8 @@ def corpus_split(ratings_file):
     def build(top_items=53, top_users=2000, bandwidth="auto"):
         grouped, _ = cli._load(ratings_file, "ml100k", top_items, top_users)
         train, holdout = holdout_split(grouped, 0, 0.3, 0.5)
-        return train, holdout, cli._fit(train, bandwidth)[1]
+        h = cli._bandwidth(bandwidth, top_items, "modified")
+        return train, holdout, estimator.fit(train, h)
     return build
 
 
