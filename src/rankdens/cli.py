@@ -16,6 +16,7 @@ from . import estimator, ingest, oracle, rules
 from .combinatorics import (
     CombinatoricsError,
     NormalizationUnderflow,
+    check_bandwidth,
     mahonian_tables,
     triangular_normalization,
 )
@@ -159,6 +160,8 @@ def _mass_rows(table):
 @click.option("--out", required=True, type=click.Path())
 def normtable(sizes, bandwidths, out):
     """Emit the tau-distance mass table and C(h) normalizations as CSV."""
+    for h in bandwidths:  # before the sweep, which takes 400 MB at MAX_MAHONIAN_N
+        check_bandwidth(h)
     tables = mahonian_tables(sizes)
     norms = [[triangular_normalization(table.n, h, "exact-support", table) for h in bandwidths]
              for table in tables]
@@ -306,6 +309,9 @@ def _loglik_once(projected, m, seed, h, kernel, counts=None):
     return out
 
 
+MAX_LEVELS = 1000  # predict's largest rating scale: its L x L loss matrix is then 8 MB
+
+
 @cli.command()
 @with_common
 @seed_option
@@ -319,6 +325,9 @@ def predict(data, fmt, top_items, top_users, bandwidth, out, strict, seed,
             loss, test_fraction, holdout_fraction):
     """Mean posterior-loss of held-out item level prediction."""
     lo, hi = ingest.parse_format(fmt).scale
+    if hi - lo + 1 > MAX_LEVELS:
+        raise click.UsageError(f"rating scale {lo}-{hi} has {hi - lo + 1} levels; predict "
+                               f"takes at most {MAX_LEVELS}")
     levels = tuple(range(lo, hi + 1))
     try:
         loss_matrix = (builtin_loss(loss, levels) if loss in ("l0", "l1", "le")

@@ -92,18 +92,17 @@ def mahonian_tables(sizes) -> list[MahonianTable]:
     g_buf[0] = 1.0
     g, top = g_buf[:1], 0
     tables = {}
-    for j in range(1, last + 1):
-        if j > 1:
-            size = (top + j - 1) // 2 + 1
-            cs = cs_buf[:size]
-            cs[: len(g)] = g
-            cs[len(g):] = g[top - size + 1 : (top + 1) // 2][::-1]  # g[top - t] for t > top//2
-            np.cumsum(cs, out=cs)
-            g = g_buf[:size]
-            g[:j] = cs[:j]
-            np.subtract(cs[j:], cs[:-j], out=g[j:])
-            g /= j
-            top += j - 1
+    for j in range(1, last + 1):  # at j = 1 the step keeps the one coefficient 1.0
+        size = (top + j - 1) // 2 + 1
+        cs = cs_buf[:size]
+        cs[: len(g)] = g
+        cs[len(g):] = g[top - size + 1 : (top + 1) // 2][::-1]  # g[top - t] for t > top//2
+        np.cumsum(cs, out=cs)
+        g = g_buf[:size]
+        g[:j] = cs[:j]
+        np.subtract(cs[j:], cs[:-j], out=g[j:])
+        g /= j
+        top += j - 1
         if j in wanted:
             tables[j] = MahonianTable(j, np.concatenate((g, g[: (top + 1) // 2][::-1])))
     return [tables[n] for n in sizes]
@@ -132,13 +131,18 @@ class TriangularNormalization:
 MODES = ("exact-support", "modified")
 
 
+def check_bandwidth(h: float) -> None:
+    """Reject an h that no kernel size can use: NaN, infinite or not positive."""
+    if not math.isfinite(h) or h <= 0:
+        raise CombinatoricsError("bandwidth must be finite and positive")
+
+
 def triangular_normalization(
     n: int, h: float, mode: str = "modified", table: MahonianTable | None = None
 ) -> TriangularNormalization:
     if mode not in MODES:
         raise CombinatoricsError(f"unknown kernel mode {mode!r}")
-    if not math.isfinite(h) or h <= 0:
-        raise CombinatoricsError("bandwidth must be finite and positive")
+    check_bandwidth(h)
     if mode == "modified":
         quarter = n * (n - 1) / 4.0
         if h <= quarter:

@@ -226,17 +226,16 @@ class KernelModel:
         self,
         universe: ItemUniverse,
         fbar: np.ndarray,
-        h: float,
         norm: TriangularNormalization,
     ):
         self.universe = universe
         self.fbar = fbar
-        self.h = float(h)
+        self.h = norm.h
         self.norm = norm
         self.logfact = np.concatenate(
             ([0.0], np.cumsum(np.log(np.arange(1, universe.n + 1))))
-        ).tolist()
-        self._rowsums = self.fbar.sum(axis=1).tolist()
+        )
+        self._rowsums = self.fbar.sum(axis=1)
 
     # -- event scoring ---------------------------------------------------
 
@@ -258,7 +257,7 @@ class KernelModel:
         # a compact copy of the event's block, as Python floats for the loop
         block = self.fbar.take(items, axis=0).take(items, axis=1).tolist()
         e_mean = expected_distance(
-            self.universe.n, sizes, block, [self._rowsums[x] for x in items]
+            self.universe.n, sizes, block, self._rowsums.take(items).tolist()
         )
         return EventProbability(self._kernel_value(sizes, e_mean))
 
@@ -281,10 +280,9 @@ class KernelModel:
         cols = list(np.atleast_2d(chains).T)
         n = self.universe.n
         sizes = [1] * len(cols) if sizes is None else list(sizes)
-        rowsums = np.array(self._rowsums)
         e_mean = expected_distance(
             n, sizes, _gathered_rows(self.fbar.ravel(), n, cols),
-            [rowsums[col] for col in cols],
+            [self._rowsums[col] for col in cols],
         )
         return self._kernel_value(sizes, e_mean)
 
@@ -330,8 +328,8 @@ def fit(
     n = grouped.universe.n
     if h is None:
         h = default_bandwidth(n)
-    norm = triangular_normalization(n, h)
-    return KernelModel(grouped.universe, _mean_pair_factors(grouped), h, norm)
+    return KernelModel(grouped.universe, _mean_pair_factors(grouped),
+                       triangular_normalization(n, h))
 
 
 def empirical_prob(rankings: Sequence[TiedRanking], r: TiedRanking) -> float:

@@ -125,7 +125,7 @@ def level_posteriors(model: KernelModel, observed: GroupedRankings, owners, item
     ranker = np.repeat(np.arange(len(ks)), ks)  # each ranked item's ranking
     if np.isin(owners * n + held, ranker * n + observed.items).any():
         raise RecommendError("item is already ranked by the user")
-    levels, logfact = np.asarray(levels), np.asarray(model.logfact)
+    levels, logfact = np.asarray(levels), model.logfact
     group = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))  # each ranked item's group
     local = group - np.searchsorted(bounds, starts)[ranker]  # its index in its ranking
     weights = np.empty((len(held), len(levels)))

@@ -147,6 +147,20 @@ def test_normtable_above_the_size_bound_allocates_nothing(tmp_path, capsys, monk
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bandwidth", ["nan", "inf", "0", "-1"])
+def test_normtable_bad_bandwidth_runs_no_sweep(tmp_path, capsys, monkeypatch, bandwidth):
+    # checked where the option is read: at MAX_MAHONIAN_N the sweep takes 400 MB
+    def no_sweep(sizes):
+        raise AssertionError("mahonian_tables called")
+
+    monkeypatch.setattr(cli, "mahonian_tables", no_sweep)
+    out = tmp_path / "norm.csv"
+    assert main(["normtable", "--n", "3", "--bandwidth", bandwidth, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "usage error: bandwidth must be finite and positive\n"
+    assert not out.exists()
+
+
 def test_usage_and_data_exit_codes(tmp_path):
     assert main(["pairs"]) == EXIT_USAGE
     missing = tmp_path / "nope.data"
@@ -237,6 +251,8 @@ def test_a_failure_in_no_row_propagates_with_its_traceback(tmp_path, monkeypatch
     ["predict", "--top-items", "8", "--loss", "{tmp}/loss2x2.csv"],  # the scale has 5 levels
     ["predict", "--top-items", "8", "--loss", "{tmp}/loss-nan.csv"],
     ["predict", "--top-items", "8", "--loss", "{tmp}/loss-inf.csv"],
+    # 1,001 levels, one more than cli.MAX_LEVELS
+    ["predict", "--top-items", "8", "--format", "csv:\t:user,item,rating,ts:0-1000"],
     ["predict", "--top-items", "8", "--seed", "-1"],
     ["loglik", "--top-items", "8", "--n-items", "3", "--seed", "-1"],
     ["synth", "--n", "0"],
@@ -262,7 +278,8 @@ def test_a_failure_in_no_row_propagates_with_its_traceback(tmp_path, monkeypatch
         "loglik-n-items-loaded", "loglik-n-items-1",
         "m-grid", "reps",
         "test-fraction-0", "test-fraction-1.5", "holdout-fraction", "loss-missing",
-        "loss-shape", "loss-nan", "loss-inf", "predict-seed-negative", "loglik-seed-negative", "synth-n",
+        "loss-shape", "loss-nan", "loss-inf", "predict-levels", "predict-seed-negative",
+        "loglik-seed-negative", "synth-n",
         "synth-centers-label", "synth-centers-partial",
         "synth-centers-tied", "synth-tie-block", "synth-rho-0", "synth-rho-1.5", "synth-rho-nan",
         "synth-concentration-nan", "synth-concentration-negative", "synth-users-0",
@@ -283,6 +300,49 @@ def test_bad_option_is_a_one_line_usage_error(ratings_file, tmp_path, capsys, ar
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+_TAB = "csv:\t:user,item,rating,ts:"  # the conftest corpus's columns, with a rating scale
+
+
+# inputs at the edges of each command: each exits with its documented code,
+# and a failure prints one line and writes no file
+@pytest.mark.parametrize("argv, code", [
+    (["pairs", "--data", "{tmp}"], EXIT_DATA),  # a directory
+    (["pairs", "--data", "{tmp}/random.data"], EXIT_DATA),  # every line malformed
+    (["pairs", "--top-items", "100"], EXIT_DATA),  # the corpus has 80 items
+    (["pairs", "--top-items", "8", "--format", _TAB + "3-3"], EXIT_DATA),  # most levels off it
+    (["pairs", "--top-items", "8", "--format", _TAB + "-5-5"], EXIT_USAGE),
+    (["pairs", "--top-items", "8", "--format", _TAB + "0-" + str(10**20)], EXIT_OK),
+    (["predict", "--top-items", "8", "--format", _TAB + "0-" + str(10**20)], EXIT_USAGE),
+    (["predict", "--top-items", "8", "--format", _TAB + "1-1000"], EXIT_OK),  # cli.MAX_LEVELS
+    (["rules", "--top-items", "8", "--subset-size", "6", "--top-t", "100000"], EXIT_OK),
+    *((["rules", "--top-items", "8", "--mode", mode, "--subset-size", size], EXIT_OK)
+      for mode in ("lift-top2", "lift-topbottom") for size in ("1", "2")),
+    (["graph", "--top-items", "8", "--threshold", "inf"], EXIT_OK),
+    (["normtable", "--n", "3", "--bandwidth", "1e-320"], EXIT_OK),  # only t = 0 is below h
+    (["loglik", "--top-items", "8", "--n-items", "3", "--m-grid", "1", "--reps", "1"], EXIT_OK),
+    (["loglik", "--top-items", "8", "--n-items", "3", "--m-grid", "20", "--reps", "1",
+      "--kernel", "exact", "--bandwidth", "1e-9", "--strict"], EXIT_OK),
+], ids=["data-directory", "data-random-bytes", "top-items-above", "scale-3-3", "scale-negative",
+        "scale-1e20-pairs", "scale-1e20-predict", "scale-1000-predict", "top-t-100000",
+        "lift-top2-1", "lift-top2-2", "lift-topbottom-1", "lift-topbottom-2",
+        "threshold-inf", "normtable-subnormal-h", "loglik-m-grid-1", "loglik-exact-h-1e-9"])
+def test_edge_inputs_exit_with_their_documented_code(ratings_file, tmp_path, capsys, argv,
+                                                     code):
+    (tmp_path / "random.data").write_bytes(np.random.default_rng(0).bytes(5000))
+    out = tmp_path / "out.csv"
+    command, *options = (arg.format(tmp=tmp_path) for arg in argv)
+    data = ([] if command == "normtable" or "--data" in options
+            else ["--data", str(ratings_file)])
+    top_users = [] if command == "normtable" else ["--top-users", "150"]
+    assert main([command, *data, *top_users, *options, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_OK:
+        assert out.exists()
+    else:
+        assert err.startswith(cli._PREFIX[code] + ": ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
