@@ -113,8 +113,11 @@ def level_posteriors(model: KernelModel, observed: GroupedRankings, owners, item
     one (N, L) row per item ``items[i]`` of ranking ``owners[i]`` of the
     labelled record ``observed``, in order. A level's weight is the
     estimated probability of the ranking with the item inserted at that
-    level by ``oracle.insert_item``'s level rule (the observed ranking's cancels),
-    from one ``censored.insertion_distances`` call per ranked count k.
+    level by ``oracle.insert_item``'s level rule, from one
+    ``censored.insertion_distances`` call per ranked count k. Its set
+    fraction is the observed ranking's times (a + 1)/(k + 1), a being the
+    user's items at that level, so with C(h) the factors common to a row
+    cancel, leaving the weight (a + 1)(1 - E/h), which cannot underflow.
     Negative weights are clamped at zero and counted in
     ``counts["clamped"]``; an item with none positive gets the uniform posterior."""
     if observed.levels is None:
@@ -125,7 +128,7 @@ def level_posteriors(model: KernelModel, observed: GroupedRankings, owners, item
     ranker = np.repeat(np.arange(len(ks)), ks)  # each ranked item's ranking
     if np.isin(owners * n + held, ranker * n + observed.items).any():
         raise RecommendError("item is already ranked by the user")
-    levels, logfact = np.asarray(levels), model.logfact
+    levels = np.asarray(levels)
     group = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))  # each ranked item's group
     local = group - np.searchsorted(bounds, starts)[ranker]  # its index in its ranking
     weights = np.empty((len(held), len(levels)))
@@ -133,22 +136,13 @@ def level_posteriors(model: KernelModel, observed: GroupedRankings, owners, item
         us, rows = np.flatnonzero(ks == k), np.flatnonzero(ks[owners] == k)
         at = starts[us][:, None] + np.arange(k)
         ranked, grp, lab = observed.items[at], local[at], observed.levels[group[at]]
-        # oracle.insert_item's level rule: join the group with that label, or open
-        # a singleton group after the groups labelled above it
+        # oracle.insert_item's level rule: join the group of the a > 0 items with that
+        # label, or open a singleton group after the groups labelled above it
         gz = ((grp + 1)[:, None, :] * (lab[:, None, :] > levels[:, None])).max(axis=2)
-        joins = (lab[:, None, :] == levels[:, None]).any(axis=2)
+        a = (lab[:, None, :] == levels[:, None]).sum(axis=2)
         owner = np.searchsorted(us, owners[rows])
-        e_mean = insertion_distances(model.fbar, ranked, grp, held[rows], owner, gz, joins)
-        # _kernel_value's set fraction, its log summed over the groups in order: a
-        # joined group grows by one, and a new singleton would add logfact[1] = 0.0
-        slot = np.arange(grp.max() + 1)
-        sizes = (grp[:, :, None] == slot).sum(axis=1)[:, None] + (
-            joins[:, :, None] & (slot == gz[:, :, None]))
-        log_fraction = np.full(gz.shape, -logfact[k + 1])
-        for size in np.moveaxis(sizes, 2, 0):
-            log_fraction += logfact[size]
-        fraction = np.array([math.exp(x) for x in log_fraction.ravel().tolist()]).reshape(gz.shape)
-        weights[rows] = fraction[owner] * (1.0 - e_mean / model.h) / model.norm.normC
+        e_mean = insertion_distances(model.fbar, ranked, grp, held[rows], owner, gz, a > 0)
+        weights[rows] = (a + 1)[owner] * (1.0 - e_mean / model.h)
     if counts is not None:
         counts["clamped"] += int((weights < 0).sum())
     weights = np.maximum(weights, 0.0)

@@ -286,9 +286,9 @@ def test_criterion_08_performance(report):
     t_event = time.perf_counter() - t0
     ok &= t_event < 1.0
 
-    def best_time(k):
+    def best_time(k):  # least of 9 draws: a busy machine slows some calls, rarely all
         best = math.inf
-        for _ in range(3):
+        for _ in range(9):
             ev = _random_big_ranking(rng, u, k)
             t0 = time.perf_counter()
             model.event_prob(ev)

@@ -581,6 +581,27 @@ def test_strict_never_fires_at_h_f(ratings_file, tmp_path):
                      "--out", str(out)]) == EXIT_OK, command
 
 
+def test_pairs_ranking_is_the_fbar_row_sum_order_at_every_h(ratings_file, tmp_path):
+    # by the pair law, r_i = 1/2 - (n + 1) R_i / (12 n (h - q)) with R fbar's
+    # row sums, so at every h > q the ranking is the ascending-R order
+    grouped, _ = cli._load(ratings_file, "ml100k", 53, 2000)
+    fbar, n = estimator.fit(grouped).fbar, grouped.universe.n
+    rowsums, q = fbar.sum(axis=1), n * (n - 1) / 4
+    labels = [grouped.universe.label_of(i) for i in np.argsort(rowsums, kind="stable")]
+    gaps = []
+    for bandwidth in ("auto", "788.0777", "700", "1e4", "1e9"):
+        out = tmp_path / "pairs.csv"
+        assert main(["pairs", "--data", str(ratings_file), "--bandwidth", bandwidth,
+                     "--out", str(out)]) == EXIT_OK
+        _, rows = _read_csv(tmp_path / "pairs.ranking.csv")
+        assert [rank for rank, *_ in rows] == [str(i) for i in range(1, n + 1)]
+        assert [item for _, item, _ in rows] == labels
+        law = 0.5 - (n + 1) * rowsums / (12 * n * (cli._bandwidth(bandwidth, n, "modified") - q))
+        index = [grouped.universe.index_of(item) for _, item, _ in rows]
+        gaps.append(np.abs(np.array([float(r) for *_, r in rows]) - law[index]).max())
+    assert max(gaps) <= 2e-15, gaps
+
+
 def test_strict_loglik_exits_numeric_on_negative_kernel_event_probabilities(ratings_file,
                                                                              tmp_path, capsys):
     # h = 1.6 just above n(n-1)/4 = 1.5: the signed kernel gives some strict orders p < 0

@@ -12,6 +12,7 @@ from rankdens.recommend import (
     Holdout,
     LossMatrix,
     RecommendError,
+    _best_levels,
     absolute_loss,
     asymmetric_loss,
     builtin_loss,
@@ -207,6 +208,26 @@ def test_level_posterior_falls_back_to_uniform_when_every_weight_is_clamped():
     assert counts["clamped"] == 5
 
 
+def test_a_heavy_users_posterior_does_not_underflow_to_uniform():
+    # the inserted ranking's set fraction, prod(sizes!)/601!, is below the
+    # smallest double at k = 600, but only its ratio (a + 1)/(k + 1) across
+    # levels enters the posterior, so the levels keep the order of a + 1
+    rng = np.random.default_rng(31)
+    u = ItemUniverse(700)
+    model = estimator.fit([_labelled_ranking(rng, u) for _ in range(50)])
+    items = rng.permutation(u.n)
+    sizes = [160, 40, 200, 80, 120]  # a at levels 5, 4, 3, 2, 1
+    bounds = np.cumsum([0, *sizes])
+    groups = tuple(tuple(items[a:b].tolist()) for a, b in zip(bounds, bounds[1:]))
+    user = TiedRanking(u, groups, (5, 4, 3, 2, 1))
+    counts = Counter()
+    post = level_posterior(model, user, items[600:605].tolist(), list(range(1, 6)), counts)
+    assert counts["clamped"] == 0
+    for row in post:
+        assert not np.allclose(row, 0.2)
+        assert np.array_equal(np.argsort(row), np.argsort(sizes[::-1]))
+
+
 def test_holdout_split_deterministic():
     u = ItemUniverse(6)
     rankings = {
@@ -274,8 +295,10 @@ def _oracle_level_posterior(model, user_ranking, items, levels, counts):
     coef, const, zcoef = map(np.array, zip(*terms))
     inner = const + np.outer(F[items].sum(axis=1), zcoef) + (zrows[:, None] * coef).sum(axis=2)
     e_mean = len(F) * (len(F) - 1) / 4.0 - 0.5 * inner
-    weights = np.column_stack([model._kernel_value(sizes, e)
-                               for (sizes, _), e in zip(insertions, e_mean.T)])
+    # the weight's set fraction and C(h), less the factors common to a row:
+    # the size of z's group after the insertion
+    weights = np.column_stack([sizes[gz] * (1.0 - e / model.h)
+                               for (sizes, gz), e in zip(insertions, e_mean.T)])
     counts["clamped"] += int((weights < 0).sum())
     weights = np.maximum(weights, 0.0)
     total = weights.sum(axis=1, keepdims=True)
@@ -336,6 +359,28 @@ def test_split_posteriors_equal_the_per_user_oracle_on_labelled_rankings(n):
             owners += [owner] * (len(items) - len(owners))
         _assert_split_matches_oracle(model, estimator._grouped(users),
                                      np.array(owners), np.array(items), list(range(12)))
+
+
+def test_posteriors_follow_the_add_one_level_histogram_on_the_default_split(corpus_split):
+    # a weight is (a + 1)(1 - E/h), and 1 - E/h moves little across a row,
+    # so each row lies near the user's add-one histogram (a + 1)/(k + 5),
+    # and every predicted level minimizes expected loss under it; the data
+    # only choose among the histogram's tied minimizers
+    _, holdout, model = corpus_split()
+    observed, levels = holdout.observed, np.arange(1, 6)
+    owner = np.repeat(np.arange(len(observed.users)), np.diff(observed.user_starts))
+    level = np.repeat(observed.levels, np.diff(observed.group_starts))
+    counts = np.ones((len(observed.users), len(levels)), np.int64)
+    np.add.at(counts, (owner, level - 1), 1)
+    counts = counts[holdout.owners]
+    post = level_posteriors(model, observed, holdout.owners, holdout.items, levels)
+    assert np.abs(post - counts / counts.sum(axis=1, keepdims=True)).max() < 0.003
+    for name, ties in (("l0", 1964), ("l1", 1272), ("le", 138)):
+        loss = builtin_loss(name, levels)
+        risks = counts @ loss.entries.T  # integers and halves, so exact
+        best = risks == risks.min(axis=1, keepdims=True)
+        assert best[np.arange(len(post)), _best_levels(post, loss)].all()
+        assert (best.sum(axis=1) > 1).sum() == ties
 
 
 def _item_mean_levels(train, n):
