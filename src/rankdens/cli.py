@@ -20,7 +20,7 @@ from .combinatorics import (
     mahonian_tables,
     triangular_normalization,
 )
-from .floatrepr import reprs
+from .floatrepr import repr_bytes, reprs
 from .rankings import ItemUniverse, Permutation, RankingError, format_ranking, parse_ranking
 from .recommend import builtin_loss, holdout_split, loss_from_csv, posterior_loss
 
@@ -77,10 +77,11 @@ def _load(data, fmt, top_items, top_users):
     digest = hashlib.sha256()
     table = ingest.load_ratings(data, ingest.parse_format(fmt), digest=digest)
     items = ingest.select_items(table, top_items)
-    users = ingest.select_users(table, items, top_m=top_users)
+    mask = ingest.rated(table, items)
+    users = ingest.select_users(table, items, top_users, mask)
     config = {"data": str(data), "sha256": digest.hexdigest(), "format": fmt,
               "top_items": top_items, "top_users": top_users}
-    return ingest.group_ratings(table, items, users), config
+    return ingest.group_ratings(table, items, users, mask), config
 
 
 def _bandwidth(bandwidth: str, n: int, mode: str) -> float:
@@ -175,6 +176,30 @@ def normtable(sizes, bandwidths, out):
     _write_csv(Path(out), config, ("n", "kind", "index", "value"), lines())
 
 
+_CELLS = 2400  # pair-matrix cells laid out, and written, as one string
+
+
+def _matrix_rows(labels, matrix):
+    """The ``a,b,repr(p)`` rows of an n × n matrix, one string per block of
+    about ``_CELLS`` cells. Each row is laid out as bytes: the NUL-padded
+    labels a and b, commas, the value's ``repr_bytes`` row and a newline;
+    the block's NULs are then dropped."""
+    n, labels = len(labels), [label.encode() for label in labels]
+    width = max(map(len, labels))
+    names = np.frombuffer(b"".join(label.ljust(width, b"\0") for label in labels),
+                          dtype=np.uint8).reshape(n, width)
+    step = max(1, _CELLS // n)
+    for start in range(0, n, step):
+        block = matrix[start : start + step]
+        rows = np.zeros((block.size, 2 * width + 27), dtype=np.uint8)
+        rows[:, :width] = np.repeat(names[start : start + step], n, axis=0)
+        rows[:, width + 1 : 2 * width + 1] = np.tile(names, (len(block), 1))
+        rows[:, [width, 2 * width + 1]] = ord(",")
+        rows[:, 2 * width + 2 : -1] = repr_bytes(block.ravel())
+        rows[:, -1] = ord("\n")
+        yield rows.tobytes().replace(b"\0", b"").decode()
+
+
 @cli.command()
 @with_common
 def pairs(data, fmt, top_items, top_users, bandwidth, out, strict):
@@ -194,10 +219,8 @@ def pairs(data, fmt, top_items, top_users, bandwidth, out, strict):
     order = sorted(range(n), key=lambda i: (-r_scores[i], i))
     config = {"cmd": "pairs", **selection, "h": h, "kernel": "modified"}
     labels = [universe.label_of(i) for i in range(n)]
-    # one row of item a's cells: \0 stands for a, and %r is repr, as f"{p!r}" writes it
-    row = "".join(f"\0,{b},%r\n" for b in labels)
-    lines = (row.replace("\0", a) % tuple(values) for a, values in zip(labels, matrix.tolist()))
-    _write_csv(Path(out), config, ("item_i", "item_j", "p_i_before_j"), lines)
+    _write_csv(Path(out), config, ("item_i", "item_j", "p_i_before_j"),
+               _matrix_rows(labels, matrix))
     lines = [f"{rank},{labels[i]},{r_scores[i]!r}\n" for rank, i in enumerate(order, 1)]
     _write_csv(Path(out).with_suffix(".ranking.csv"), config, ("rank", "item", "r_score"), lines)
     if negatives and strict:

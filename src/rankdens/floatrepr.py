@@ -1,7 +1,9 @@
 """``repr`` of a float64 block, computed in numpy.
 
-``reprs(values)`` returns exactly ``[repr(v) for v in values.tolist()]``.
-It runs the common path of Ryū's shortest-digit step (U. Adams, "Ryū: fast
+``repr_bytes(values)`` returns the ASCII bytes of ``repr(v)`` for each v of
+``values``, one NUL-padded row a value, and ``reprs(values)`` exactly
+``[repr(v) for v in values.tolist()]``, decoded from those rows. It runs
+the common path of Ryū's shortest-digit step (U. Adams, "Ryū: fast
 float-to-string conversion", PLDI 2018) on every lane at once: for binary
 exponents e2 < 0, multiply 4·m2 and the two ends of its rounding interval
 by a 125-bit 5^i, keep the bits above 2^j, and drop decimal digits while
@@ -148,28 +150,34 @@ def _lanes(digits, exponent, negative):
     return lanes, (negative.astype(np.intp) * _DIGITS + length - 1) * 22 + form
 
 
-def _laid_out(lanes, key) -> list[str]:
-    """Each lane's string, its bytes gathered by the layout of its class a
-    few hundred lanes at a time, so that the intp index and the UCS-4
-    characters that tolist reads as str stay small."""
-    layouts, rows = _LAYOUTS.take(key, axis=0), np.arange(0, lanes.size, lanes.shape[1])
-    texts = []
-    for at in range(0, len(lanes), _GATHER):
-        chunk = slice(at, at + _GATHER)
-        chars = lanes.ravel().take(rows[chunk, None] + layouts[chunk]).astype(np.uint32)
-        texts += chars.view(f"U{_WIDTH}").ravel().tolist()
-    return texts
-
-
-def reprs(values) -> list[str]:
-    """``repr`` of each float64 in ``values``, a 1-D array."""
+def repr_bytes(values) -> np.ndarray:
+    """``repr`` of each float64 in ``values``, a 1-D array, as (N, 24)
+    uint8 rows of its ASCII bytes padded with NULs. Each lane's bytes are
+    gathered by the layout of its class a few hundred lanes at a time, so
+    that the intp index stays small."""
     x = np.ascontiguousarray(values, dtype=np.float64)
     bits = x.view(np.uint64)
     digits, exponent, settled = _shortest(bits)
     # an unsettled lane is laid out as 0.0, which is right for ±0.0
-    texts = _laid_out(*_lanes(np.where(settled, digits, _U(0)), np.where(settled, exponent, 0),
-                              bits >> _U(63)))
+    lanes, key = _lanes(np.where(settled, digits, _U(0)), np.where(settled, exponent, 0),
+                        bits >> _U(63))
+    layouts, starts = _LAYOUTS.take(key, axis=0), np.arange(0, lanes.size, lanes.shape[1])
+    rows = np.empty((len(x), _WIDTH), dtype=np.uint8)
+    for at in range(0, len(x), _GATHER):
+        chunk = slice(at, at + _GATHER)
+        lanes.ravel().take(starts[chunk, None] + layouts[chunk], out=rows[chunk])
     rest = np.flatnonzero(~settled & (bits << _U(1) != _U(0)))
-    for i, value in zip(rest.tolist(), x[rest].tolist()):
-        texts[i] = repr(value)
+    if len(rest):
+        text = b"".join(repr(v).encode().ljust(_WIDTH, b"\0") for v in x[rest].tolist())
+        rows[rest] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _WIDTH)
+    return rows
+
+
+def reprs(values) -> list[str]:
+    """``repr`` of each float64 in ``values``, a 1-D array: the rows of
+    ``repr_bytes`` read as str a few hundred at a time, so that the UCS-4
+    characters that tolist reads stay small."""
+    rows, texts = repr_bytes(values), []
+    for at in range(0, len(rows), _GATHER):
+        texts += rows[at : at + _GATHER].astype(np.uint32).view(f"U{_WIDTH}").ravel().tolist()
     return texts

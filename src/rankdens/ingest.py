@@ -232,15 +232,22 @@ def load_ratings(path, fmt: FormatDescriptor, digest=None) -> RatingsTable:
 def _sorted_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A stable sort of rows by int64 ``columns``, the primary first: the
     order, and a mask over the sorted rows of each last row of a run equal
-    in every column. The sort key is one int64, the columns' offsets from
-    their minima in mixed radix, unless their spans overflow it."""
+    in every column. The sort key is one int64: the columns' offsets from
+    their minima in mixed radix, shifted left past the row number that
+    fills its low bits, unless the spans and the row bits overflow it.
+    Every packed key is unique, so the default unstable sort of the keys
+    gives the stable order."""
     spans = [int(c.max()) - int(c.min()) + 1 for c in columns]
-    if math.prod(spans) < 2**63:
+    bits = len(columns[0]).bit_length()
+    if math.prod(spans) << bits < 2**63:
         key = 0
         for col, span in zip(columns, spans):
             key = key * span + (col - col.min())
-        order = np.argsort(key, kind="stable")
-        key = key[order]
+        key <<= bits
+        key |= np.arange(len(key))
+        key.sort()
+        order = key & ((1 << bits) - 1)
+        key >>= bits
         return order, np.r_[key[1:] != key[:-1], True]
     order = np.lexsort(columns[::-1])
     differs = np.zeros(len(order) - 1, bool)
@@ -259,13 +266,20 @@ def select_items(table: RatingsTable, top_n: int) -> list[int]:
     return ranked[:top_n]
 
 
+def rated(table: RatingsTable, items: Sequence[int]) -> np.ndarray:
+    """The mask of the table's rows whose item is one of ``items``."""
+    return np.isin(table.ratings[:, 1], items)
+
+
 def select_users(
-    table: RatingsTable, items: Sequence[int], top_m: Optional[int] = None
+    table: RatingsTable, items: Sequence[int], top_m: Optional[int] = None,
+    mask: Optional[np.ndarray] = None,
 ) -> list[int]:
     """Users ranked by how many of the selected items they rated; count ties
     break by ascending id. Reads each user's count as the length of its run
-    in the table's user column, which its (user, item) order keeps sorted."""
-    users = table.ratings[:, 0][np.isin(table.ratings[:, 1], items)]
+    in the table's user column, which its (user, item) order keeps sorted.
+    ``mask`` is ``rated(table, items)``, when the caller has it."""
+    users = table.ratings[:, 0][rated(table, items) if mask is None else mask]
     first = np.flatnonzero(np.r_[True, users[1:] != users[:-1]][: len(users)])  # none if empty
     counts = np.diff(np.r_[first, len(users)])
     return users[first][np.argsort(-counts, kind="stable")].tolist()[:top_m]
@@ -275,17 +289,21 @@ def group_ratings(
     table: RatingsTable,
     items: Sequence[int],
     users: Optional[Sequence[int]] = None,
+    mask: Optional[np.ndarray] = None,
 ) -> GroupedRankings:
     """Per-user tied rankings over the selected item universe, as one
     grouped record.
 
     One group per occupied rating level, most stars first; items outside
     the selection are dropped; users with no surviving rating are skipped.
-    Users come in ascending id order.
+    Users come in ascending id order. ``mask`` is ``rated(table, items)``,
+    when the caller has it.
     """
     universe = ItemUniverse(len(items), tuple(str(i) for i in items))
     ratings = table.ratings
-    keep = np.isin(ratings[:, 1], items) & (users is None or np.isin(ratings[:, 0], users))
+    keep = rated(table, items) if mask is None else mask
+    if users is not None:
+        keep = keep & np.isin(ratings[:, 0], users)
     if not keep.any():
         none, zero = np.zeros(0, np.int64), np.zeros(1, np.int64)
         return GroupedRankings(universe, none, none, zero, zero, none)

@@ -399,6 +399,77 @@ def test_pairs_rows_are_the_per_cell_form(ratings_file, tmp_path, bandwidth):
     assert any(float(p) < 0 for *_, p in cells) == (bandwidth != "auto")
 
 
+def _per_cell_pairs(path, top_items, bandwidth):
+    """The body of the pairs CSV, one ``f"{a},{b},{p!r}"`` a cell, from
+    library calls: the selection, the fit and each ordered pair's chain_prob."""
+    table = ingest.load_ratings(path, ingest.FORMATS["ml100k"])
+    items = ingest.select_items(table, top_items)
+    grouped = ingest.group_ratings(table, items, ingest.select_users(table, items, 2000))
+    h = estimator.default_bandwidth(top_items) if bandwidth == "auto" else float(bandwidth)
+    model = estimator.fit(grouped, h)
+    labels = [str(i) for i in items]
+    lines = ["item_i,item_j,p_i_before_j\n"]
+    for i, a in enumerate(labels):
+        for j, b in enumerate(labels):
+            p = 0.5 if i == j else float(model.chain_prob(np.array([[i, j]]))[0])
+            lines.append(f"{a},{b},{p!r}\n")
+    return "".join(lines)
+
+
+def _mixed_width_ratings(path):
+    """Ratings over item ids of 1 to 4 digits, so that labels differ in width."""
+    rng = np.random.default_rng(1234)
+    ids = [1, 4, 9, 10, 37, 58, 99, 100, 256, 512, 999, 1000, 2024, 4242, 7777, 9999]
+    lines = [f"{u}\t{i}\t{rng.integers(1, 6)}\t0\n"
+             for u in range(1, 301) for i in rng.choice(ids, rng.integers(3, 12), replace=False)]
+    path.write_text("".join(lines))
+    return path
+
+
+@pytest.mark.parametrize("corpus, top_items, bandwidth, cells", [
+    ("mixed", 16, "auto", 2400),  # labels of 1 to 4 digits in one block
+    ("mixed", 16, "auto", 50),  # 3 rows a block: 16 is not a multiple
+    ("mixed", 16, "auto", 16),  # one row a block
+    ("conftest", 80, "1580.5", 2400),  # 30 rows a block, the last one 20; some p < 0
+    ("conftest", 1, "auto", 2400),  # n = 1: one cell, 0.5
+], ids=["mixed-widths", "mixed-partial-block", "mixed-row-blocks", "negative-80", "one-item"])
+def test_pairs_csv_is_byte_identical_to_the_per_cell_form(ratings_file, tmp_path, monkeypatch,
+                                                          corpus, top_items, bandwidth, cells):
+    monkeypatch.setattr(cli, "_CELLS", cells)
+    data = ratings_file if corpus == "conftest" else _mixed_width_ratings(tmp_path / "u.data")
+    out = tmp_path / "pairs.csv"
+    assert main(["pairs", "--data", str(data), "--top-items", str(top_items),
+                 "--bandwidth", bandwidth, "--out", str(out)]) == EXIT_OK
+    body = out.read_text().split("\n", 1)[1]
+    assert body == _per_cell_pairs(data, top_items, bandwidth)
+    cells = [line.split(",") for line in body.splitlines()[1:]]
+    if corpus == "mixed":
+        assert {len(a) for a, _, _ in cells} == {1, 2, 3, 4}
+    assert any(float(p) < 0 for *_, p in cells) == (bandwidth != "auto")
+
+
+def test_matrix_rows_match_the_per_cell_form_on_fallback_values(monkeypatch):
+    # values repr itself writes (short dyadic, integral, huge, inf, nan, ±0.0)
+    # beside shortest-digit ones, under labels of 1 to 5 bytes
+    rng = np.random.default_rng(7)
+    special = [0.5, 1.0, -0.0, 0.0, 2.0**60, math.inf, -math.inf, math.nan, -2.2250738585072014e-308]
+    labels = ["1", "22", "-3", "4444", "55555", "6", "70"]
+    matrix = rng.standard_normal((7, 7)) * 10.0 ** rng.integers(-300, 300, (7, 7))
+    matrix.flat[rng.choice(49, len(special), replace=False)] = special
+    want = "".join(f"{a},{b},{p!r}\n" for a, row in zip(labels, matrix.tolist())
+                   for b, p in zip(labels, row))
+    for cells in (1, 10, 49, 2400):
+        monkeypatch.setattr(cli, "_CELLS", cells)
+        assert "".join(cli._matrix_rows(labels, matrix)) == want
+
+
+def test_load_builds_the_selected_item_mask_once(ratings_file, tmp_path, monkeypatch):
+    calls, rated = [], ingest.rated
+    monkeypatch.setattr(ingest, "rated", lambda *args: calls.append(1) or rated(*args))
+    assert main(["pairs", *_common(ratings_file, tmp_path / "pairs.csv")]) == EXIT_OK
+    assert calls == [1]
+
+
 def test_pairs_on_one_item_at_the_default_bandwidth(ratings_file, tmp_path, capsys):
     out = tmp_path / "one.csv"
     assert main(["pairs", "--data", str(ratings_file), "--top-items", "1",

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from rankdens import floatrepr
 from rankdens.combinatorics import mahonian_tables
-from rankdens.floatrepr import reprs
+from rankdens.floatrepr import repr_bytes, reprs
 
 # the kernel wraps uint64 on purpose (the interval's lower end of 0.0, the
 # high limbs of lanes it does not settle); none of it may warn
@@ -16,6 +16,15 @@ pytestmark = pytest.mark.filterwarnings("error")
 def _check(values):
     values = np.asarray(values, dtype=np.float64)
     assert reprs(values) == [repr(v) for v in values.tolist()]
+
+
+def _check_bytes(values):
+    """Each (24,) row of ``repr_bytes`` is repr(v)'s ASCII bytes, then NULs."""
+    values = np.asarray(values, dtype=np.float64)
+    rows = repr_bytes(values)
+    assert rows.shape == (len(values), 24) and rows.dtype == np.uint8
+    assert [row.tobytes() for row in rows] == [repr(v).encode().ljust(24, b"\0")
+                                               for v in values.tolist()]
 
 
 @given(st.lists(st.floats(), max_size=64))
@@ -114,3 +123,37 @@ def test_mahonian_tables_match_repr():
 def test_lengths_around_the_gather_chunk(n):
     rng = np.random.default_rng(n)
     _check(rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n))
+
+
+@given(st.lists(st.floats(), max_size=64))
+def test_hypothesis_floats_match_repr_bytes(values):
+    _check_bytes(values)
+
+
+def test_random_bit_patterns_and_powers_of_two_match_repr_bytes():
+    rng = np.random.default_rng(24)
+    raw = rng.integers(0, 2**64, size=2**15, dtype=np.uint64, endpoint=False)
+    field = rng.integers(0, 1077, size=2**15, dtype=np.uint64)
+    low = (field << np.uint64(52)) | (raw >> np.uint64(12))  # finite, below 2^54
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    for values in (raw.view(np.float64), low.view(np.float64), powers,
+                   np.nextafter(powers, 0.0), -np.nextafter(powers, np.inf)):
+        for start in range(0, len(values), 4096):
+            _check_bytes(values[start : start + 4096])
+
+
+def test_a_24_character_repr_fills_its_row():
+    values = np.array([-2.2250738585072014e-308, -1.7976931348623157e308, 0.1])
+    rows = repr_bytes(values)
+    assert rows[:2].all()  # no NUL
+    assert rows[0].tobytes() == b"-2.2250738585072014e-308"
+    _check_bytes(values)
+
+
+def test_each_fallback_class_lands_in_the_byte_rows():
+    values = np.array([0.5, 1.0, 2.0**60, math.inf, math.nan, 0.0, -0.0, -math.inf,
+                       *FALLBACKS, 0.1])
+    rows = repr_bytes(values)
+    assert [row.tobytes().rstrip(b"\0").decode() for row in rows[:7]] == [
+        "0.5", "1.0", "1.152921504606847e+18", "inf", "nan", "0.0", "-0.0"]
+    _check_bytes(values)

@@ -130,24 +130,76 @@ def _lexsort_dedupe(rows):
     return rows[last].tolist(), len(rows) - int(last.sum())
 
 
-@pytest.mark.parametrize("users, items", [
-    ([1, 2, 3, 9], [10, 11, 12, 13, 40]),
-    ([-7, -3, 0, 5], [-20, -2, 0, 3]),
-    ([0, 2**31], [0, 2**31 - 2]),  # the largest spans whose combined key fits
-    ([0, 2**32], [0, 2**31]),  # each span fits, their product does not
-    ([0, 2**62], [-2**62, 2**62]),  # the item span alone overflows
-    ([-2**63, 2**63 - 1], [5, 6]),
+def _counting_lexsort(monkeypatch):
+    """A list that gains an entry each time ``np.lexsort`` is called."""
+    calls, lexsort = [], np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    return calls
+
+
+# 60 rows: the packed key's low 6 bits hold the row number, so the spans'
+# product must stay below 2**57
+@pytest.mark.parametrize("users, items, packed", [
+    ([1, 2, 3, 9], [10, 11, 12, 13, 40], True),
+    ([-7, -3, 0, 5], [-20, -2, 0, 3], True),
+    ([0, 2**28], [0, 2**29 - 3], True),  # the largest spans whose packed key fits: 2**57 - 2
+    ([0, 2**31], [0, 2**31 - 2], False),  # 2**62 - 1 fits int64 alone, not with the row bits
+    ([0, 2**62], [-2**62, 2**62], False),  # the item span alone overflows
+    ([-2**63, 2**63 - 1], [5, 6], False),
 ], ids=["positive", "negative", "key-fits", "key-overflows", "span-overflows", "int64-ends"])
-def test_dedupe_matches_a_lexsort_reference(tmp_path, users, items):
+def test_dedupe_matches_a_lexsort_reference(tmp_path, monkeypatch, users, items, packed):
     rng = np.random.default_rng(len(users) * 31 + len(items))
     pairs = [(u, i) for u in users for i in items]
     drawn = [pairs[k] for k in rng.integers(len(pairs), size=60)]  # repeats: duplicates
     rows = np.array([(u, i, int(rng.integers(1, 6))) for u, i in drawn], np.int64)
     text = "".join(f"{u}\t{i}\t{lv}\t0\n" for u, i, lv in rows.tolist())
-    table = load_ratings(_write(tmp_path, text), FORMATS["ml100k"])
     ratings, duplicates = _lexsort_dedupe(rows)
+    calls = _counting_lexsort(monkeypatch)
+    table = load_ratings(_write(tmp_path, text), FORMATS["ml100k"])
+    assert calls == ([] if packed else [1])
     assert table.duplicates == duplicates > 0
     assert table.ratings.tolist() == ratings
+
+
+def _stable_reference(columns):
+    """The stable lexsort order of rows by ``columns``, the primary first,
+    and the mask of each last row of a run equal in every column."""
+    order = np.lexsort(columns[::-1])
+    rows = np.column_stack(columns)[order]
+    return order, np.r_[np.any(rows[1:] != rows[:-1], axis=1), True]
+
+
+@pytest.mark.parametrize("trial", range(8))
+def test_sorted_rows_matches_a_stable_lexsort(trial):
+    # small spans make long runs of equal rows; the last trial's three
+    # columns overflow the packed key and take the lexsort path
+    rng = np.random.default_rng(trial)
+    size = [1, 2, 7, 60, 513, 4096, 20000, 1000][trial]
+    spans = [40, 2**30, 2**30] if trial == 7 else rng.choice([1, 3, 40, 2**20], 3)
+    columns = [rng.integers(-span, span, size) for span in spans]
+    for k in (1, 2, 3):  # one column, then (user, item) as load_ratings, then three
+        order, last = ingest._sorted_rows(*columns[:k])
+        want_order, want_last = _stable_reference(columns[:k])
+        assert order.tolist() == want_order.tolist()
+        assert last.tolist() == want_last.tolist()
+
+
+def test_group_ratings_on_three_columns_past_the_packed_key(tmp_path, monkeypatch):
+    # the user, level and item spans' product, at most (2**56 + 1)·5·4,
+    # fits int64, but not once shifted past the row bits: the lexsort path
+    rng = np.random.default_rng(56)
+    users, items = [0, 5, 2**55, 2**56], [3, 8, 13, 21]
+    pairs = [(u, i) for u in users for i in items if rng.random() < 0.8]
+    pairs += [pairs[k] for k in rng.integers(len(pairs), size=6)]  # repeats: the last line wins
+    path = _write(tmp_path, "".join(f"{u}\t{i}\t{rng.integers(1, 6)}\t0\n" for u, i in pairs))
+    ratings, _, _ = _reference_load(path, FORMATS["ml100k"])
+    table = load_ratings(path, FORMATS["ml100k"])
+    kept = [13, 3, 21, 8]
+    calls = _counting_lexsort(monkeypatch)
+    _, rankings = build_rankings(table, kept)
+    assert calls == [1]
+    assert [(u, r.groups, r.level_labels) for u, r in rankings] == _reference_rankings(
+        ratings, kept, set(users))
 
 
 def test_split_users_deterministic(ratings_file):
