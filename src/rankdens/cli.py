@@ -20,7 +20,7 @@ from .combinatorics import (
     mahonian_tables,
     triangular_normalization,
 )
-from .floatrepr import repr_bytes, reprs
+from .floatrepr import WIDTH, repr_bytes
 from .rankings import ItemUniverse, Permutation, RankingError, format_ranking, parse_ranking
 from .recommend import builtin_loss, holdout_split, loss_from_csv, posterior_loss
 
@@ -124,35 +124,49 @@ def cli():
     """Preference-probability estimation over censored rankings."""
 
 
-_BLOCK = 4096  # normtable rows formatted, and written, as one string
+_BLOCK = 4096  # normtable rows laid out, and written, as one string
+
+
+def _text(rows) -> str:
+    """uint8 rows of ASCII bytes read as one string, their NULs dropped."""
+    return rows.tobytes().translate(None, b"\0").decode()
+
+
+def _digit_bytes(values, width):
+    """The decimal digits of each non-negative int of ``values``, a 1-D
+    array below 10^width, as (N, width) uint8 rows: right-aligned, behind NULs."""
+    rows = np.zeros((len(values), width), dtype=np.uint8)
+    rest = values
+    for k in range(width):  # the digit of 10^k, in column width − 1 − k; 0 keeps its one '0'
+        rest, digit = np.divmod(rest, 10)
+        rows[:, width - 1 - k] = (digit + ord("0")) * (values >= 10**k if k else True)
+    return rows
 
 
 def _mass_rows(table):
     """The ``n,g,t,value`` rows of a Mahonian table, one string per block of
-    ``_BLOCK`` rows, each formatted by one ``%``. The table is a palindrome,
-    so each value of its lower half is repr'd once, a block at a time by
-    ``reprs``, and its reprs are kept, one joined string a block, to write
-    the upper half from the kept blocks in reverse."""
-    n, top = table.n, table.max_distance
+    ``_BLOCK`` rows. Each row is laid out as bytes: ``n,g,``, t's digits
+    behind NULs, a comma, the value's ``repr_bytes`` row and a newline;
+    the block's NULs are then dropped. The table is a palindrome, so the
+    ``repr_bytes`` rows of its lower half are made once, a block at a
+    time, and row t takes row min(t, top − t)."""
+    top = table.max_distance
     half = top // 2 + 1
-    lower, blocks = table.mass[:half], []
-
-    def rows(t, values):
-        args = [None] * (2 * len(values))
-        args[::2] = range(t, t + len(values))
-        args[1::2] = values
-        return (f"{n},g,%d,%s\n" * len(values)) % tuple(args)
-
+    mass, lower = table.mass[:half], np.empty((half, WIDTH), dtype=np.uint8)
     for start in range(0, half, _BLOCK):
-        values = reprs(lower[start : start + _BLOCK])
-        blocks.append("\n".join(values))
-        yield rows(start, values)
-    t, skip = half, 1 - top % 2  # when top is even, its middle row t = top/2 is written once
-    while blocks:
-        values = blocks.pop().split("\n")[-1 - skip :: -1]
-        skip = 0
-        yield rows(t, values)
-        t += len(values)
+        lower[start : start + _BLOCK] = repr_bytes(mass[start : start + _BLOCK])
+    prefix = np.frombuffer(f"{table.n},g,".encode(), dtype=np.uint8)
+    width = len(str(top))
+    value = len(prefix) + width + 1  # the column where the value's bytes start
+    for start in range(0, top + 1, _BLOCK):
+        t = np.arange(start, min(start + _BLOCK, top + 1))
+        rows = np.empty((len(t), value + WIDTH + 1), dtype=np.uint8)
+        rows[:, : len(prefix)] = prefix
+        rows[:, len(prefix) : value - 1] = _digit_bytes(t, width)
+        rows[:, value - 1] = ord(",")
+        rows[:, value:-1] = lower[np.minimum(t, top - t)]
+        rows[:, -1] = ord("\n")
+        yield _text(rows)
 
 
 @cli.command()
@@ -191,13 +205,13 @@ def _matrix_rows(labels, matrix):
     step = max(1, _CELLS // n)
     for start in range(0, n, step):
         block = matrix[start : start + step]
-        rows = np.zeros((block.size, 2 * width + 27), dtype=np.uint8)
+        rows = np.zeros((block.size, 2 * width + WIDTH + 3), dtype=np.uint8)
         rows[:, :width] = np.repeat(names[start : start + step], n, axis=0)
         rows[:, width + 1 : 2 * width + 1] = np.tile(names, (len(block), 1))
         rows[:, [width, 2 * width + 1]] = ord(",")
         rows[:, 2 * width + 2 : -1] = repr_bytes(block.ravel())
         rows[:, -1] = ord("\n")
-        yield rows.tobytes().replace(b"\0", b"").decode()
+        yield _text(rows)
 
 
 @cli.command()

@@ -1,17 +1,16 @@
 """``repr`` of a float64 block, computed in numpy.
 
 ``repr_bytes(values)`` returns the ASCII bytes of ``repr(v)`` for each v of
-``values``, one NUL-padded row a value, and ``reprs(values)`` exactly
-``[repr(v) for v in values.tolist()]``, decoded from those rows. It runs
-the common path of Ryū's shortest-digit step (U. Adams, "Ryū: fast
-float-to-string conversion", PLDI 2018) on every lane at once: for binary
-exponents e2 < 0, multiply 4·m2 and the two ends of its rounding interval
-by a 125-bit 5^i, keep the bits above 2^j, and drop decimal digits while
-the ends still differ. The strings are then laid out by one template per
-(sign, digit count, decimal-point) class. A lane that the common path does
-not settle, where Ryū takes its exact trailing-zero branch (q <= 1 among
-them) or e2 >= 0 (|x| >= 2^54, inf, nan), gets ``repr`` itself; ±0.0 are
-laid out directly.
+``values``, one NUL-padded row a value. It runs the common path of Ryū's
+shortest-digit step (U. Adams, "Ryū: fast float-to-string conversion",
+PLDI 2018) on every lane at once: for binary exponents e2 < 0, multiply
+4·m2 and the two ends of its rounding interval by a 125-bit 5^i, keep the
+bits above 2^j, and drop decimal digits while the ends still differ. The
+strings are then laid out by one template per (sign, digit count,
+decimal-point) class. A lane that the common path does not settle, where
+Ryū takes its exact trailing-zero branch (q <= 1 among them) or e2 >= 0
+(|x| >= 2^54, inf, nan), gets ``repr`` itself; ±0.0 are laid out
+directly.
 
 Every constant that meets a uint64 array is an ``np.uint64``, so that no
 operation falls back to float64 under numpy 1.x's value-based casting.
@@ -62,7 +61,7 @@ _LIMBS, _E10, _MASK = _multipliers()
 _ROW = np.frombuffer(b"0000" + b"0" * _SLOTS + b"000.+e-" + b"\0" * 3, dtype=np.uint8)
 _D, _EXP, _DOT, _ESIGN, _E, _MINUS, _NUL = 4, 22, 25, 26, 27, 28, 29
 _PAIRS = np.frombuffer("".join(f"{k:02d}" for k in range(100)).encode(), dtype=np.uint16)
-_WIDTH = 24  # "-1.2345678901234567e-308"
+WIDTH = 24  # bytes of a repr_bytes row: the longest repr, "-1.2345678901234567e-308"
 _GATHER = 512  # lanes laid out at a time
 
 
@@ -78,7 +77,7 @@ def _layout(length: int, form: int) -> list[int]:
     else:
         fraction = [_DOT, *range(_D + 1, _D + length)] if length > 1 else []
         cols = [_D, *fraction, _E, _ESIGN, *[_EXP + 2] * (form - 20), _EXP, _EXP + 1]
-    return cols + [_NUL] * (_WIDTH - len(cols))
+    return cols + [_NUL] * (WIDTH - len(cols))
 
 
 # indexed by (sign, digit count − 1, form); a negative class is its unsigned
@@ -162,22 +161,12 @@ def repr_bytes(values) -> np.ndarray:
     lanes, key = _lanes(np.where(settled, digits, _U(0)), np.where(settled, exponent, 0),
                         bits >> _U(63))
     layouts, starts = _LAYOUTS.take(key, axis=0), np.arange(0, lanes.size, lanes.shape[1])
-    rows = np.empty((len(x), _WIDTH), dtype=np.uint8)
+    rows = np.empty((len(x), WIDTH), dtype=np.uint8)
     for at in range(0, len(x), _GATHER):
         chunk = slice(at, at + _GATHER)
         lanes.ravel().take(starts[chunk, None] + layouts[chunk], out=rows[chunk])
     rest = np.flatnonzero(~settled & (bits << _U(1) != _U(0)))
     if len(rest):
-        text = b"".join(repr(v).encode().ljust(_WIDTH, b"\0") for v in x[rest].tolist())
-        rows[rest] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _WIDTH)
+        text = b"".join(repr(v).encode().ljust(WIDTH, b"\0") for v in x[rest].tolist())
+        rows[rest] = np.frombuffer(text, dtype=np.uint8).reshape(-1, WIDTH)
     return rows
-
-
-def reprs(values) -> list[str]:
-    """``repr`` of each float64 in ``values``, a 1-D array: the rows of
-    ``repr_bytes`` read as str a few hundred at a time, so that the UCS-4
-    characters that tolist reads stay small."""
-    rows, texts = repr_bytes(values), []
-    for at in range(0, len(rows), _GATHER):
-        texts += rows[at : at + _GATHER].astype(np.uint32).view(f"U{_WIDTH}").ravel().tolist()
-    return texts

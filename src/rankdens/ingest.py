@@ -301,13 +301,13 @@ def group_ratings(
     """
     universe = ItemUniverse(len(items), tuple(str(i) for i in items))
     ratings = table.ratings
-    keep = rated(table, items) if mask is None else mask
+    kept = np.flatnonzero(rated(table, items) if mask is None else mask)
     if users is not None:
-        keep = keep & np.isin(ratings[:, 0], users)
-    if not keep.any():
+        kept = kept[np.isin(ratings[kept, 0], users)]
+    if not len(kept):
         none, zero = np.zeros(0, np.int64), np.zeros(1, np.int64)
         return GroupedRankings(universe, none, none, zero, zero, none)
-    user, item, level = np.compress(keep, ratings, axis=0).T
+    user, item, level = ratings.take(kept, axis=0).T
     index = np.argsort(items)[np.searchsorted(np.sort(items), item)]
     order, _ = _sorted_rows(user, -level, index)
     user, index, level = user[order], index[order], level[order]

@@ -107,6 +107,16 @@ def test_normtable_memory_is_below_45_bytes_a_row(tmp_path):
     assert peak < 45 * rows, peak / rows
 
 
+@pytest.mark.parametrize("width", range(1, 7))
+def test_digit_bytes_are_str_right_aligned_behind_nuls(width):
+    # every power-of-ten edge that fits the width: 0, 9, 10, 99, 100, ...
+    edges = sorted({0, *(10**k - 1 for k in range(1, width + 1)),
+                    *(10**k for k in range(1, width))})
+    rows = cli._digit_bytes(np.array(edges), width)
+    assert rows.shape == (len(edges), width) and rows.dtype == np.uint8
+    assert [row.tobytes() for row in rows] == [str(v).encode().rjust(width, b"\0") for v in edges]
+
+
 def test_normtable_upper_half_is_exact(tmp_path):
     out = tmp_path / "norm.csv"
     assert main(["normtable", "--n", "5", "--bandwidth", "2", "--out", str(out)]) == EXIT_OK

@@ -6,16 +6,11 @@ from hypothesis import given, strategies as st
 
 from rankdens import floatrepr
 from rankdens.combinatorics import mahonian_tables
-from rankdens.floatrepr import repr_bytes, reprs
+from rankdens.floatrepr import repr_bytes
 
 # the kernel wraps uint64 on purpose (the interval's lower end of 0.0, the
 # high limbs of lanes it does not settle); none of it may warn
 pytestmark = pytest.mark.filterwarnings("error")
-
-
-def _check(values):
-    values = np.asarray(values, dtype=np.float64)
-    assert reprs(values) == [repr(v) for v in values.tolist()]
 
 
 def _check_bytes(values):
@@ -29,7 +24,7 @@ def _check_bytes(values):
 
 @given(st.lists(st.floats(), max_size=64))
 def test_hypothesis_floats_match_repr(values):
-    _check(values)
+    _check_bytes(values)
 
 
 def test_random_bit_patterns_match_repr():
@@ -43,7 +38,7 @@ def test_random_bit_patterns_match_repr():
     for bits in (raw, low):
         values = bits.view(np.float64)
         for start in range(0, len(values), 4096):
-            _check(values[start : start + 4096])
+            _check_bytes(values[start : start + 4096])
 
 
 def test_every_power_of_two_and_its_neighbours():
@@ -51,7 +46,7 @@ def test_every_power_of_two_and_its_neighbours():
     values = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])
     for signed in (values, -values):
         for start in range(0, len(signed), 4096):
-            _check(signed[start : start + 4096])
+            _check_bytes(signed[start : start + 4096])
 
 
 EDGES = [
@@ -65,8 +60,8 @@ EDGES = [
 
 
 def test_edge_values_match_repr():
-    _check(EDGES)
-    _check(np.array(EDGES)[::-1])  # a strided view
+    _check_bytes(EDGES)
+    _check_bytes(np.array(EDGES)[::-1])  # a strided view
 
 
 # one value of each class the common path leaves to repr: q <= 1
@@ -80,7 +75,7 @@ def test_each_fallback_class_gets_repr():
     values = np.array(FALLBACKS + [0.1, 1e-5, -123.456])
     settled = floatrepr._shortest(values.view(np.uint64))[2]
     assert settled.tolist() == [False] * len(FALLBACKS) + [True] * 3
-    _check(values)
+    _check_bytes(values)
 
 
 def test_products_one_bit_short_of_exact_take_the_common_path():
@@ -98,8 +93,8 @@ def test_products_one_bit_short_of_exact_take_the_common_path():
     values = np.array(bits, dtype=np.uint64).view(np.float64)
     assert len(values) > 1000
     assert floatrepr._shortest(values.view(np.uint64))[2].all()
-    _check(values)
-    _check(-values)
+    _check_bytes(values)
+    _check_bytes(-values)
 
 
 def test_zeros_are_laid_out_without_repr(monkeypatch):
@@ -107,7 +102,7 @@ def test_zeros_are_laid_out_without_repr(monkeypatch):
         raise AssertionError(f"repr({value!r}) called")
 
     monkeypatch.setattr(floatrepr, "repr", no_repr, raising=False)
-    assert reprs(np.array([0.0, -0.0, 0.0])) == ["0.0", "-0.0", "0.0"]
+    _check_bytes([0.0, -0.0, 0.0])
 
 
 def test_mahonian_tables_match_repr():
@@ -116,18 +111,13 @@ def test_mahonian_tables_match_repr():
     sizes = (*range(1, 41), 128, 250, 499, 500)
     for table in mahonian_tables(sizes):
         for start in range(0, len(table.mass), 4096):
-            _check(table.mass[start : start + 4096])
+            _check_bytes(table.mass[start : start + 4096])
 
 
 @pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 4097])
 def test_lengths_around_the_gather_chunk(n):
     rng = np.random.default_rng(n)
-    _check(rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n))
-
-
-@given(st.lists(st.floats(), max_size=64))
-def test_hypothesis_floats_match_repr_bytes(values):
-    _check_bytes(values)
+    _check_bytes(rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n))
 
 
 def test_random_bit_patterns_and_powers_of_two_match_repr_bytes():

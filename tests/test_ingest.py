@@ -202,6 +202,23 @@ def test_group_ratings_on_three_columns_past_the_packed_key(tmp_path, monkeypatc
         ratings, kept, set(users))
 
 
+@pytest.mark.parametrize("selection", ["subset", "every", "none"])
+def test_group_ratings_keeps_the_selected_users_of_the_masked_rows(ratings_file, selection):
+    table = load_ratings(ratings_file, FORMATS["ml100k"])
+    ratings, _, _ = _reference_load(ratings_file, FORMATS["ml100k"])
+    items = select_items(table, 12)
+    every = sorted({u for u, _ in ratings})
+    users = {"subset": every[::3], "every": every, "none": []}[selection]
+    grouped = group_ratings(table, items, users)
+    with_mask = group_ratings(table, items, users, ingest.rated(table, items))
+    for field in ("users", "items", "user_starts", "group_starts", "levels"):
+        assert getattr(grouped, field).tolist() == getattr(with_mask, field).tolist()
+    rankings = list(zip(grouped.users.tolist(), ingest.tied_rankings(grouped)))
+    assert [(u, r.groups, r.level_labels) for u, r in rankings] == _reference_rankings(
+        ratings, items, set(users))
+    assert (len(rankings) > 0) == bool(users)
+
+
 def test_split_users_deterministic(ratings_file):
     table = load_ratings(ratings_file, FORMATS["ml100k"])
     items = select_items(table, 10)
