@@ -78,7 +78,8 @@ def _load(data, fmt, top_items, top_users):
     table = ingest.load_ratings(data, ingest.parse_format(fmt), digest=digest)
     items = ingest.select_items(table, top_items)
     mask = ingest.rated(table, items)
-    users = ingest.select_users(table, items, top_users, mask)
+    ranked = ingest.select_users(table, items, None, mask)
+    users = None if top_users >= len(ranked) else ranked[:top_users]  # None: no user dropped
     config = {"data": str(data), "sha256": digest.hexdigest(), "format": fmt,
               "top_items": top_items, "top_users": top_users}
     return ingest.group_ratings(table, items, users, mask), config
@@ -124,7 +125,7 @@ def cli():
     """Preference-probability estimation over censored rankings."""
 
 
-_BLOCK = 4096  # normtable rows laid out, and written, as one string
+_BLOCK = 4096  # normtable rows, or about as many pair-matrix cells, written as one string
 
 
 def _text(rows) -> str:
@@ -190,19 +191,16 @@ def normtable(sizes, bandwidths, out):
     _write_csv(Path(out), config, ("n", "kind", "index", "value"), lines())
 
 
-_CELLS = 2400  # pair-matrix cells laid out, and written, as one string
-
-
 def _matrix_rows(labels, matrix):
     """The ``a,b,repr(p)`` rows of an n × n matrix, one string per block of
-    about ``_CELLS`` cells. Each row is laid out as bytes: the NUL-padded
-    labels a and b, commas, the value's ``repr_bytes`` row and a newline;
-    the block's NULs are then dropped."""
+    ``max(1, _BLOCK // n)`` matrix rows, about ``_BLOCK`` cells. Each row is
+    laid out as bytes: the NUL-padded labels a and b, commas, the value's
+    ``repr_bytes`` row and a newline; the block's NULs are then dropped."""
     n, labels = len(labels), [label.encode() for label in labels]
     width = max(map(len, labels))
     names = np.frombuffer(b"".join(label.ljust(width, b"\0") for label in labels),
                           dtype=np.uint8).reshape(n, width)
-    step = max(1, _CELLS // n)
+    step = max(1, _BLOCK // n)
     for start in range(0, n, step):
         block = matrix[start : start + step]
         rows = np.zeros((block.size, 2 * width + WIDTH + 3), dtype=np.uint8)

@@ -120,7 +120,7 @@ def _grouped(rankings: Sequence[TiedRanking]) -> GroupedRankings:
     )
 
 
-_USER_BLOCK = 128  # rankings per block of fbar's matrix products
+_USER_BLOCK = 256  # rankings per block of fbar's matrix products
 _DIGIT_BITS = 26  # a centre is summed as three base-2**26 digits
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import codecs
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
@@ -75,6 +76,19 @@ class RatingsTable:
     ratings: np.ndarray
     malformed: int = 0
     duplicates: int = 0
+
+    @cached_property
+    def item_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's item code, and the ascending ids that codes 0, 1, ...
+        stand for. When the ids span no more values than the table has rows,
+        the code is id − min and every id of the span has one, held by a row
+        or not; otherwise the codes number the distinct ids, from a sort."""
+        item = self.ratings[:, 1]
+        lo, hi = (int(item.min()), int(item.max())) if len(item) else (0, -1)
+        if hi - lo < len(item):
+            return item - lo, np.arange(lo, hi + 1, dtype=np.int64)
+        ids, codes = np.unique(item, return_inverse=True)
+        return codes, ids
 
 
 def _parse_line(line: str, delimiter: str, cols) -> Optional[tuple[int, int, int]]:
@@ -259,16 +273,31 @@ def _sorted_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def select_items(table: RatingsTable, top_n: int) -> list[int]:
     """The top_n most rated item ids; count ties break by ascending id."""
-    ids, counts = np.unique(table.ratings[:, 1], return_counts=True)
-    ranked = ids[np.argsort(-counts, kind="stable")].tolist()
+    codes, ids = table.item_codes
+    counts = np.bincount(codes, minlength=len(ids))
+    ranked = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
     if top_n > len(ranked):
         raise IngestError(f"only {len(ranked)} distinct items available")
-    return ranked[:top_n]
+    return ids[ranked[:top_n]].tolist()
 
 
 def rated(table: RatingsTable, items: Sequence[int]) -> np.ndarray:
     """The mask of the table's rows whose item is one of ``items``."""
-    return np.isin(table.ratings[:, 1], items)
+    return (_positions(table, items) >= 0)[table.item_codes[0]]
+
+
+def _positions(table: RatingsTable, items: Sequence[int]) -> np.ndarray:
+    """For each item code of the table, the position of its id in
+    ``items``, or −1 when ``items`` lacks it. Only the ids of ``items``, a
+    few hundred at most, are searched for; an id the table lacks is skipped."""
+    ids = table.item_codes[1]
+    items = np.asarray(items, np.int64)
+    code = np.searchsorted(ids, items)
+    found = code < len(ids)
+    found[found] = ids[code[found]] == items[found]
+    positions = np.full(len(ids), -1)
+    positions[code[found]] = np.flatnonzero(found)
+    return positions
 
 
 def select_users(
@@ -307,8 +336,8 @@ def group_ratings(
     if not len(kept):
         none, zero = np.zeros(0, np.int64), np.zeros(1, np.int64)
         return GroupedRankings(universe, none, none, zero, zero, none)
-    user, item, level = ratings.take(kept, axis=0).T
-    index = np.argsort(items)[np.searchsorted(np.sort(items), item)]
+    user, _, level = ratings.take(kept, axis=0).T
+    index = _positions(table, items)[table.item_codes[0][kept]]
     order, _ = _sorted_rows(user, -level, index)
     user, index, level = user[order], index[order], level[order]
     new_user = np.r_[True, user[1:] != user[:-1]]

@@ -436,16 +436,16 @@ def _mixed_width_ratings(path):
     return path
 
 
-@pytest.mark.parametrize("corpus, top_items, bandwidth, cells", [
-    ("mixed", 16, "auto", 2400),  # labels of 1 to 4 digits in one block
+@pytest.mark.parametrize("corpus, top_items, bandwidth, block", [
+    ("mixed", 16, "auto", cli._BLOCK),  # labels of 1 to 4 digits in one block
     ("mixed", 16, "auto", 50),  # 3 rows a block: 16 is not a multiple
     ("mixed", 16, "auto", 16),  # one row a block
     ("conftest", 80, "1580.5", 2400),  # 30 rows a block, the last one 20; some p < 0
-    ("conftest", 1, "auto", 2400),  # n = 1: one cell, 0.5
+    ("conftest", 1, "auto", cli._BLOCK),  # n = 1: one cell, 0.5
 ], ids=["mixed-widths", "mixed-partial-block", "mixed-row-blocks", "negative-80", "one-item"])
 def test_pairs_csv_is_byte_identical_to_the_per_cell_form(ratings_file, tmp_path, monkeypatch,
-                                                          corpus, top_items, bandwidth, cells):
-    monkeypatch.setattr(cli, "_CELLS", cells)
+                                                          corpus, top_items, bandwidth, block):
+    monkeypatch.setattr(cli, "_BLOCK", block)
     data = ratings_file if corpus == "conftest" else _mixed_width_ratings(tmp_path / "u.data")
     out = tmp_path / "pairs.csv"
     assert main(["pairs", "--data", str(data), "--top-items", str(top_items),
@@ -468,8 +468,8 @@ def test_matrix_rows_match_the_per_cell_form_on_fallback_values(monkeypatch):
     matrix.flat[rng.choice(49, len(special), replace=False)] = special
     want = "".join(f"{a},{b},{p!r}\n" for a, row in zip(labels, matrix.tolist())
                    for b, p in zip(labels, row))
-    for cells in (1, 10, 49, 2400):
-        monkeypatch.setattr(cli, "_CELLS", cells)
+    for block in (1, 10, 49, cli._BLOCK):
+        monkeypatch.setattr(cli, "_BLOCK", block)
         assert "".join(cli._matrix_rows(labels, matrix)) == want
 
 
@@ -478,6 +478,38 @@ def test_load_builds_the_selected_item_mask_once(ratings_file, tmp_path, monkeyp
     monkeypatch.setattr(ingest, "rated", lambda *args: calls.append(1) or rated(*args))
     assert main(["pairs", *_common(ratings_file, tmp_path / "pairs.csv")]) == EXIT_OK
     assert calls == [1]
+
+
+def test_top_users_at_and_above_the_user_count_write_the_same_bytes(ratings_file, tmp_path,
+                                                                      monkeypatch):
+    # _load passes users=None to group_ratings once --top-users keeps every
+    # user of the selected rows; the bytes are those of the explicit user list
+    table = ingest.load_ratings(ratings_file, ingest.FORMATS["ml100k"])
+    count = len(ingest.select_users(table, ingest.select_items(table, 8)))
+    calls, group_ratings = [], ingest.group_ratings
+    monkeypatch.setattr(ingest, "group_ratings",
+                        lambda *args: calls.append(args[2]) or group_ratings(*args))
+    bodies = {}
+    for top_users in (count - 1, count, count + 1, 10**6):
+        out = tmp_path / f"pairs-{top_users}.csv"
+        assert main(["pairs", "--data", str(ratings_file), "--top-items", "8",
+                     "--top-users", str(top_users), "--out", str(out)]) == EXIT_OK
+        bodies[top_users] = [path.read_text().split("\n", 1)[1]
+                             for path in (out, out.with_suffix(".ranking.csv"))]
+    assert [users is None for users in calls] == [False, True, True, True]
+    assert len(calls[0]) == count - 1
+    assert bodies[count] == bodies[count + 1] == bodies[10**6] != bodies[count - 1]
+
+    def every_user_listed(data, fmt, top_items, top_users):
+        items = ingest.select_items(table, top_items)
+        return group_ratings(table, items, ingest.select_users(table, items)), {}
+
+    monkeypatch.setattr(cli, "_load", every_user_listed)
+    out = tmp_path / "explicit.csv"
+    assert main(["pairs", "--data", str(ratings_file), "--top-items", "8",
+                 "--out", str(out)]) == EXIT_OK
+    assert [path.read_text().split("\n", 1)[1]
+            for path in (out, out.with_suffix(".ranking.csv"))] == bodies[count]
 
 
 def test_pairs_on_one_item_at_the_default_bandwidth(ratings_file, tmp_path, capsys):

@@ -516,11 +516,12 @@ def test_fbar_is_identical_under_user_order_and_block_size(ratings_file, monkeyp
     rng = np.random.default_rng(2600)
     records = [corpus] + [estimator._grouped(train) for _, train in _exact_cases(rng)][::7]
     for record in records:
-        want = estimator.fit(record).fbar
+        want = estimator.fit(record).fbar  # in blocks of the default _USER_BLOCK
         for _ in range(2):
             shuffled = record.restrict(rng.permutation(len(record.users)))
             assert np.array_equal(estimator.fit(shuffled).fbar, want)
-        for block in (1, 7):
+        # small blocks with a partial last one, 128, and the whole record in one product
+        for block in (1, 7, 128, len(record.users)):
             monkeypatch.setattr(estimator, "_USER_BLOCK", block)
             assert np.array_equal(estimator.fit(record).fbar, want)
         monkeypatch.undo()

@@ -202,13 +202,15 @@ def test_group_ratings_on_three_columns_past_the_packed_key(tmp_path, monkeypatc
         ratings, kept, set(users))
 
 
-@pytest.mark.parametrize("selection", ["subset", "every", "none"])
+@pytest.mark.parametrize("selection", ["subset", "every", "none", "repeated-and-absent"])
 def test_group_ratings_keeps_the_selected_users_of_the_masked_rows(ratings_file, selection):
     table = load_ratings(ratings_file, FORMATS["ml100k"])
     ratings, _, _ = _reference_load(ratings_file, FORMATS["ml100k"])
     items = select_items(table, 12)
     every = sorted({u for u, _ in ratings})
-    users = {"subset": every[::3], "every": every, "none": []}[selection]
+    absent = [-2**63, 0, every[-1] + 1, 2**63 - 1]  # ids that no row holds
+    users = {"subset": every[::3], "every": every, "none": [],
+             "repeated-and-absent": absent + every[::6] + every[::4][::-1] + absent}[selection]
     grouped = group_ratings(table, items, users)
     with_mask = group_ratings(table, items, users, ingest.rated(table, items))
     for field in ("users", "items", "user_starts", "group_starts", "levels"):
@@ -217,6 +219,66 @@ def test_group_ratings_keeps_the_selected_users_of_the_masked_rows(ratings_file,
     assert [(u, r.groups, r.level_labels) for u, r in rankings] == _reference_rankings(
         ratings, items, set(users))
     assert (len(rankings) > 0) == bool(users)
+
+
+def test_dense_item_codes_skip_the_ids_no_row_holds(tmp_path):
+    # ids 10, 13 and 14 over 6 rows: the span of 5 takes codes id − 10, and
+    # 11 and 12 have codes that no row holds
+    text = "1\t10\t5\t0\n1\t13\t4\t0\n2\t14\t3\t0\n2\t13\t2\t0\n3\t10\t1\t0\n3\t13\t1\t0\n"
+    table = load_ratings(_write(tmp_path, text), FORMATS["ml100k"])
+    codes, ids = table.item_codes
+    assert ids.tolist() == [10, 11, 12, 13, 14]
+    assert codes.tolist() == (table.ratings[:, 1] - 10).tolist()
+    assert select_items(table, 3) == [13, 10, 14]
+    with pytest.raises(IngestError, match="only 3 distinct items"):
+        select_items(table, 4)
+    assert ingest.rated(table, [11, 12, 14]).tolist() == (table.ratings[:, 1] == 14).tolist()
+    grouped = group_ratings(table, [12, 14, 11])
+    assert grouped.users.tolist() == [2] and grouped.items.tolist() == [1]
+
+
+def _relabel(item, spread):
+    """Item id 1..80 as an id far from the others, in the same order: × 10^12
+    ("e12"), or among 40 ids next to −2^62 and 40 next to 2^62 ("2**62")."""
+    if spread == "e12":
+        return item * 10**12
+    return -2**62 + item if item <= 40 else 2**62 - 80 + item
+
+
+@pytest.mark.parametrize("spread", ["e12", "2**62"])
+def test_sparse_item_ids_select_and_group_like_a_sort(ratings_file, tmp_path, spread):
+    # the ids span more values than the file has rows, so their codes come
+    # from a sort; the selection and the grouping are the dense file's, relabelled
+    lines = [line.split("\t") for line in ratings_file.read_text().splitlines()]
+    sparse = _write(tmp_path, "".join(f"{u}\t{_relabel(int(i), spread)}\t{lv}\t{t}\n"
+                                      for u, i, lv, t in lines))
+    ratings, _, _ = _reference_load(sparse, FORMATS["ml100k"])
+    table = load_ratings(sparse, FORMATS["ml100k"])
+    column = table.ratings[:, 1].tolist()
+    assert table.item_codes[1].tolist() == sorted(set(column))
+    items = select_items(table, 80)
+    assert items == _ranked(Counter(i for _, i in ratings))
+    for kept in (items[:12], items[::-7]):
+        selected = set(kept)
+        assert ingest.rated(table, kept).tolist() == [i in selected for i in column]
+        users = _ranked(Counter(u for u, i in ratings if i in kept))
+        for chosen in (None, users[::5]):
+            _, rankings = build_rankings(table, kept, chosen)
+            assert [(u, r.groups, r.level_labels) for u, r in rankings] == _reference_rankings(
+                ratings, kept, set(users if chosen is None else chosen))
+    lo, hi = min(column), max(column)
+    for absent in ([lo - 1, hi + 1], [(lo + hi) // 2, 10**12 + 1], [-2**63, 2**63 - 1], []):
+        assert not ingest.rated(table, absent).any()
+        assert ingest.rated(table, [*absent, items[0]]).tolist() == [i == items[0] for i in column]
+    bodies = []
+    for data in (ratings_file, sparse):
+        out = tmp_path / f"{data.stem}.csv"
+        assert main(["pairs", "--data", str(data), "--top-items", "12",
+                     "--out", str(out)]) == EXIT_OK
+        bodies.append([line.split(",") for line in out.read_text().splitlines()[2:]])
+    dense_rows, sparse_rows = bodies
+    assert [[str(_relabel(int(a), spread)), str(_relabel(int(b), spread)), p]
+            for a, b, p in dense_rows] == sparse_rows
 
 
 def test_split_users_deterministic(ratings_file):
