@@ -128,8 +128,13 @@ def cli():
 _BLOCK = 4096  # normtable rows, or about as many pair-matrix cells, written as one string
 
 
-def _text(rows) -> str:
-    """uint8 rows of ASCII bytes read as one string, their NULs dropped."""
+def _csv_text(*fields) -> str:
+    """Equal-length (N, w) uint8 fields of NUL-padded ASCII as one string of
+    N CSV rows: the fields joined by commas, each row ended by a newline,
+    the NULs dropped."""
+    comma = np.full((len(fields[0]), 1), ord(","), dtype=np.uint8)
+    rows = np.hstack([part for field in fields for part in (field, comma)])
+    rows[:, -1] = ord("\n")  # the comma after the last field
     return rows.tobytes().translate(None, b"\0").decode()
 
 
@@ -146,9 +151,8 @@ def _digit_bytes(values, width):
 
 def _mass_rows(table):
     """The ``n,g,t,value`` rows of a Mahonian table, one string per block of
-    ``_BLOCK`` rows. Each row is laid out as bytes: ``n,g,``, t's digits
-    behind NULs, a comma, the value's ``repr_bytes`` row and a newline;
-    the block's NULs are then dropped. The table is a palindrome, so the
+    ``_BLOCK`` rows, from three byte fields: ``n,g``, t's digits and the
+    value's ``repr_bytes`` row. The table is a palindrome, so the
     ``repr_bytes`` rows of its lower half are made once, a block at a
     time, and row t takes row min(t, top − t)."""
     top = table.max_distance
@@ -156,18 +160,12 @@ def _mass_rows(table):
     mass, lower = table.mass[:half], np.empty((half, WIDTH), dtype=np.uint8)
     for start in range(0, half, _BLOCK):
         lower[start : start + _BLOCK] = repr_bytes(mass[start : start + _BLOCK])
-    prefix = np.frombuffer(f"{table.n},g,".encode(), dtype=np.uint8)
+    key = np.frombuffer(f"{table.n},g".encode(), dtype=np.uint8)
     width = len(str(top))
-    value = len(prefix) + width + 1  # the column where the value's bytes start
     for start in range(0, top + 1, _BLOCK):
         t = np.arange(start, min(start + _BLOCK, top + 1))
-        rows = np.empty((len(t), value + WIDTH + 1), dtype=np.uint8)
-        rows[:, : len(prefix)] = prefix
-        rows[:, len(prefix) : value - 1] = _digit_bytes(t, width)
-        rows[:, value - 1] = ord(",")
-        rows[:, value:-1] = lower[np.minimum(t, top - t)]
-        rows[:, -1] = ord("\n")
-        yield _text(rows)
+        yield _csv_text(np.broadcast_to(key, (len(t), len(key))), _digit_bytes(t, width),
+                        lower[np.minimum(t, top - t)])
 
 
 @cli.command()
@@ -193,23 +191,16 @@ def normtable(sizes, bandwidths, out):
 
 def _matrix_rows(labels, matrix):
     """The ``a,b,repr(p)`` rows of an n × n matrix, one string per block of
-    ``max(1, _BLOCK // n)`` matrix rows, about ``_BLOCK`` cells. Each row is
-    laid out as bytes: the NUL-padded labels a and b, commas, the value's
-    ``repr_bytes`` row and a newline; the block's NULs are then dropped."""
-    n, labels = len(labels), [label.encode() for label in labels]
-    width = max(map(len, labels))
-    names = np.frombuffer(b"".join(label.ljust(width, b"\0") for label in labels),
-                          dtype=np.uint8).reshape(n, width)
+    ``max(1, _BLOCK // n)`` matrix rows, about ``_BLOCK`` cells, from three
+    byte fields: the NUL-padded labels a and b and the value's
+    ``repr_bytes`` row."""
+    n = len(labels)
+    names = np.array([label.encode() for label in labels]).view(np.uint8).reshape(n, -1)
     step = max(1, _BLOCK // n)
     for start in range(0, n, step):
         block = matrix[start : start + step]
-        rows = np.zeros((block.size, 2 * width + WIDTH + 3), dtype=np.uint8)
-        rows[:, :width] = np.repeat(names[start : start + step], n, axis=0)
-        rows[:, width + 1 : 2 * width + 1] = np.tile(names, (len(block), 1))
-        rows[:, [width, 2 * width + 1]] = ord(",")
-        rows[:, 2 * width + 2 : -1] = repr_bytes(block.ravel())
-        rows[:, -1] = ord("\n")
-        yield _text(rows)
+        yield _csv_text(np.repeat(names[start : start + step], n, axis=0),
+                        np.tile(names, (len(block), 1)), repr_bytes(block.ravel()))
 
 
 @cli.command()

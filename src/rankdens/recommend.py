@@ -161,9 +161,17 @@ def level_posterior(model: KernelModel, user_ranking: TiedRanking, item: int | S
                             np.zeros(len(items), np.int64), items, levels, counts)
 
 
+_RISK_CELLS = 1 << 22  # products _best_levels forms at once: 32 MB, 4 rows of 1000 levels
+
+
 def _best_levels(posteriors: np.ndarray, loss: LossMatrix) -> np.ndarray:
-    """Each row's level index of least expected loss, ties to the more preferred."""
-    risks = (posteriors[:, None, :] * loss.entries).sum(axis=2)
+    """Each row's level index of least expected loss, ties to the more
+    preferred; the risks are summed a block of rows at a time."""
+    risks = np.empty(posteriors.shape)
+    step = max(1, _RISK_CELLS // loss.size**2)
+    for start in range(0, len(posteriors), step):
+        block = posteriors[start : start + step]
+        risks[start : start + step] = (block[:, None, :] * loss.entries).sum(axis=2)
     return loss.size - 1 - np.argmin(risks[:, ::-1], axis=1)
 
 

@@ -326,6 +326,7 @@ _TAB = "csv:\t:user,item,rating,ts:"  # the conftest corpus's columns, with a ra
     (["pairs", "--top-items", "8", "--format", _TAB + "0-" + str(10**20)], EXIT_OK),
     (["predict", "--top-items", "8", "--format", _TAB + "0-" + str(10**20)], EXIT_USAGE),
     (["predict", "--top-items", "8", "--format", _TAB + "1-1000"], EXIT_OK),  # cli.MAX_LEVELS
+    (["predict", "--top-items", "1"], EXIT_DATA),  # a ranking of one item holds nothing out
     (["rules", "--top-items", "8", "--subset-size", "6", "--top-t", "100000"], EXIT_OK),
     *((["rules", "--top-items", "8", "--mode", mode, "--subset-size", size], EXIT_OK)
       for mode in ("lift-top2", "lift-topbottom") for size in ("1", "2")),
@@ -335,7 +336,8 @@ _TAB = "csv:\t:user,item,rating,ts:"  # the conftest corpus's columns, with a ra
     (["loglik", "--top-items", "8", "--n-items", "3", "--m-grid", "20", "--reps", "1",
       "--kernel", "exact", "--bandwidth", "1e-9", "--strict"], EXIT_OK),
 ], ids=["data-directory", "data-random-bytes", "top-items-above", "scale-3-3", "scale-negative",
-        "scale-1e20-pairs", "scale-1e20-predict", "scale-1000-predict", "top-t-100000",
+        "scale-1e20-pairs", "scale-1e20-predict", "scale-1000-predict", "predict-one-item",
+        "top-t-100000",
         "lift-top2-1", "lift-top2-2", "lift-topbottom-1", "lift-topbottom-2",
         "threshold-inf", "normtable-subnormal-h", "loglik-m-grid-1", "loglik-exact-h-1e-9"])
 def test_edge_inputs_exit_with_their_documented_code(ratings_file, tmp_path, capsys, argv,
@@ -912,6 +914,16 @@ def test_loglik_names_the_cells_it_drops(ratings_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "2 of 6 (n, m) cells dropped" in err and "1 without a mallows row" in err
+
+
+def test_loglik_drops_a_cell_with_fewer_users_than_m(ratings_file, tmp_path, capsys):
+    # 150 users cannot train on m = 1000 rankings and test on 20 more
+    out = tmp_path / "ll.csv"
+    args = ["--n-items", "3", "--m-grid", "1000", "--reps", "2"]
+    assert main(["loglik", *_common(ratings_file, out), *args]) == EXIT_OK
+    assert out.read_text().splitlines()[1:] == ["n,m,estimator,mean_loglik,stderr"]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("1 of 1 (n, m) cells dropped")
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

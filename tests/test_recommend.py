@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from rankdens import cli, estimator, ingest, oracle
+from rankdens import cli, estimator, ingest, oracle, recommend
 from rankdens.censored import tie_terms
 from rankdens.rankings import ItemUniverse, TiedRanking, parse_ranking
 from rankdens.recommend import (
@@ -381,6 +382,48 @@ def test_posteriors_follow_the_add_one_level_histogram_on_the_default_split(corp
         best = risks == risks.min(axis=1, keepdims=True)
         assert best[np.arange(len(post)), _best_levels(post, loss)].all()
         assert (best.sum(axis=1) > 1).sum() == ties
+
+
+def _tied_posteriors(rows, size, seed):
+    """Random posteriors over ``size`` levels with exact and near ties.
+    Rows 0, 3, ... are palindromes of eighths: their l0 risks tie exactly
+    when the largest mass is off the middle. Rows 1, 4, ... are palindromes
+    of random floats: at an even size their two middle l1 risks are equal
+    in exact arithmetic, so the order of each sum picks the winner."""
+    rng = np.random.default_rng(seed)
+    post = rng.dirichlet(np.ones(size), rows)
+    eighths = rng.integers(0, 8, (rows, size)) / 8.0
+    post[::3] = (eighths + eighths[:, ::-1])[::3]
+    post[1::3] += post[1::3, ::-1]
+    return post
+
+
+@pytest.mark.parametrize("cells", [1, 7 * 36, 10**6, None])  # None: the default block
+def test_best_levels_match_the_one_shot_risks_at_every_block(monkeypatch, cells):
+    if cells is not None:
+        monkeypatch.setattr(recommend, "_RISK_CELLS", cells)
+    post = _tied_posteriors(301, 6, 0)
+    for name in ("l0", "l1", "le"):
+        loss = builtin_loss(name, range(6))
+        risks = (post[:, None, :] * loss.entries).sum(axis=2)
+        want = loss.size - 1 - np.argmin(risks[:, ::-1], axis=1)
+        assert np.array_equal(_best_levels(post, loss), want)
+        if name != "le":  # whose rows are not symmetric
+            assert (np.sum(risks == risks.min(axis=1, keepdims=True), axis=1) > 1).sum() > 100
+
+
+def test_best_levels_memory_stays_below_64_mb_at_1000_levels():
+    # the one-shot (B, L, L) products would take 3.4 GB here
+    post, loss = _tied_posteriors(420, 1000, 1), builtin_loss("l1", range(1, 1001))
+    tracemalloc.start()
+    try:
+        best = _best_levels(post, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    rows = [0, 1, 2, 3, 299, 419]
+    assert np.array_equal(best[rows], _best_levels(post[rows], loss))
 
 
 def _item_mean_levels(train, n):
