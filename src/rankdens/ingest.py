@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import codecs
 import math
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 from types import SimpleNamespace
@@ -127,13 +128,27 @@ def _line_end(data: bytes, start: int, has_cr: bool) -> int:
     return len(data) if nl < 0 else nl + 1
 
 
+def _numbers(digit: np.ndarray, before: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The int64 values of the fields that run from the stops at ``before``
+    to those at ``end``, by Horner's rule over ``digit``, in which every
+    stop reads 0: a field's stop before it is read as a leading zero."""
+    value = np.zeros(len(end), np.int64)
+    for back in range(int((end - before).max(initial=1)) - 1, 0, -1):
+        value *= 10
+        value += digit[np.maximum(end - back, before)]
+    return value
+
+
 def _plain_rows(text: bytes, code: int, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read the plain lines of ``text``, whole lines each ending in a \n,
     whose delimiter is the byte ``code``. A plain line holds only digits
     and delimiters, has enough fields, no empty field and no field of
     ``cols`` over ``_DIGITS`` digits, so ``_parse_line`` reads it as
     digit arithmetic does. Returns (lines, 3) int64 rows, filled on plain
-    lines only, the plain-line mask and each line's end offset."""
+    lines only, the plain-line mask and each line's end offset. When every
+    line is plain and has the same number of fields w, the block is a grid:
+    field c of line i runs from stop i·w + c to the next, so each column is
+    read through strided views of the stops, with no per-line bookkeeping."""
     b = np.frombuffer(_LEAD + text, np.uint8)
     newline = b == 10
     stop = newline | (b == code)
@@ -142,23 +157,29 @@ def _plain_rows(text: bytes, code: int, cols) -> tuple[np.ndarray, np.ndarray, n
     bad[1:] |= stop[1:] & stop[:-1]  # the end of an empty field
     digit *= ~stop  # so a number may read the stop before it as a leading zero
     ends = np.flatnonzero(stop)  # each field's end, after line 0's
+    lines = int(np.count_nonzero(newline)) - 1
+    w, odd = divmod(len(ends) - 1, lines)
+    if not odd and w > max(cols) and not bad.any() and newline[ends[w::w]].all():
+        fields = [(ends[c:-1:w], ends[c + 1::w]) for c in cols]
+        if all(int((end - before).max()) <= _DIGITS + 1 for before, end in fields):
+            rows = np.empty((lines, 3), np.int64)
+            for j, (before, end) in enumerate(fields):
+                rows[:, j] = _numbers(digit, before, end)
+            return rows, np.ones(lines, bool), ends[w::w] - len(_LEAD)
     last = np.flatnonzero(newline[ends])  # each line's last field
     plain = np.diff(last) > max(cols)
     if bad.any():
         plain[np.searchsorted(ends[last], np.flatnonzero(bad)) - 1] = False
     rows = np.zeros((len(plain), 3), np.int64)
-    lines = np.flatnonzero(plain)
+    kept = np.flatnonzero(plain)
     for j, col in enumerate(cols):
-        field = last[lines] + col  # field col of a line runs from ends[field] to ends[field + 1]
+        field = last[kept] + col  # field col of a line runs from ends[field] to ends[field + 1]
         before, end = ends[field], ends[field + 1]
         fits = end - before <= _DIGITS + 1
         if not fits.all():
-            plain[lines[~fits]] = False
-            lines, before, end = lines[fits], before[fits], end[fits]
-        value = np.zeros(len(lines), np.int64)
-        for back in range(int((end - before).max(initial=1)) - 1, 0, -1):  # Horner
-            value = value * 10 + digit[np.maximum(end - back, before)]
-        rows[:, j][lines] = value
+            plain[kept[~fits]] = False
+            kept, before, end = kept[fits], before[fits], end[fits]
+        rows[:, j][kept] = _numbers(digit, before, end)
     return rows, plain, ends[last[1:]] - len(_LEAD)
 
 
@@ -223,15 +244,21 @@ def _parse_bytes(data: bytes, fmt: FormatDescriptor) -> tuple[np.ndarray, int]:
 def load_ratings(path, fmt: FormatDescriptor, digest=None) -> RatingsTable:
     """Parse a ratings file; malformed lines, a level off the scale among
     them, are counted and tolerated up to ``MALFORMED_CAP``. A ``digest`` (a hashlib
-    object) is updated with the file's bytes, so the file is read once."""
+    object) is updated with the file's bytes on a second thread, beside the
+    parse, so the file is read once."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
-    if digest is not None:
-        digest.update(data)
-    rows, malformed = _parse_bytes(data, fmt)
+    hasher = None if digest is None else threading.Thread(target=digest.update, args=(data,))
+    if hasher is not None:  # hashlib lets go of the GIL on large buffers
+        hasher.start()
+    try:
+        rows, malformed = _parse_bytes(data, fmt)
+    finally:
+        if hasher is not None:
+            hasher.join()
     del data  # free the file's bytes before the sort
     total = len(rows) + malformed
     if total and malformed / total > MALFORMED_CAP:

@@ -1,3 +1,7 @@
+import codecs
+import hashlib
+import threading
+import time
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -501,6 +505,24 @@ _EDGES = {
     "empty": (_ML100K, b""),
     "header-only": (_HEADER, b"user,item,rating\n"),
     "header-no-newline": (_HEADER, b"user,item,rating"),
+    # blocks whose lines all have the same field count, read as a grid of
+    # field stops, and blocks that only look like one: a field of 19 digits,
+    # a blank line, an empty field, a byte that is neither digit nor
+    # delimiter, or lines of 3 and 5 fields, whose stop count a grid of 4
+    # fields a line divides evenly
+    "fields-3": (_ML100K, b"1\t10\t5\n2\t10\t4\n2\t11\t3\n"),
+    "fields-4": (_ML100K, b"1\t10\t5\t0\n2\t10\t4\t1\n2\t11\t3\t2\n"),
+    "fields-5": (_ML100K, b"1\t10\t5\t0\t9\n2\t10\t4\t1\t8\n2\t11\t3\t2\t7\n"),
+    "leading-zeros": (_ML100K, b"0001\t010\t05\t0\n"
+                      b"000000000000000002\t000000000000000010\t004\t1\n"),
+    "user-19-digits": (_ML100K, b"1\t10\t5\t0\n1234567890123456789\t10\t4\t1\n"
+                       b"9223372036854775808\t10\t3\t2\n2\t11\t2\t3\n"),
+    "timestamp-30-digits": (_ML100K, b"1\t10\t5\t123456789012345678901234567890\n"
+                            b"2\t10\t4\t999999999999999999999999999999\n"),
+    "fields-3-5-alternating": (_ML100K, b"1\t10\t5\n2\t10\t4\t0\t0\n1\t11\t3\n2\t11\t2\t0\t0\n"),
+    "blank-line": (_ML100K, b"1\t10\t5\t0\n\n2\t10\t4\t1\n"),
+    "empty-field": (_ML100K, b"1\t10\t5\t0\n2\t\t4\t1\n3\t10\t4\t1\n"),
+    "non-digit": (_ML100K, b"1\t10\t5\t0\n2\tx0\t4\t1\n3\t10\t4\t1\n"),
 }
 
 
@@ -520,6 +542,48 @@ def test_byte_parser_edge_cases_match_per_line_reference(tmp_path, monkeypatch, 
     table = load_ratings(path, fmt)
     assert table.ratings.tolist() == [[u, i, lv] for (u, i), lv in sorted(ratings.items())]
     assert (table.malformed, table.duplicates) == (malformed, duplicates)
+
+
+@pytest.mark.parametrize("variant", ["plain", "bom-crlf", "csv-header"])
+def test_digest_is_the_sha256_of_the_file_bytes(ratings_file, tmp_path, variant):
+    data, fmt = ratings_file.read_bytes(), _ML100K
+    if variant == "bom-crlf":
+        data = codecs.BOM_UTF8 + data.replace(b"\n", b"\r\n")
+    elif variant == "csv-header":
+        data = b"user,item,rating,ts\n" + data.replace(b"\t", b",")
+        fmt = parse_format("csv:,:user,item,rating,ts:1-5:header")
+    path = tmp_path / "ratings.data"
+    path.write_bytes(data)
+    digest = hashlib.sha256()
+    table = load_ratings(path, fmt, digest)
+    assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
+    assert table.ratings.tolist() == load_ratings(ratings_file, _ML100K).ratings.tolist()
+
+
+class _SlowDigest:
+    """A sha256 whose update first sleeps, so that a hash thread that
+    ``load_ratings`` did not join would still be running when it returns."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def update(self, data):
+        time.sleep(0.05)
+        self.sha.update(data)
+
+
+@pytest.mark.parametrize("fmt, text, message", [
+    (_ML100K, "junk\njunk\n1\t10\t5\t0\n", "exceeds cap"),
+    (_ML100K, "\n \n\t\n", "no usable ratings"),
+    (FormatDescriptor("\t", ("user", "item")), "1\t10\n", "lacks a 'rating' column"),
+], ids=["over-cap", "no-ratings", "no-rating-column"])
+def test_a_failed_load_leaves_no_hash_thread_running(tmp_path, fmt, text, message):
+    path = _write(tmp_path, text)
+    digest, threads = _SlowDigest(), threading.active_count()
+    with pytest.raises(IngestError, match=message):
+        load_ratings(path, fmt, digest)
+    assert threading.active_count() == threads
+    assert digest.sha.digest() == hashlib.sha256(path.read_bytes()).digest()
 
 
 def test_selection_and_grouping_at_the_int64_ends(tmp_path):
